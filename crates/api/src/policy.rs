@@ -506,7 +506,8 @@ mod tests {
         let p = BufferPolicy::new();
         assert_eq!(p, BufferPolicy::default());
         p.validate();
-        let q = BufferPolicy::new().with_insert_capacity(8).with_refill_width(16).with_stickiness(1);
+        let q =
+            BufferPolicy::new().with_insert_capacity(8).with_refill_width(16).with_stickiness(1);
         assert_eq!(q.insert_capacity, 8);
         assert_eq!(q.refill_width, 16);
         assert_eq!(q.stickiness, 1);

@@ -232,8 +232,7 @@ struct FrontCell {
 
 fn front_opts(workers: usize, pairs: usize, buffered: bool) -> ShardedOptions {
     let capacity = workers * pairs + workers * FRONT_K + (1 << 10);
-    let mut opts =
-        ShardedOptions::with_capacity_for(FRONT_SHARDS, FRONT_SAMPLE, FRONT_K, capacity);
+    let mut opts = ShardedOptions::with_capacity_for(FRONT_SHARDS, FRONT_SAMPLE, FRONT_K, capacity);
     if buffered {
         opts = opts.with_buffering(front_policy());
     }
@@ -354,8 +353,7 @@ fn front_sim(workers: usize, pairs: usize, buffered: bool) -> FrontCell {
                 } else {
                     q.try_insert(w, bid, &[Entry::new(key, 0)]).expect("capacity holds");
                     out.clear();
-                    let got =
-                        q.try_delete_min(w, &mut rng, &mut out, 1).expect("healthy front");
+                    let got = q.try_delete_min(w, &mut rng, &mut out, 1).expect("healthy front");
                     deleted.fetch_add(got as u64, Ordering::Relaxed);
                 }
             }
@@ -390,7 +388,11 @@ impl FrontRow {
     }
 }
 
-fn front_sweep(label: &str, pairs: usize, run: impl Fn(usize, usize, bool) -> FrontCell) -> Vec<FrontRow> {
+fn front_sweep(
+    label: &str,
+    pairs: usize,
+    run: impl Fn(usize, usize, bool) -> FrontCell,
+) -> Vec<FrontRow> {
     let mut rows = Vec::new();
     for &n in &FRONT_WORKERS {
         let row =

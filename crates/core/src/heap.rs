@@ -524,6 +524,11 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// `EXTRACT_ROOT` (Alg. 2 lines 32-35): move up to `want` smallest
     /// keys from the root into `out`, compacting the root. Caller holds
     /// the root lock. Returns the number extracted.
+    ///
+    /// Only the root read is charged here: the extracted keys wait in
+    /// the block's shared memory and reach the caller's buffer in one
+    /// coalesced store after the root lock is released
+    /// ([`Self::store_results`]).
     fn extract_root(
         &self,
         c: &mut Crit<'_, K, V, P>,
@@ -544,9 +549,17 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         };
         if taken > 0 {
             c.charge(PrimitiveCost::GlobalRead { n: taken });
-            c.charge(PrimitiveCost::GlobalWrite { n: taken });
         }
         taken
+    }
+
+    /// Store a DELETEMIN's `n` results from shared memory to the
+    /// caller's buffer: one coalesced write, issued once the root lock
+    /// is released so it stays off the serialized path.
+    fn store_results(&self, w: &mut P::Worker, n: usize) {
+        if n > 0 {
+            self.platform.charge(w, PrimitiveCost::GlobalWrite { n });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -734,9 +747,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             return Ok(());
         }
 
-        if !direct_full_batch {
-            // Overflow (Alg. 1 lines 25-29): extract the k smallest of
-            // (batch ∪ buffer) into `buf`, leave the rest in the buffer.
+        // Overflow (Alg. 1 lines 25-29): extract the k smallest of
+        // (batch ∪ buffer) into `buf`, leave the rest in the buffer. An
+        // empty buffer means `size == k`: `buf` already is that batch.
+        if !direct_full_batch && buf_len > 0 {
             debug_assert!(buf_len + size >= k);
             c.charge(PrimitiveCost::GlobalRead { n: buf_len });
             c.charge(PrimitiveCost::SortSplit { na: size, nb: buf_len });
@@ -966,22 +980,29 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             self.delete_min_inner(&mut c, out, count, &mut ctx, s)
         };
         match r {
-            Ok(n) => Ok(n),
-            Err(e) => self.delete_tail(&ctx, out, start, e),
+            Ok(n) => {
+                self.store_results(w, n);
+                Ok(n)
+            }
+            Err(e) => self.delete_tail(w, &ctx, out, start, e),
         }
     }
 
     /// Map a mid-flight delete fault to the API result: post-linearize
-    /// the result set is committed, pre-linearize it is rolled back.
+    /// the result set is committed (and stored), pre-linearize it is
+    /// rolled back.
     fn delete_tail(
         &self,
+        w: &mut P::Worker,
         ctx: &OpCtx<K>,
         out: &mut Vec<Entry<K, V>>,
         start: usize,
         e: QueueError,
     ) -> Result<usize, QueueError> {
         if ctx.seq.is_some() {
-            Ok(out.len() - start)
+            let n = out.len() - start;
+            self.store_results(w, n);
+            Ok(n)
         } else {
             out.truncate(start);
             Err(e)
@@ -1123,6 +1144,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         c.lock_or_poison(tar)?;
         c.charge(PrimitiveCost::Atomic);
 
+        // Whether the refilled root is still only in shared memory (a
+        // collaborating inserter stores it to global memory itself).
+        let mut root_in_shared = true;
         c.touch(tar, false);
         if self.storage.state(tar) == NodeState::Target {
             if self.opts.use_collaboration {
@@ -1137,6 +1161,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     c.release_all();
                     return Err(e);
                 }
+                root_in_shared = false;
             } else {
                 // Ablation: wait for the insertion to finish filling
                 // `tar`, then take its keys like any AVAIL node.
@@ -1167,7 +1192,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         }
 
         OpStats::bump(&self.stats.delete_heapifies);
-        self.delete_heapify(c, out, start, remained, scratch, lanes, ctx)?;
+        self.delete_heapify(c, out, start, remained, root_in_shared, scratch, lanes, ctx)?;
         Ok(out.len() - start)
     }
 
@@ -1202,6 +1227,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
 
     /// Move AVAIL node `tar`'s full batch into the (empty) root and
     /// release `tar`. Caller holds both the root and `tar` locks.
+    ///
+    /// The block keeps the new root in shared memory: level 0 of the
+    /// delete-heapify rewrites it straight away, so the heapify charges
+    /// the root's one global store (see [`Self::delete_heapify`]).
     fn move_node_to_root(&self, c: &mut Crit<'_, K, V, P>, tar: usize, k: usize) {
         c.charge(PrimitiveCost::GlobalRead { n: k });
         // SAFETY: both locks held; nodes are disjoint (tar >= 2).
@@ -1211,7 +1240,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             dst.copy_from_slice(src);
             self.storage.meta_mut().root_len = k;
         }
-        c.charge(PrimitiveCost::GlobalWrite { n: k });
         c.touch(tar, true);
         self.storage.set_state(tar, NodeState::Empty);
         c.unlock(tar);
@@ -1222,6 +1250,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// `DELETEMIN_HEAPIFY` (Alg. 3), iteratively. On entry the caller
     /// holds `cur = root`'s lock; `remained` keys still owed to the
     /// caller are extracted from the root before it is released.
+    /// `root_in_shared` says the refilled root has not been stored to
+    /// global memory yet: level 0's SORT_SPLIT write-back stores it, or
+    /// an early exit at level 0 charges that store itself.
     // The scratch pieces arrive disassembled from the op's arena — they
     // alias distinct OpScratch fields, so they can't ride in as one
     // `&mut OpScratch` alongside `out` (which is also arena-owned).
@@ -1232,6 +1263,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         out: &mut Vec<Entry<K, V>>,
         start: usize,
         remained: usize,
+        root_in_shared: bool,
         scratch: &mut Vec<Entry<K, V>>,
         lanes: &mut LaneScratch,
         ctx: &mut OpCtx<K>,
@@ -1294,6 +1326,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // and EMPTY children hold no keys).
             if min_child.is_none_or(|m| cur_max <= m) {
                 if cur == ROOT {
+                    if root_in_shared {
+                        c.charge(PrimitiveCost::GlobalWrite { n: k });
+                    }
                     self.extract_root(c, out, remained);
                 }
                 if r_in {

@@ -5,8 +5,9 @@
 
 use bgpq::{check_history, Bgpq, BgpqOptions};
 use bgpq_runtime::SimPlatform;
-use gpu_sim::{launch, GpuConfig, SimReport};
+use gpu_sim::{launch, GpuConfig, SimReport, TraceKind};
 use pq_api::Entry;
+use primitives::PrimitiveCost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,6 +179,70 @@ fn sim_larger_nodes_are_faster_per_key() {
     let large = run(1024);
     eprintln!("cycles/key: k=64 -> {small:.1}, k=1024 -> {large:.1}");
     assert!(large < small, "larger batches must amortize better: {large} !< {small}");
+}
+
+/// The root-lock critical section of a full-batch DELETEMIN holds only
+/// root-ordered work: the root read, the refill from the last node,
+/// and level 0 of the heapify. The refilled root stays in shared memory
+/// until level 0's SORT_SPLIT write-back stores it, and the results
+/// reach the caller in one store after the root lock is released —
+/// still inside the operation, never dropped.
+#[test]
+fn root_lock_holds_only_root_ordered_work() {
+    let k = 1024usize;
+    let cfg = GpuConfig::new(1, 256);
+    let cost = cfg.cost;
+    let c = |p: PrimitiveCost| cost.cycles(p, cfg.block_dim);
+    let opts = BgpqOptions { node_capacity: k, max_nodes: 8, ..Default::default() };
+    let times = std::sync::Mutex::new((0u64, 0u64));
+    let (_, (sched, root_lock, q)) = launch(
+        cfg,
+        |sched| {
+            sched.enable_trace(1 << 12);
+            // The platform's locks come next in the arena; lock `ROOT`
+            // of the queue is the platform's lock 1.
+            let root_lock = sched.create_locks(0) + 1;
+            (std::sync::Arc::clone(sched), root_lock, sim_queue(sched, &cfg, opts))
+        },
+        |ctx, (_, _, q)| {
+            // Preload ascending full batches: root = [0, k), nodes 2, 3
+            // and 4 hold the next three key ranges in order.
+            for b in 0..4u32 {
+                let items: Vec<Entry<u32, u32>> =
+                    (b * k as u32..(b + 1) * k as u32).map(|key| Entry::new(key, 0)).collect();
+                q.insert(ctx.worker(), &items);
+            }
+            let mut out = Vec::new();
+            let t0 = ctx.now();
+            assert_eq!(q.delete_min(ctx.worker(), &mut out, k), k);
+            *times.lock().unwrap() = (t0, ctx.now());
+            assert!(out.iter().map(|e| e.key).eq(0..k as u32), "wrong result set");
+        },
+    );
+    q.check_invariants();
+    let (t0, t_end) = times.into_inner().unwrap();
+    let trace = sched.take_trace();
+    let last = |kind: TraceKind| trace.iter().rev().find(|e| e.kind == kind).unwrap().vtime;
+    let acquired = last(TraceKind::LockAcquired(root_lock));
+    let released = last(TraceKind::LockReleased(root_lock));
+    assert_eq!(acquired, t0 + cost.c_atomic, "nothing but the lock word precedes the root section");
+
+    // Root section: extract the root (read), take node 4 into the root
+    // (lock, state atomic, read, unlock; no store), then level 0: lock
+    // both children, read them, split them and store the loser, split
+    // the root with the winner and store both, release the loser and
+    // finally the root. No result store and no separate root store.
+    let root_section = 4 * c(PrimitiveCost::GlobalRead { n: k })
+        + 2 * c(PrimitiveCost::SortSplit { na: k, nb: k })
+        + c(PrimitiveCost::GlobalWrite { n: k })
+        + c(PrimitiveCost::GlobalWrite { n: 2 * k })
+        + 7 * cost.c_atomic;
+    assert_eq!(released - acquired, root_section, "root-lock hold time");
+
+    // After the root: level 1 locks node 2's two empty children, stops,
+    // releases all three locks; then the k results are stored.
+    let after_root = 5 * cost.c_atomic + c(PrimitiveCost::GlobalWrite { n: k });
+    assert_eq!(t_end - released, after_root, "the results must be stored after release");
 }
 
 /// Schedule fuzzing: seeded tie-break randomization explores many

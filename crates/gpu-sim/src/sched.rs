@@ -254,8 +254,9 @@ struct SchedInner {
     /// virtual times so repeated runs explore different (deterministic
     /// per seed) interleavings.
     tie_seed: Option<u64>,
-    /// Event trace (empty unless enabled); bounded by `trace_capacity`.
-    trace: Vec<TraceEvent>,
+    /// Event trace (empty unless enabled): a ring bounded by
+    /// `trace_capacity` that evicts its oldest event in O(1).
+    trace: VecDeque<TraceEvent>,
     trace_capacity: usize,
     /// Attached schedule-exploration controller, if any. Replaces the
     /// min-virtual-time rule: readiness is tracked in `status` only and
@@ -306,7 +307,7 @@ impl Scheduler {
                 metrics: SimMetrics::default(),
                 poisoned: false,
                 tie_seed: None,
-                trace: Vec::new(),
+                trace: VecDeque::new(),
                 trace_capacity: 0,
                 controller: None,
                 decisions: Vec::new(),
@@ -408,7 +409,7 @@ impl Scheduler {
 
     /// Drain the recorded trace (in emission order).
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.inner.lock().trace)
+        std::mem::take(&mut self.inner.lock().trace).into()
     }
 
     fn trace(inner: &mut SchedInner, agent: AgentId, kind: TraceKind) {
@@ -416,10 +417,10 @@ impl Scheduler {
             return;
         }
         if inner.trace.len() >= inner.trace_capacity {
-            inner.trace.remove(0);
+            inner.trace.pop_front();
         }
         let vtime = inner.vtime[agent];
-        inner.trace.push(TraceEvent { vtime, agent, kind });
+        inner.trace.push_back(TraceEvent { vtime, agent, kind });
     }
 
     /// Prepare the scheduler for another wave of agents (a kernel

@@ -66,6 +66,36 @@ fn trace_is_bounded() {
     assert_eq!(trace.len(), 4, "capacity bound must hold");
 }
 
+/// A capacity-N trace is a ring: it keeps exactly the newest N events
+/// of an unbounded trace of the same run, in emission order.
+#[test]
+fn bounded_trace_keeps_newest_events_in_order() {
+    let run = |capacity: usize| {
+        let sched = Scheduler::new(1);
+        sched.enable_trace(capacity);
+        let l = sched.create_locks(1);
+        std::thread::scope(|s| {
+            let mut w = sched.worker(0);
+            s.spawn(move || {
+                w.begin();
+                for i in 0..50u64 {
+                    w.lock(l, 1);
+                    w.advance(i); // distinct timestamps per event pair
+                    w.unlock(l, 1);
+                }
+                w.finish();
+            });
+        });
+        sched.take_trace()
+    };
+    let full = run(1 << 12);
+    assert!(full.len() > 100, "unbounded run recorded {} events", full.len());
+    for n in [1, 7, 64] {
+        let ring = run(n);
+        assert_eq!(ring, full[full.len() - n..], "capacity {n}");
+    }
+}
+
 #[test]
 fn trace_disabled_by_default() {
     let sched = Scheduler::new(1);
