@@ -30,22 +30,6 @@ pub trait KeyType: Copy + Ord + Send + Sync + core::fmt::Debug + Default + 'stat
     /// sharded router's root-min hint) without locking. For unsigned
     /// keys this is the identity; signed keys flip the sign bit.
     fn to_ordered_bits(self) -> u64;
-
-    /// Whether [`KeyType::to_lane32`] is a strictly monotone
-    /// order-embedding into `u32` — the SIMD specialization hook: key
-    /// types that fit a 32-bit lane ride the vector kernels (packed as
-    /// key|index lanes so payload permutations stay exactly stable);
-    /// wider keys keep the scalar path. `false` by default; the
-    /// built-in impls up to 32 bits opt in.
-    const HAS_LANE32: bool = false;
-
-    /// 32-bit order-preserving encoding: when [`KeyType::HAS_LANE32`]
-    /// is `true`, `a < b` iff `a.to_lane32() < b.to_lane32()`
-    /// (strictly — distinct keys map to distinct lanes). Unspecified
-    /// (never called) when `HAS_LANE32` is `false`.
-    fn to_lane32(self) -> u32 {
-        0
-    }
 }
 
 macro_rules! impl_key_unsigned {
@@ -57,19 +41,6 @@ macro_rules! impl_key_unsigned {
             fn as_u64(self) -> u64 { self as u64 }
             #[inline]
             fn to_ordered_bits(self) -> u64 { self as u64 }
-        }
-    )*};
-    ($($t:ty),*; lane32) => {$(
-        impl KeyType for $t {
-            const MAX_KEY: Self = <$t>::MAX;
-            const MIN_KEY: Self = <$t>::MIN;
-            const HAS_LANE32: bool = true;
-            #[inline]
-            fn as_u64(self) -> u64 { self as u64 }
-            #[inline]
-            fn to_ordered_bits(self) -> u64 { self as u64 }
-            #[inline]
-            fn to_lane32(self) -> u32 { self as u32 }
         }
     )*};
 }
@@ -89,33 +60,10 @@ macro_rules! impl_key_signed {
             }
         }
     )*};
-    ($($t:ty),*; lane32) => {$(
-        impl KeyType for $t {
-            const MAX_KEY: Self = <$t>::MAX;
-            const MIN_KEY: Self = <$t>::MIN;
-            const HAS_LANE32: bool = true;
-            #[inline]
-            fn as_u64(self) -> u64 { self as u64 }
-            #[inline]
-            fn to_ordered_bits(self) -> u64 {
-                (self as i64 as u64) ^ (1 << 63)
-            }
-            #[inline]
-            fn to_lane32(self) -> u32 {
-                // Sign-extend to i32, flip the sign bit: same trick as
-                // `to_ordered_bits`, at lane width.
-                (self as i32 as u32) ^ (1 << 31)
-            }
-        }
-    )*};
 }
 
-// Keys up to 32 bits embed into a vector lane; 64-bit keys (and the
-// pointer-width ones, which may be 64-bit) stay on the scalar path.
-impl_key_unsigned!(u8, u16, u32; lane32);
-impl_key_unsigned!(u64, usize);
-impl_key_signed!(i8, i16, i32; lane32);
-impl_key_signed!(i64, isize);
+impl_key_unsigned!(u8, u16, u32, u64, usize);
+impl_key_signed!(i8, i16, i32, i64, isize);
 
 /// A priority-queue payload. BGPQ moves values together with their keys in
 /// bulk, so values must be `Copy` (the paper stores fixed-width payloads
@@ -153,24 +101,6 @@ mod tests {
         assert!(is.windows(2).all(|w| w[0].to_ordered_bits() < w[1].to_ordered_bits()));
         let ls = [i64::MIN, -1, 0, i64::MAX];
         assert!(ls.windows(2).all(|w| w[0].to_ordered_bits() < w[1].to_ordered_bits()));
-    }
-
-    #[test]
-    fn lane32_is_a_strict_order_embedding() {
-        const {
-            assert!(<u32 as KeyType>::HAS_LANE32);
-            assert!(<i32 as KeyType>::HAS_LANE32);
-            assert!(<u8 as KeyType>::HAS_LANE32);
-            assert!(!<u64 as KeyType>::HAS_LANE32);
-            assert!(!<i64 as KeyType>::HAS_LANE32);
-            assert!(!<usize as KeyType>::HAS_LANE32);
-        }
-        let us = [0u32, 1, 7, 1 << 20, u32::MAX - 1, u32::MAX];
-        assert!(us.windows(2).all(|w| w[0].to_lane32() < w[1].to_lane32()));
-        let is = [i32::MIN, -5, -1, 0, 1, 42, i32::MAX];
-        assert!(is.windows(2).all(|w| w[0].to_lane32() < w[1].to_lane32()));
-        let bs = [i8::MIN, -1i8, 0, 5, i8::MAX];
-        assert!(bs.windows(2).all(|w| w[0].to_lane32() < w[1].to_lane32()));
     }
 
     #[test]

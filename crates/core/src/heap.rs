@@ -22,8 +22,8 @@
 
 use crate::history::{HistoryEvent, HistoryOp, HistoryRecorder, ProtocolKind};
 use crate::options::BgpqOptions;
-use crate::scratch::{LaneScratch, OpScratch};
-use crate::soa;
+use crate::scratch::OpScratch;
+use crate::split;
 use crate::storage::{NodeState, NodeStorage, PBUFFER};
 use crate::tree::{next_on_path, ROOT};
 use bgpq_runtime::{InjectionPoint, Platform};
@@ -658,7 +658,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         // overwritten.
         let buf = &mut s.ins[..k];
         let scratch = &mut s.merge;
-        let lanes = &mut s.lanes;
         buf[..size].copy_from_slice(items);
         c.charge(PrimitiveCost::SortWith { n: size, algo: self.opts.sort_algo });
         buf[..size].sort_unstable();
@@ -718,7 +717,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.charge(PrimitiveCost::SortSplit { na: root_len, nb: size });
             unsafe {
                 let root = self.storage.node_mut(ROOT);
-                soa::sort_split_entries(root, root_len, buf, size, root_len, scratch, lanes);
+                split::sort_split_entries(root, root_len, buf, size, root_len, scratch);
             }
             c.charge(PrimitiveCost::GlobalWrite { n: root_len });
         }
@@ -732,10 +731,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 let pb = self.storage.node_mut(PBUFFER);
                 // Merge buf[..size] into pb[..buf_len]: both sorted,
                 // the old buffer winning ties (stable — same order the
-                // scalar loop gave). The routed absorb stashes the old
-                // buffer contents in the arena so it can write pb in
-                // place.
-                soa::merge_absorb(&mut pb[..buf_len + size], buf_len, &buf[..size], scratch, lanes);
+                // scalar loop gave). The absorb stashes the old buffer
+                // contents in the arena so it can write pb in place.
+                split::merge_absorb(&mut pb[..buf_len + size], buf_len, &buf[..size], scratch);
                 self.storage.meta_mut().buf_len = buf_len + size;
             }
             c.charge(PrimitiveCost::GlobalWrite { n: buf_len + size });
@@ -756,7 +754,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.charge(PrimitiveCost::SortSplit { na: size, nb: buf_len });
             unsafe {
                 let pb = self.storage.node_mut(PBUFFER);
-                soa::sort_split_entries(buf, size, pb, buf_len, k, scratch, lanes);
+                split::sort_split_entries(buf, size, pb, buf_len, k, scratch);
                 self.storage.meta_mut().buf_len = buf_len + size - k;
             }
             c.charge(PrimitiveCost::GlobalWrite { n: buf_len + size - k });
@@ -797,12 +795,12 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // Pull the next path node into L2 while this level's merge
             // runs (same overlap trick as the delete path).
             let nxt = next_on_path(cur, tar);
-            if nxt != tar && simd::vector_enabled() {
+            if nxt != tar {
                 self.prefetch_node_full(nxt, k);
             }
             // SAFETY: we hold `cur`'s lock; path nodes are full AVAIL.
             unsafe {
-                soa::sort_split_full_entries(self.storage.node_mut(cur), buf, scratch, lanes);
+                split::sort_split_full_entries(self.storage.node_mut(cur), buf, scratch);
             }
             c.charge(PrimitiveCost::GlobalWrite { n: k });
             cur = next_on_path(cur, tar);
@@ -1060,7 +1058,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         assert!(count >= 1 && count <= k, "delete batch must request 1..=k items, got {count}");
         let start = out.len();
         let scratch = &mut s.merge;
-        let lanes = &mut s.lanes;
 
         c.lock_entry(ROOT)?;
         if self.is_poisoned() {
@@ -1079,7 +1076,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         // The root refill below will stream the last heap node; start
         // pulling it into L2 now so the fetch overlaps the root
         // extraction and lock work in between.
-        if heap_size > 1 && simd::vector_enabled() {
+        if heap_size > 1 {
             self.prefetch_node_full(heap_size, k);
         }
 
@@ -1187,12 +1184,12 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             unsafe {
                 let root = self.storage.node_mut(ROOT);
                 let pb = self.storage.node_mut(PBUFFER);
-                soa::sort_split_entries(root, k, pb, buf_len, k, scratch, lanes);
+                split::sort_split_entries(root, k, pb, buf_len, k, scratch);
             }
         }
 
         OpStats::bump(&self.stats.delete_heapifies);
-        self.delete_heapify(c, out, start, remained, root_in_shared, scratch, lanes, ctx)?;
+        self.delete_heapify(c, out, start, remained, root_in_shared, scratch, ctx)?;
         Ok(out.len() - start)
     }
 
@@ -1253,9 +1250,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// `root_in_shared` says the refilled root has not been stored to
     /// global memory yet: level 0's SORT_SPLIT write-back stores it, or
     /// an early exit at level 0 charges that store itself.
-    // The scratch pieces arrive disassembled from the op's arena — they
-    // alias distinct OpScratch fields, so they can't ride in as one
-    // `&mut OpScratch` alongside `out` (which is also arena-owned).
+    // The merge scratch arrives split off the op's arena, so it can't
+    // ride in as one `&mut OpScratch` alongside `out` (which is also
+    // arena-owned).
     #[allow(clippy::too_many_arguments)]
     fn delete_heapify(
         &self,
@@ -1265,7 +1262,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         remained: usize,
         root_in_shared: bool,
         scratch: &mut Vec<Entry<K, V>>,
-        lanes: &mut LaneScratch,
         ctx: &mut OpCtx<K>,
     ) -> Result<(), QueueError> {
         let k = self.opts.node_capacity;
@@ -1280,16 +1276,12 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // Software-prefetch the child entries this level is about
             // to read (the min/max probes below, then the SORT_SPLIT
             // streams), so the loads overlap the hand-over-hand lock
-            // acquisitions. Gated on the same runtime dispatch as the
-            // vector kernels so BGPQ_FORCE_SCALAR A/B runs measure it
-            // too; a no-op off x86_64. See EXPERIMENTS.md E11.
-            if simd::vector_enabled() {
-                if l_in {
-                    self.prefetch_node(l, k);
-                }
-                if r_in {
-                    self.prefetch_node(r, k);
-                }
+            // acquisitions; a no-op off x86_64. See EXPERIMENTS.md E11.
+            if l_in {
+                self.prefetch_node(l, k);
+            }
+            if r_in {
+                self.prefetch_node(r, k);
             }
             if l_in {
                 c.lock_or_poison(l)?;
@@ -1344,7 +1336,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // Descend. If only one child holds keys, SORT_SPLIT with it
             // directly; otherwise Alg. 3 lines 9-12. Both splits run
             // the crossing-bounded in-place routine
-            // (`soa::sort_split_full_entries`); fusing the two into one
+            // (`split::sort_split_full_entries`); fusing the two into one
             // three-stream merge was tried and rejected — the 3-way
             // select defeats branch if-conversion and costs more than
             // the traffic it saves (EXPERIMENTS.md E11).
@@ -1361,11 +1353,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 c.charge(PrimitiveCost::SortSplit { na: k, nb: k });
                 // SAFETY: both child locks held; disjoint nodes.
                 unsafe {
-                    sort_split_two(
+                    split::sort_split_full_entries(
                         self.storage.node_mut(y),
                         self.storage.node_mut(x),
                         scratch,
-                        lanes,
                     );
                 }
                 c.charge(PrimitiveCost::GlobalWrite { n: k });
@@ -1386,14 +1377,12 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // The next iteration streams `y`'s children in its sibling
             // SORT_SPLIT; start pulling them into L2 so the fetch
             // overlaps the full merge below.
-            if simd::vector_enabled() {
-                let (yl, yr) = (crate::tree::left(y), crate::tree::right(y));
-                if yl <= max {
-                    self.prefetch_node_full(yl, k);
-                }
-                if yr <= max {
-                    self.prefetch_node_full(yr, k);
-                }
+            let (yl, yr) = (crate::tree::left(y), crate::tree::right(y));
+            if yl <= max {
+                self.prefetch_node_full(yl, k);
+            }
+            if yr <= max {
+                self.prefetch_node_full(yr, k);
             }
 
             // SORT_SPLIT(cur, y): cur keeps the k smallest (Alg. 3
@@ -1401,11 +1390,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.charge(PrimitiveCost::SortSplit { na: k, nb: k });
             // SAFETY: cur and y locks held; disjoint nodes.
             unsafe {
-                sort_split_two(
+                split::sort_split_full_entries(
                     self.storage.node_mut(cur),
                     self.storage.node_mut(y),
                     scratch,
-                    lanes,
                 );
             }
             c.charge(PrimitiveCost::GlobalWrite { n: 2 * k });
@@ -1448,18 +1436,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         c.unlock(lock);
         Ok(())
     }
-}
-
-/// `SORT_SPLIT` between two full nodes where the *first* argument
-/// receives the smallest keys — inputs are each sorted but their union
-/// order is arbitrary.
-fn sort_split_two<K: KeyType, V: ValueType>(
-    small_side: &mut [Entry<K, V>],
-    large_side: &mut [Entry<K, V>],
-    scratch: &mut Vec<Entry<K, V>>,
-    lanes: &mut LaneScratch,
-) {
-    soa::sort_split_full_entries(small_side, large_side, scratch, lanes);
 }
 
 /// What a [`Bgpq::salvage_reset`] walk found and did. The caller-facing

@@ -38,7 +38,7 @@ pub mod heap;
 pub mod history;
 pub mod options;
 pub mod scratch;
-pub(crate) mod soa;
+pub(crate) mod split;
 pub mod storage;
 pub mod tree;
 

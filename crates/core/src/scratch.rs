@@ -27,41 +27,7 @@
 //!   queues with different `k` keeps the largest sizing it has seen;
 //!   [`OpScratch::reset`] only grows.
 
-use crate::soa::SOA_CHUNK;
 use pq_api::{Entry, KeyType, ValueType};
-use primitives::simd::KeyIdxLane;
-
-/// Chunk-sized lane buffers for the SoA (split key-lane /
-/// value-permutation) kernel path — see `crate::soa`. The vector
-/// kernels sort packed (key, index) lanes; the index is then used to
-/// gather full entries out of the staged originals, so values ride the
-/// key permutation without ever being packed themselves.
-pub(crate) struct LaneScratch {
-    /// Packed lanes of the `a`-side chunk.
-    pub(crate) a: Vec<KeyIdxLane>,
-    /// Packed lanes of the `b`-side chunk.
-    pub(crate) b: Vec<KeyIdxLane>,
-    /// Merged lanes (kept at fixed length `SOA_CHUNK`; each merge
-    /// overwrites the prefix it needs).
-    pub(crate) out: Vec<KeyIdxLane>,
-}
-
-impl LaneScratch {
-    pub(crate) fn new() -> Self {
-        let mut s = Self { a: Vec::new(), b: Vec::new(), out: Vec::new() };
-        s.ensure();
-        s
-    }
-
-    /// Size the chunk buffers once; they are `k`-independent.
-    fn ensure(&mut self) {
-        if self.out.len() < SOA_CHUNK {
-            self.a.reserve(SOA_CHUNK - self.a.len());
-            self.b.reserve(SOA_CHUNK - self.b.len());
-            self.out.resize(SOA_CHUNK, KeyIdxLane::default());
-        }
-    }
-}
 
 /// Reusable buffers for one queue operation, owned by a platform
 /// worker. See the module docs for the ownership rules.
@@ -74,26 +40,18 @@ pub struct OpScratch<K, V> {
     pub(crate) ins: Vec<Entry<K, V>>,
     /// Merge scratch for `SORT_SPLIT` (up to `2k` entries). Passed as
     /// the caller-provided scratch of `primitives::sort_split`; the
-    /// SoA path stages both source runs here (`crate::soa`).
+    /// in-place routes of `crate::split` stash a displaced run here.
     pub(crate) merge: Vec<Entry<K, V>>,
     /// Staging for the iterator-driven paths (`insert_all`'s batch
     /// assembly, `clear`'s discard sink). Taken with `mem::take` so it
     /// can live alongside `ins`/`merge` borrows.
     pub(crate) stage: Vec<Entry<K, V>>,
-    /// Lane buffers for the vector kernels.
-    pub(crate) lanes: LaneScratch,
 }
 
 impl<K: KeyType, V: ValueType> OpScratch<K, V> {
     /// Build an arena sized for node capacity `k`.
     pub fn new(k: usize) -> Self {
-        let mut s = Self {
-            k: 0,
-            ins: Vec::new(),
-            merge: Vec::new(),
-            stage: Vec::new(),
-            lanes: LaneScratch::new(),
-        };
+        let mut s = Self { k: 0, ins: Vec::new(), merge: Vec::new(), stage: Vec::new() };
         s.reset(k);
         s
     }
@@ -110,7 +68,6 @@ impl<K: KeyType, V: ValueType> OpScratch<K, V> {
             if self.stage.capacity() < k {
                 self.stage.reserve(k - self.stage.len());
             }
-            self.lanes.ensure();
             self.k = k;
         }
     }

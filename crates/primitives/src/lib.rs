@@ -22,7 +22,6 @@
 pub mod bitonic;
 pub mod cost;
 pub mod merge_path;
-pub mod radix;
 pub mod simd;
 pub mod sort_split;
 
@@ -32,5 +31,4 @@ pub use merge_path::{
     merge_into, merge_into_scalar, merge_into_vec, merge_path_partition, merge_path_search,
     parallel_merge,
 };
-pub use radix::{merge_sort, radix_sort, radix_sort_by_key, RadixKey};
 pub use sort_split::{sort_split, sort_split_full, SortSplitResult};

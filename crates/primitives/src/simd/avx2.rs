@@ -1,30 +1,21 @@
-//! AVX2 kernels: in-register bitonic networks over 8 × `u32` or
+//! AVX2 merge kernel: an in-register bitonic merge network over
 //! 4 × `u64` lanes.
 //!
-//! Shapes (all little networks a CUDA thread block would run across a
-//! warp, here folded into one register):
+//! `bmerge8` is the network a CUDA thread block would run across a
+//! warp, here folded into two registers: reverse one sorted register
+//! against the other, one min/max stage, then the distance-2/1 cleanup
+//! stages per register. It is the inner kernel of the merge loop: keep
+//! the high half as carry, refill the low operand from whichever run's
+//! head is smaller, emit 4 sorted lanes per iteration.
 //!
-//! * `bmerge16` / `bmerge8` — the bitonic *merge* network: reverse one
-//!   sorted register against the other, one min/max stage, then the
-//!   distance-4/2/1 (u32) or 2/1 (u64) cleanup stages per register.
-//!   This is the inner kernel of the merge loop: keep the high half as
-//!   carry, refill the low operand from whichever run's head is
-//!   smaller, emit 8 (or 4) sorted lanes per iteration.
-//! * `sort8` / `sort4` — the full bitonic *sorting* network inside one
-//!   register (the prelude of the long sorts).
-//! * `sort_u32` / `sort_u64` — the complete sorting network: register
-//!   prelude with alternating directions, vector sweeps for compare
-//!   distances at or above the register width, fused in-register
-//!   stages below it.
+//! AVX2 has no unsigned 64-bit vector compare; the kernel biases both
+//! operands by `i64::MIN` and uses the signed `cmpgt`, which realizes
+//! unsigned order. Unaligned loads/stores throughout — node buffers
+//! carry no alignment guarantee.
 //!
-//! `u64` lanes have no unsigned vector compare on AVX2; the kernels
-//! bias both operands by `i64::MIN` and use the signed `cmpgt`, which
-//! realizes unsigned order. Unaligned loads/stores throughout — node
-//! buffers carry no alignment guarantee.
-//!
-//! Every public shim here is installed in a [`super::Kernels`] table
-//! only after `is_x86_feature_detected!("avx2")` succeeded, which makes
-//! the `#[target_feature(enable = "avx2")]` calls sound.
+//! [`merge_lane`] is called only after dispatch resolved to AVX2
+//! (`is_x86_feature_detected!("avx2")` succeeded), which makes the
+//! `#[target_feature(enable = "avx2")]` calls sound.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
@@ -39,18 +30,12 @@ use core::arch::x86_64::*;
 /// granularity.
 const CHUNK: usize = 512;
 
-#[inline]
-fn assert_avx2() {
+pub(super) fn merge_lane(a: &[KeyIdxLane], b: &[KeyIdxLane], out: &mut [KeyIdxLane]) {
     debug_assert!(
         std::arch::is_x86_feature_detected!("avx2"),
         "AVX2 kernel invoked without AVX2 dispatch"
     );
-}
-
-// ---------------------------------------------------------------- u32
-
-pub(super) fn merge_u32(a: &[u32], b: &[u32], out: &mut [u32]) {
-    assert_avx2();
+    let (a, b, out) = (as_u64(a), as_u64(b), as_u64_mut(out));
     merge_path_partition(a, b, CHUNK, |d, ra, rb| {
         let (ca, cb) = (&a[ra], &b[rb]);
         let dst = &mut out[d];
@@ -60,196 +45,9 @@ pub(super) fn merge_u32(a: &[u32], b: &[u32], out: &mut [u32]) {
             dst.copy_from_slice(cb);
         } else {
             // SAFETY: dispatch guarantees AVX2 (see assert above).
-            unsafe { merge_runs_u32(ca, cb, dst) }
-        }
-    });
-}
-
-pub(super) fn sort_u32(v: &mut [u32]) {
-    assert_avx2();
-    if v.len() < 8 {
-        crate::bitonic::bitonic_sort(v);
-        return;
-    }
-    // SAFETY: dispatch guarantees AVX2.
-    unsafe { sort_u32_avx2(v) }
-}
-
-/// Vector-loop merge of two sorted runs (both non-empty). Emits 8
-/// sorted lanes per iteration while both runs can refill a register;
-/// finishes with a scalar three-way merge of the carry register and
-/// the run tails.
-#[target_feature(enable = "avx2")]
-unsafe fn merge_runs_u32(a: &[u32], b: &[u32], out: &mut [u32]) {
-    let (m, n) = (a.len(), b.len());
-    if m < 8 || n < 8 {
-        scalar_merge(a, b, out);
-        return;
-    }
-    let mut va = _mm256_loadu_si256(a.as_ptr().cast());
-    let mut vb = _mm256_loadu_si256(b.as_ptr().cast());
-    let (mut ia, mut ib, mut o) = (8usize, 8usize, 0usize);
-    loop {
-        let (lo, hi) = bmerge16(va, vb);
-        _mm256_storeu_si256(out.as_mut_ptr().add(o).cast(), lo);
-        o += 8;
-        va = hi;
-        // Refill from the run whose next head is smaller: every element
-        // of that next block is <= the other run's remaining elements'
-        // upper bound only via the network, which tolerates any sorted
-        // refill — the choice just keeps the carry from starving.
-        if ia + 8 <= m && ib + 8 <= n {
-            if a[ia] <= b[ib] {
-                vb = _mm256_loadu_si256(a.as_ptr().add(ia).cast());
-                ia += 8;
-            } else {
-                vb = _mm256_loadu_si256(b.as_ptr().add(ib).cast());
-                ib += 8;
-            }
-        } else {
-            break;
-        }
-    }
-    let mut carry = [0u32; 8];
-    _mm256_storeu_si256(carry.as_mut_ptr().cast(), va);
-    three_way_tail(&carry, &a[ia..], &b[ib..], &mut out[o..]);
-}
-
-/// Bitonic merge network over 16 lanes in two registers: `a` and `b`
-/// sorted ascending in, (8 smallest sorted, 8 largest sorted) out.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn bmerge16(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
-    let rev = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
-    let br = _mm256_permutevar8x32_epi32(b, rev);
-    // Distance-8 stage: concat(a, reverse(b)) is bitonic; after one
-    // min/max each half is bitonic and lower <= upper as sets.
-    let lo = _mm256_min_epu32(a, br);
-    let hi = _mm256_max_epu32(a, br);
-    (bitonic8(lo), bitonic8(hi))
-}
-
-/// Clean-up network: sort an 8-lane *bitonic* sequence ascending
-/// (distances 4, 2, 1).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn bitonic8(mut x: __m256i) -> __m256i {
-    let y = _mm256_permute4x64_epi64(x, 0x4E); // swap 128-bit halves
-    x = _mm256_blend_epi32(_mm256_min_epu32(x, y), _mm256_max_epu32(x, y), 0xF0);
-    let y = _mm256_shuffle_epi32(x, 0x4E); // distance 2
-    x = _mm256_blend_epi32(_mm256_min_epu32(x, y), _mm256_max_epu32(x, y), 0xCC);
-    let y = _mm256_shuffle_epi32(x, 0xB1); // distance 1
-    x = _mm256_blend_epi32(_mm256_min_epu32(x, y), _mm256_max_epu32(x, y), 0xAA);
-    x
-}
-
-/// Full in-register bitonic sort of 8 lanes, ascending.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn sort8(mut x: __m256i) -> __m256i {
-    // Stage widths 2 and 4 run both directions inside the register
-    // (ascending/descending alternate per block); width 8 is the
-    // ascending cleanup.
-    let y = _mm256_shuffle_epi32(x, 0xB1); // width 2
-    x = _mm256_blend_epi32(_mm256_min_epu32(x, y), _mm256_max_epu32(x, y), 0x66);
-    let y = _mm256_shuffle_epi32(x, 0x4E); // width 4, distance 2
-    x = _mm256_blend_epi32(_mm256_min_epu32(x, y), _mm256_max_epu32(x, y), 0x3C);
-    let y = _mm256_shuffle_epi32(x, 0xB1); // width 4, distance 1
-    x = _mm256_blend_epi32(_mm256_min_epu32(x, y), _mm256_max_epu32(x, y), 0x5A);
-    bitonic8(x)
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn reverse8(x: __m256i) -> __m256i {
-    _mm256_permutevar8x32_epi32(x, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0))
-}
-
-/// Full bitonic sorting network, vectorized; `v.len()` is a power of
-/// two >= 8.
-#[target_feature(enable = "avx2")]
-unsafe fn sort_u32_avx2(v: &mut [u32]) {
-    let n = v.len();
-    let p = v.as_mut_ptr();
-    // Prelude: each 8-block sorted, directions alternating so every
-    // 16-block is bitonic.
-    for blk in 0..n / 8 {
-        let q = p.add(blk * 8);
-        let mut x = sort8(_mm256_loadu_si256(q.cast()));
-        if blk & 1 == 1 {
-            x = reverse8(x);
-        }
-        _mm256_storeu_si256(q.cast(), x);
-    }
-    let mut k = 16usize;
-    while k <= n {
-        // Distances >= 8: whole-register compare-exchanges. The
-        // direction bit (i & k) is uniform across a register because
-        // k >= 16 > 8.
-        let mut j = k / 2;
-        while j >= 8 {
-            let mut base = 0usize;
-            while base < n {
-                let mut i = base;
-                while i < base + j {
-                    let (qa, qb) = (p.add(i), p.add(i + j));
-                    let va = _mm256_loadu_si256(qa.cast());
-                    let vb = _mm256_loadu_si256(qb.cast());
-                    let mn = _mm256_min_epu32(va, vb);
-                    let mx = _mm256_max_epu32(va, vb);
-                    if i & k == 0 {
-                        _mm256_storeu_si256(qa.cast(), mn);
-                        _mm256_storeu_si256(qb.cast(), mx);
-                    } else {
-                        _mm256_storeu_si256(qa.cast(), mx);
-                        _mm256_storeu_si256(qb.cast(), mn);
-                    }
-                    i += 8;
-                }
-                base += 2 * j;
-            }
-            j /= 2;
-        }
-        // Distances 4, 2, 1: one load/store per block, the cleanup
-        // network in-register.
-        let mut i = 0usize;
-        while i < n {
-            let q = p.add(i);
-            let x = _mm256_loadu_si256(q.cast());
-            let x = if i & k == 0 { bitonic8(x) } else { reverse8(bitonic8(reverse8(x))) };
-            _mm256_storeu_si256(q.cast(), x);
-            i += 8;
-        }
-        k *= 2;
-    }
-}
-
-// ---------------------------------------------------------------- u64
-
-pub(super) fn merge_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert_avx2();
-    merge_path_partition(a, b, CHUNK, |d, ra, rb| {
-        let (ca, cb) = (&a[ra], &b[rb]);
-        let dst = &mut out[d];
-        if cb.is_empty() {
-            dst.copy_from_slice(ca);
-        } else if ca.is_empty() {
-            dst.copy_from_slice(cb);
-        } else {
-            // SAFETY: dispatch guarantees AVX2.
             unsafe { merge_runs_u64(ca, cb, dst) }
         }
     });
-}
-
-pub(super) fn sort_u64(v: &mut [u64]) {
-    assert_avx2();
-    if v.len() < 4 {
-        crate::bitonic::bitonic_sort(v);
-        return;
-    }
-    // SAFETY: dispatch guarantees AVX2.
-    unsafe { sort_u64_avx2(v) }
 }
 
 /// Unsigned 64-bit (min, max): signed compare on sign-biased operands.
@@ -261,6 +59,10 @@ unsafe fn minmax_u64(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
     (_mm256_blendv_epi8(a, b, g), _mm256_blendv_epi8(b, a, g))
 }
 
+/// Vector-loop merge of two sorted runs (both non-empty). Emits 4
+/// sorted lanes per iteration while both runs can refill a register;
+/// finishes with a scalar three-way merge of the carry register and
+/// the run tails.
 #[target_feature(enable = "avx2")]
 unsafe fn merge_runs_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
     let (m, n) = (a.len(), b.len());
@@ -276,6 +78,9 @@ unsafe fn merge_runs_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
         _mm256_storeu_si256(out.as_mut_ptr().add(o).cast(), lo);
         o += 4;
         va = hi;
+        // Refill from the run whose next head is smaller: the network
+        // tolerates any sorted refill — the choice just keeps the carry
+        // from starving.
         if ia + 4 <= m && ib + 4 <= n {
             if a[ia] <= b[ib] {
                 vb = _mm256_loadu_si256(a.as_ptr().add(ia).cast());
@@ -293,7 +98,9 @@ unsafe fn merge_runs_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
     three_way_tail(&carry, &a[ia..], &b[ib..], &mut out[o..]);
 }
 
-/// Bitonic merge network over 8 lanes in two registers (4 + 4).
+/// Bitonic merge network over 8 lanes in two registers (4 + 4): `a`
+/// and `b` sorted ascending in, (4 smallest sorted, 4 largest sorted)
+/// out.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn bmerge8(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
@@ -314,82 +121,6 @@ unsafe fn bitonic4(x: __m256i) -> __m256i {
     _mm256_blend_epi32(mn, mx, 0xCC)
 }
 
-/// Full in-register bitonic sort of 4 lanes, ascending.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn sort4(x: __m256i) -> __m256i {
-    // Width-2 stage, directions alternating (asc pair 0-1, desc 2-3).
-    let y = _mm256_permute4x64_epi64(x, 0xB1);
-    let (mn, mx) = minmax_u64(x, y);
-    let x = _mm256_blend_epi32(mn, mx, 0x3C);
-    bitonic4(x)
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn reverse4(x: __m256i) -> __m256i {
-    _mm256_permute4x64_epi64(x, 0x1B)
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn sort_u64_avx2(v: &mut [u64]) {
-    let n = v.len();
-    let p = v.as_mut_ptr();
-    for blk in 0..n / 4 {
-        let q = p.add(blk * 4);
-        let mut x = sort4(_mm256_loadu_si256(q.cast()));
-        if blk & 1 == 1 {
-            x = reverse4(x);
-        }
-        _mm256_storeu_si256(q.cast(), x);
-    }
-    let mut k = 8usize;
-    while k <= n {
-        let mut j = k / 2;
-        while j >= 4 {
-            let mut base = 0usize;
-            while base < n {
-                let mut i = base;
-                while i < base + j {
-                    let (qa, qb) = (p.add(i), p.add(i + j));
-                    let va = _mm256_loadu_si256(qa.cast());
-                    let vb = _mm256_loadu_si256(qb.cast());
-                    let (mn, mx) = minmax_u64(va, vb);
-                    if i & k == 0 {
-                        _mm256_storeu_si256(qa.cast(), mn);
-                        _mm256_storeu_si256(qb.cast(), mx);
-                    } else {
-                        _mm256_storeu_si256(qa.cast(), mx);
-                        _mm256_storeu_si256(qb.cast(), mn);
-                    }
-                    i += 4;
-                }
-                base += 2 * j;
-            }
-            j /= 2;
-        }
-        let mut i = 0usize;
-        while i < n {
-            let q = p.add(i);
-            let x = _mm256_loadu_si256(q.cast());
-            let x = if i & k == 0 { bitonic4(x) } else { reverse4(bitonic4(reverse4(x))) };
-            _mm256_storeu_si256(q.cast(), x);
-            i += 4;
-        }
-        k *= 2;
-    }
-}
-
-// -------------------------------------------------------- packed lane
-
-pub(super) fn merge_lane(a: &[KeyIdxLane], b: &[KeyIdxLane], out: &mut [KeyIdxLane]) {
-    merge_u64(as_u64(a), as_u64(b), as_u64_mut(out));
-}
-
-pub(super) fn sort_lane(v: &mut [KeyIdxLane]) {
-    sort_u64(as_u64_mut(v));
-}
-
 #[inline]
 fn as_u64(v: &[KeyIdxLane]) -> &[u64] {
     // SAFETY: KeyIdxLane is repr(transparent) over u64, and its Ord is
@@ -403,14 +134,11 @@ fn as_u64_mut(v: &mut [KeyIdxLane]) -> &mut [u64] {
     unsafe { core::slice::from_raw_parts_mut(v.as_mut_ptr().cast(), v.len()) }
 }
 
-// ------------------------------------------------------------- shared
-
 /// Scalar three-way merge of the carry register and the two run tails
 /// — everything here is >= all previously emitted lanes. Ties prefer
-/// carry, then `a`, then `b`; with bare lanes ties are bit-identical
-/// and with packed lanes ties cannot occur, so the output equals the
-/// scalar oracle's either way.
-fn three_way_tail<L: Copy + Ord>(c: &[L], a: &[L], b: &[L], out: &mut [L]) {
+/// carry, then `a`, then `b`; tied lanes are bit-identical, so the
+/// output equals the scalar oracle's.
+fn three_way_tail(c: &[u64], a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_assert_eq!(out.len(), c.len() + a.len() + b.len());
     let (mut i, mut j, mut l) = (0usize, 0usize, 0usize);
     for slot in out.iter_mut() {

@@ -1,51 +1,42 @@
-//! SIMD node kernels — the CPU analogue of the paper's thread-block
-//! data parallelism.
+//! Vector merge over packed key|index lanes, and prefetch hints.
 //!
 //! On the GPU every node operation is executed by `k` threads in
-//! lockstep: a thread block bitonic-sorts a node (§4 "Bitonic sort"),
-//! merge-path-merges two nodes (§4 "GPU Merge Path"), and the two
-//! compose into `SORT_SPLIT`. On the CPU the same data parallelism
-//! maps onto vector lanes: an AVX2 register holds 8 × `u32` or
-//! 4 × `u64` keys and a compare-exchange is one `min`/`max` pair —
+//! lockstep: a thread block merge-path-merges two nodes (§4 "GPU Merge
+//! Path") and splits the result (`SORT_SPLIT`). On the CPU the same
+//! data parallelism maps onto vector lanes: an AVX2 register holds
+//! 4 × `u64` lanes and a compare-exchange is one `min`/`max` pair —
 //! exactly one step of the network a warp executes.
 //!
-//! This module provides the three kernels over *lane types*
-//! ([`VectorKey`]: `u32`, `u64`, and the packed [`KeyIdxLane`]):
+//! This module runs that mapping over one lane type, [`KeyIdxLane`]:
 //!
 //! * [`merge_into`] — Merge Path outer loop (chunked via
 //!   [`crate::merge_path::merge_path_partition`]; pure-run chunks are
-//!   bulk copies) around an in-register 8/16-lane bitonic *merge
-//!   network* inner kernel;
-//! * [`bitonic_sort`] — the full bitonic sorting network with
-//!   in-register stages for compare distances below the register width
-//!   and vectorized sweeps above it;
+//!   bulk copies) around an in-register 8-lane bitonic *merge network*
+//!   inner kernel;
 //! * [`sort_split`] / [`sort_split_full`] — merge + split, the node
 //!   operation itself.
+//!
+//! The heap's `Entry<K, V>` nodes take the generic scalar primitives
+//! ([`crate::merge_into`], [`fn@crate::sort_split`]); these kernels are
+//! what the benchmark's per-layer `primitives.*` probes time.
 //!
 //! # Runtime dispatch
 //!
 //! Kernel selection happens once per process: `is_x86_feature_detected!
 //! ("avx2")` combined with the `BGPQ_FORCE_SCALAR` environment variable
-//! (any value other than `0`/empty pins the scalar kernels) and the
-//! `force-scalar` cargo feature. The result is cached; every call site
-//! goes through a per-type table of function pointers ([`Kernels`]),
-//! so the steady-state overhead is one relaxed atomic load. The scalar
-//! kernels are the generic implementations from [`crate::merge_path`] /
-//! [`crate::bitonic`] — always available (non-x86_64 builds compile to
-//! them unconditionally) and used as differential oracles by the
-//! proptest suites.
+//! (any value other than `0`/empty pins the scalar merge). The result
+//! is cached, so the steady-state overhead is one relaxed atomic load.
+//! The scalar merge is the generic [`crate::merge_path::merge_into`] —
+//! always available (non-x86_64 builds compile to it unconditionally)
+//! and the differential oracle of the proptest suites.
 //!
 //! # Stability
 //!
-//! For bare `u32`/`u64` lanes equal keys are bit-identical, so any
-//! correct merge is stable. Payload-carrying callers (the heap's
-//! `Entry<K, V>` nodes) get *exact* stability through [`KeyIdxLane`]:
-//! key in the high 32 bits, source index in the low 32, making every
-//! lane distinct — the network's output order on lanes is then the
-//! unique stable merge order on (key, index). See `bgpq`'s SoA scratch
-//! path for the full key-lane / value-permutation pipeline.
-
-mod scalar;
+//! [`KeyIdxLane`] holds the key in the high 32 bits and a source index
+//! in the low 32, so runs packed with distinct indices have distinct
+//! lanes — the network's output order on lanes is then the unique
+//! stable merge order on (key, index). Bit-identical lanes are
+//! interchangeable, so any correct merge is stable on them too.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -56,9 +47,9 @@ use core::sync::atomic::{AtomicU8, Ordering};
 /// How the process resolved kernel dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Generic scalar kernels (fallback and differential oracle).
+    /// Generic scalar merge (fallback and differential oracle).
     Scalar,
-    /// AVX2 vector kernels (x86_64 with runtime-detected support).
+    /// AVX2 vector merge (x86_64 with runtime-detected support).
     Avx2,
 }
 
@@ -70,9 +61,6 @@ const MODE_AVX2: u8 = 2;
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
 
 fn detect_mode() -> u8 {
-    if cfg!(feature = "force-scalar") {
-        return MODE_SCALAR;
-    }
     match std::env::var("BGPQ_FORCE_SCALAR") {
         Ok(v) if !v.is_empty() && v != "0" => return MODE_SCALAR,
         _ => {}
@@ -106,14 +94,13 @@ pub fn dispatch_mode() -> DispatchMode {
     }
 }
 
-/// True when the vector kernels are selected. Hot-path callers use
-/// this to decide whether packing keys into lanes will pay off.
+/// True when the vector merge is selected.
 #[inline]
-pub fn vector_enabled() -> bool {
+fn vector_enabled() -> bool {
     mode_u8() == MODE_AVX2
 }
 
-/// Pin dispatch to the scalar kernels (`true`) or re-resolve from the
+/// Pin dispatch to the scalar merge (`true`) or re-resolve from the
 /// environment and CPU features (`false`). Process-global; meant for
 /// tests and tools that compare both paths in one process — production
 /// configuration goes through `BGPQ_FORCE_SCALAR` instead.
@@ -130,67 +117,6 @@ pub fn set_forced_scalar(forced: bool) {
 /// test calling [`set_forced_scalar`] must hold this for its duration.
 #[cfg(test)]
 pub(crate) static TEST_DISPATCH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Per-lane-type kernel table. The statics these point into are
-/// resolved once (see module docs); callers fetch the table and invoke
-/// through the function pointers.
-pub struct Kernels<L: 'static> {
-    /// Merge sorted `a` and `b` into `out` (`out.len() == a.len() +
-    /// b.len()`), stable (`a` wins ties).
-    pub merge: fn(a: &[L], b: &[L], out: &mut [L]),
-    /// Sort `v` ascending; `v.len()` must be a power of two.
-    pub sort: fn(v: &mut [L]),
-}
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
-    impl Sealed for super::KeyIdxLane {}
-}
-
-/// A lane type the vector kernels understand: `u32` (16-lane network),
-/// `u64` (8-lane network), and [`KeyIdxLane`] (packed key|index, rides
-/// the `u64` network). Sealed — the kernels are written per width, not
-/// per type.
-pub trait VectorKey: sealed::Sealed + Copy + Ord + Send + Sync + 'static {
-    /// The kernel table for the current dispatch mode.
-    fn kernels() -> &'static Kernels<Self>
-    where
-        Self: Sized;
-}
-
-impl VectorKey for u32 {
-    #[inline]
-    fn kernels() -> &'static Kernels<u32> {
-        static SCALAR: Kernels<u32> =
-            Kernels { merge: scalar::merge_chunked::<u32>, sort: scalar::sort::<u32> };
-        #[cfg(target_arch = "x86_64")]
-        {
-            static AVX2: Kernels<u32> = Kernels { merge: avx2::merge_u32, sort: avx2::sort_u32 };
-            if vector_enabled() {
-                return &AVX2;
-            }
-        }
-        &SCALAR
-    }
-}
-
-impl VectorKey for u64 {
-    #[inline]
-    fn kernels() -> &'static Kernels<u64> {
-        static SCALAR: Kernels<u64> =
-            Kernels { merge: scalar::merge_chunked::<u64>, sort: scalar::sort::<u64> };
-        #[cfg(target_arch = "x86_64")]
-        {
-            static AVX2: Kernels<u64> = Kernels { merge: avx2::merge_u64, sort: avx2::sort_u64 };
-            if vector_enabled() {
-                return &AVX2;
-            }
-        }
-        &SCALAR
-    }
-}
 
 /// Packed (key, source index) lane: key in the high 32 bits, index in
 /// the low 32. Plain `u64` comparison orders by key first, then by
@@ -221,52 +147,28 @@ impl KeyIdxLane {
     }
 }
 
-impl VectorKey for KeyIdxLane {
-    #[inline]
-    fn kernels() -> &'static Kernels<KeyIdxLane> {
-        static SCALAR: Kernels<KeyIdxLane> = Kernels {
-            merge: scalar::merge_chunked::<KeyIdxLane>,
-            sort: scalar::sort::<KeyIdxLane>,
-        };
-        #[cfg(target_arch = "x86_64")]
-        {
-            // repr(transparent) over u64 with the same Ord: the u64
-            // kernels apply verbatim.
-            static AVX2: Kernels<KeyIdxLane> =
-                Kernels { merge: avx2::merge_lane, sort: avx2::sort_lane };
-            if vector_enabled() {
-                return &AVX2;
-            }
-        }
-        &SCALAR
-    }
-}
-
 /// Dispatched merge of sorted lane runs: stable (`a` wins ties),
 /// `out.len() == a.len() + b.len()`. Semantically identical to
 /// [`crate::merge_into`]; on AVX2 hosts the inner kernel is an
 /// in-register bitonic merge network fed by the Merge Path outer loop.
-pub fn merge_into<L: VectorKey>(a: &[L], b: &[L], out: &mut [L]) {
+pub fn merge_into(a: &[KeyIdxLane], b: &[KeyIdxLane], out: &mut [KeyIdxLane]) {
     assert_eq!(out.len(), a.len() + b.len(), "output size mismatch");
-    (L::kernels().merge)(a, b, out);
-}
-
-/// Dispatched bitonic sort of a power-of-two lane run, ascending.
-/// Semantically identical to [`crate::bitonic_sort`].
-pub fn bitonic_sort<L: VectorKey>(v: &mut [L]) {
-    assert!(crate::bitonic::is_power_of_two(v.len()), "bitonic sort needs a power-of-two length");
-    (L::kernels().sort)(v);
+    if vector_enabled() {
+        #[cfg(target_arch = "x86_64")]
+        return avx2::merge_lane(a, b, out);
+    }
+    crate::merge_path::merge_into(a, b, out);
 }
 
 /// Dispatched `SORT_SPLIT` over lane runs — same contract as
 /// [`fn@crate::sort_split`], built on the dispatched merge.
-pub fn sort_split<L: VectorKey>(
-    z: &mut [L],
+pub fn sort_split(
+    z: &mut [KeyIdxLane],
     na: usize,
-    w: &mut [L],
+    w: &mut [KeyIdxLane],
     nb: usize,
     ma: usize,
-    scratch: &mut Vec<L>,
+    scratch: &mut Vec<KeyIdxLane>,
 ) -> SortSplitResult {
     assert!(na <= z.len() && nb <= w.len(), "valid prefix exceeds buffer");
     let total = na + nb;
@@ -275,16 +177,12 @@ pub fn sort_split<L: VectorKey>(
     assert!(ma <= z.len(), "small side does not fit");
     assert!(mb <= w.len(), "large side does not fit");
 
-    if total == 0 {
-        return SortSplitResult { ma: 0, mb: 0 };
-    }
-    // Warm scratch: grow-and-fill once, then only the `..total` prefix
-    // is rewritten per call (the merge fully overwrites it).
+    // Warm scratch: grow once, then only the `..total` prefix is
+    // rewritten per call (the merge fully overwrites it).
     if scratch.len() < total {
-        let fill = z[..na].first().copied().unwrap_or_else(|| w[0]);
-        scratch.resize(total, fill);
+        scratch.resize(total, KeyIdxLane::default());
     }
-    (L::kernels().merge)(&z[..na], &w[..nb], &mut scratch[..total]);
+    merge_into(&z[..na], &w[..nb], &mut scratch[..total]);
     z[..ma].copy_from_slice(&scratch[..ma]);
     w[..mb].copy_from_slice(&scratch[ma..total]);
     SortSplitResult { ma, mb }
@@ -293,7 +191,7 @@ pub fn sort_split<L: VectorKey>(
 /// Dispatched `SORT_SPLIT` between two full lane runs (`a` keeps the
 /// smallest `a.len()`, `b` the largest `b.len()`) — the
 /// [`crate::sort_split_full`] shape.
-pub fn sort_split_full<L: VectorKey>(a: &mut [L], b: &mut [L], scratch: &mut Vec<L>) {
+pub fn sort_split_full(a: &mut [KeyIdxLane], b: &mut [KeyIdxLane], scratch: &mut Vec<KeyIdxLane>) {
     let na = a.len();
     let nb = b.len();
     sort_split(a, na, b, nb, na, scratch);
@@ -334,62 +232,6 @@ pub fn prefetch_read_l2<T>(p: *const T) {
 mod tests {
     use super::*;
 
-    /// 0-1 principle: a comparison network sorts all inputs iff it
-    /// sorts all 0-1 inputs. The vector sorts are oblivious networks,
-    /// so exhausting the 2^n binary patterns at small n proves the
-    /// shuffle/blend masks outright.
-    #[test]
-    fn zero_one_principle_u32() {
-        for n in [8usize, 16] {
-            for pattern in 0u32..(1 << n) {
-                let mut v: Vec<u32> = (0..n).map(|i| (pattern >> i) & 1).collect();
-                let mut expect = v.clone();
-                expect.sort_unstable();
-                bitonic_sort(&mut v);
-                assert_eq!(v, expect, "n={n} pattern={pattern:b}");
-            }
-        }
-    }
-
-    #[test]
-    fn zero_one_principle_u64() {
-        for n in [4usize, 8, 16] {
-            for pattern in 0u32..(1 << n) {
-                let mut v: Vec<u64> = (0..n).map(|i| ((pattern >> i) & 1) as u64).collect();
-                let mut expect = v.clone();
-                expect.sort_unstable();
-                bitonic_sort(&mut v);
-                assert_eq!(v, expect, "n={n} pattern={pattern:b}");
-            }
-        }
-    }
-
-    #[test]
-    fn sort_matches_std_across_sizes() {
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for n in [1usize, 2, 4, 8, 32, 128, 1024, 4096] {
-            let v32: Vec<u32> = (0..n).map(|_| next() as u32).collect();
-            let mut got = v32.clone();
-            bitonic_sort(&mut got);
-            let mut expect = v32;
-            expect.sort_unstable();
-            assert_eq!(got, expect, "u32 n={n}");
-
-            let v64: Vec<u64> = (0..n).map(|_| next()).collect();
-            let mut got = v64.clone();
-            bitonic_sort(&mut got);
-            let mut expect = v64;
-            expect.sort_unstable();
-            assert_eq!(got, expect, "u64 n={n}");
-        }
-    }
-
     #[test]
     fn merge_matches_scalar_oracle() {
         let mut x = 0x2545f4914f6cdd1du64;
@@ -400,23 +242,24 @@ mod tests {
             x
         };
         for (m, n) in [(0, 5), (5, 0), (1, 1), (7, 9), (8, 8), (100, 3), (1024, 1024), (777, 41)] {
-            let mut a: Vec<u32> = (0..m).map(|_| (next() % 997) as u32).collect();
-            let mut b: Vec<u32> = (0..n).map(|_| (next() % 997) as u32).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            let mut got = vec![0u32; m + n];
-            let mut expect = vec![0u32; m + n];
-            merge_into(&a, &b, &mut got);
-            crate::merge_path::merge_into_scalar(&a, &b, &mut expect);
-            assert_eq!(got, expect, "u32 m={m} n={n}");
-
-            let a64: Vec<u64> = a.iter().map(|&v| (v as u64) << 33).collect();
-            let b64: Vec<u64> = b.iter().map(|&v| (v as u64) << 33).collect();
-            let mut got = vec![0u64; m + n];
-            let mut expect = vec![0u64; m + n];
-            merge_into(&a64, &b64, &mut got);
-            crate::merge_path::merge_into_scalar(&a64, &b64, &mut expect);
-            assert_eq!(got, expect, "u64 m={m} n={n}");
+            let mut ka: Vec<u32> = (0..m).map(|_| (next() % 997) as u32).collect();
+            let mut kb: Vec<u32> = (0..n).map(|_| (next() % 997) as u32).collect();
+            ka.sort_unstable();
+            kb.sort_unstable();
+            // Distinct indices (the packed payload shape), then index 0
+            // everywhere (bit-identical duplicate lanes).
+            for distinct in [true, false] {
+                let pack = |keys: &[u32], base: usize| -> Vec<KeyIdxLane> {
+                    let idx = |i: usize| if distinct { (base + i) as u32 } else { 0 };
+                    keys.iter().enumerate().map(|(i, &k)| KeyIdxLane::pack(k, idx(i))).collect()
+                };
+                let (a, b) = (pack(&ka, 0), pack(&kb, m));
+                let mut got = vec![KeyIdxLane::default(); m + n];
+                let mut expect = vec![KeyIdxLane::default(); m + n];
+                merge_into(&a, &b, &mut got);
+                crate::merge_path::merge_into_scalar(&a, &b, &mut expect);
+                assert_eq!(got, expect, "m={m} n={n} distinct={distinct}");
+            }
         }
     }
 
@@ -445,10 +288,13 @@ mod tests {
 
     #[test]
     fn sort_split_matches_generic() {
-        let mut z: Vec<u32> = (0..1024).map(|i| i * 3 % 2048).collect();
-        let mut w: Vec<u32> = (0..1024).map(|i| i * 7 % 2048).collect();
-        z.sort_unstable();
-        w.sort_unstable();
+        let lanes = |step: u32| -> Vec<KeyIdxLane> {
+            let mut v: Vec<KeyIdxLane> =
+                (0..1024u32).map(|i| KeyIdxLane::pack(i * step % 2048, i)).collect();
+            v.sort_unstable();
+            v
+        };
+        let (mut z, mut w) = (lanes(3), lanes(7));
         let (mut z2, mut w2) = (z.clone(), w.clone());
         let mut s1 = Vec::new();
         let mut s2 = Vec::new();
@@ -466,12 +312,13 @@ mod tests {
         set_forced_scalar(true);
         assert_eq!(dispatch_mode(), DispatchMode::Scalar);
         assert!(!vector_enabled());
-        // Kernels still correct in scalar mode.
-        let a = [1u32, 3, 5, 7];
-        let b = [2u32, 4, 6, 8];
-        let mut out = [0u32; 8];
+        // The merge is still correct in scalar mode.
+        let lane = |k: u32| KeyIdxLane::pack(k, 0);
+        let a = [1, 3, 5, 7].map(lane);
+        let b = [2, 4, 6, 8].map(lane);
+        let mut out = [KeyIdxLane::default(); 8];
         merge_into(&a, &b, &mut out);
-        assert_eq!(out, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(out, [1, 2, 3, 4, 5, 6, 7, 8].map(lane));
         set_forced_scalar(false);
         assert_eq!(dispatch_mode(), detected);
     }

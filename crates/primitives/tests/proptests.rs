@@ -27,6 +27,20 @@ fn sorted_with_sentinels(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     })
 }
 
+/// Sorted packed lanes over a tiny key and index domain — bit-identical
+/// duplicate lanes as well as equal keys with distinct indices — with
+/// an optional tail of `u32::MAX`-key sentinels, whose set top bit
+/// exercises the kernels' unsigned 64-bit compare.
+fn sorted_lanes(max_len: usize) -> impl Strategy<Value = Vec<KeyIdxLane>> {
+    (proptest::collection::vec((0u32..64, 0u32..4), 0..max_len), 0usize..8).prop_map(|(v, pad)| {
+        let mut lanes: Vec<KeyIdxLane> =
+            v.into_iter().map(|(k, i)| KeyIdxLane::pack(k, i)).collect();
+        lanes.extend(std::iter::repeat_n(KeyIdxLane::pack(u32::MAX, 0), pad));
+        lanes.sort_unstable();
+        lanes
+    })
+}
+
 /// Payload-carrying element whose ordering looks only at the key — lets
 /// the differential tests observe tie-breaking (stability), which the
 /// plain `u32` properties cannot.
@@ -250,7 +264,7 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    // ---- Differential suite: dispatched SIMD kernels vs scalar oracles ----
+    // ---- Differential suite: dispatched lane merge vs scalar oracles ----
     //
     // These run against whatever `simd::dispatch_mode()` resolves to in
     // this process (AVX2 on capable hosts, scalar otherwise) and compare
@@ -262,76 +276,38 @@ proptest! {
     // is multi-threaded.
 
     #[test]
-    fn simd_merge_u32_matches_scalar_oracle(
-        a in sorted_with_sentinels(200),
-        b in sorted_with_sentinels(200),
+    fn simd_merge_lane_matches_scalar_oracle(
+        a in sorted_lanes(200),
+        b in sorted_lanes(200),
     ) {
         // Lengths are arbitrary, so tails shorter than a vector width
-        // (16 u32 lanes) and fully unaligned splits are routine here.
-        let mut fast = vec![0u32; a.len() + b.len()];
+        // (4 lanes) and fully unaligned splits are routine here.
+        let mut fast = vec![KeyIdxLane::default(); a.len() + b.len()];
         let mut slow = fast.clone();
         simd::merge_into(&a, &b, &mut fast);
         merge_into_scalar(&a, &b, &mut slow);
         prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn simd_merge_u64_matches_scalar_oracle(
-        a in sorted_with_sentinels(160),
-        b in sorted_with_sentinels(160),
-    ) {
-        let a: Vec<u64> = a.iter().map(|&k| k as u64).collect();
-        let b: Vec<u64> = b.iter().map(|&k| k as u64).collect();
-        let mut fast = vec![0u64; a.len() + b.len()];
-        let mut slow = fast.clone();
-        simd::merge_into(&a, &b, &mut fast);
-        merge_into_scalar(&a, &b, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn simd_bitonic_u32_matches_scalar_oracle(v in (0u32..=10).prop_flat_map(|e| {
-            proptest::collection::vec(0u32..32, 1usize << e)
-        })) {
-        // Tiny key domain: the network's compare-exchange wiring is
-        // exercised almost entirely on duplicate keys.
-        let mut fast = v.clone();
-        let mut slow = v;
-        simd::bitonic_sort(&mut fast);
-        bitonic_sort_scalar(&mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn simd_bitonic_u64_matches_std_sort(v in (0u32..=9).prop_flat_map(|e| {
-            proptest::collection::vec(any::<u64>(), 1usize << e)
-        })) {
-        let mut fast = v.clone();
-        let mut expect = v;
-        simd::bitonic_sort(&mut fast);
-        expect.sort_unstable();
-        prop_assert_eq!(fast, expect);
     }
 
     #[test]
     fn simd_sort_split_matches_oracle_merge(
-        za in sorted_with_sentinels(96),
-        wb in sorted_with_sentinels(96),
+        za in sorted_lanes(96),
+        wb in sorted_lanes(96),
         frac in 0.0f64..=1.0,
     ) {
         let (na, nb) = (za.len(), wb.len());
         let total = na + nb;
         let ma = (total as f64 * frac) as usize;
         let mut z = za.clone();
-        z.resize(na.max(ma), 0);
+        z.resize(na.max(ma), KeyIdxLane::default());
         let mut w = wb.clone();
-        w.resize(nb.max(total - ma), 0);
+        w.resize(nb.max(total - ma), KeyIdxLane::default());
         let mut scratch = Vec::new();
         let r = simd::sort_split(&mut z, na, &mut w, nb, ma, &mut scratch);
 
         prop_assert_eq!(r.ma, ma);
         prop_assert_eq!(r.mb, total - ma);
-        let mut merged = vec![0u32; total];
+        let mut merged = vec![KeyIdxLane::default(); total];
         merge_into_scalar(&za, &wb, &mut merged);
         prop_assert_eq!(&z[..ma], &merged[..ma]);
         prop_assert_eq!(&w[..total - ma], &merged[ma..]);
@@ -339,8 +315,8 @@ proptest! {
 
     #[test]
     fn simd_sort_split_full_matches_scalar_primitive(
-        a in sorted_with_sentinels(128),
-        b in sorted_with_sentinels(128),
+        a in sorted_lanes(128),
+        b in sorted_lanes(128),
     ) {
         let mut fx = a.clone();
         let mut fy = b.clone();
@@ -360,11 +336,11 @@ proptest! {
         a in sorted_keyed(120, 1),
         b in sorted_keyed(120, 2),
     ) {
-        // The SoA gather order rests on this property: packing keys in
-        // the high 32 bits and source positions in the low 32 makes the
-        // plain u64 lane merge reproduce a *stable* keyed merge (a-side
-        // before b-side on ties, input order within a side), because
-        // a-side lanes carry strictly smaller indices than b-side lanes.
+        // Packing keys in the high 32 bits and source positions in the
+        // low 32 makes the plain u64 lane merge reproduce a *stable*
+        // keyed merge (a-side before b-side on ties, input order within
+        // a side), because a-side lanes carry strictly smaller indices
+        // than b-side lanes.
         let la: Vec<KeyIdxLane> =
             a.iter().enumerate().map(|(i, e)| KeyIdxLane::pack(e.key, i as u32)).collect();
         let lb: Vec<KeyIdxLane> = b
@@ -388,26 +364,6 @@ proptest! {
             prop_assert_eq!(from_a, expect.tag < 2_000_000);
             let src = if from_a { a[idx] } else { b[idx - a.len()] };
             prop_assert_eq!(src.tag, expect.tag);
-        }
-    }
-
-    #[test]
-    fn simd_lane_sort_orders_ties_by_index(v in (0u32..=8).prop_flat_map(|e| {
-            proptest::collection::vec(0u32..8, 1usize << e)
-        })) {
-        let lanes: Vec<KeyIdxLane> =
-            v.iter().enumerate().map(|(i, &k)| KeyIdxLane::pack(k, i as u32)).collect();
-        let mut fast = lanes.clone();
-        simd::bitonic_sort(&mut fast);
-        // Packed comparison == (key, original position): the network
-        // output must equal a *stable* sort of the keys.
-        let mut expect = lanes;
-        expect.sort(); // stdlib sort is stable; full-u64 Ord makes it total anyway
-        prop_assert_eq!(&fast, &expect);
-        for w in fast.windows(2) {
-            if w[0].key_lane() == w[1].key_lane() {
-                prop_assert!(w[0].idx() < w[1].idx());
-            }
         }
     }
 }

@@ -133,14 +133,11 @@ fn cpu_gate() {
     assert_eq!(allocs, 0, "CpuPlatform steady state hit the allocator {allocs} times");
 }
 
-/// The CPU gate again over wide entries (`Entry<u32, u64>`, 16 bytes).
-/// Entries wider than a single lane word route through the SoA path in
-/// `bgpq`'s kernel layer — key lanes split from a value permutation,
-/// merged by the dispatched SIMD kernels, payloads gathered afterwards —
-/// and that path keeps its own `LaneScratch` buffers inside `OpScratch`.
-/// This gate proves those buffers also go quiet after warmup; the narrow
-/// gate above cannot see them because 8-byte entries take the scalar
-/// route.
+/// The CPU gate again over wide entries (`Entry<u32, u64>`, 16 bytes):
+/// the same `OpScratch` arena and split routes as the narrow gate above,
+/// instantiated at twice the entry width, so the merge scratch and the
+/// in-place splits' stash must also go quiet after warmup at that
+/// width.
 fn cpu_gate_wide() {
     let opts = BgpqOptions { node_capacity: K, max_nodes: 1 << 12, ..Default::default() };
     let q: CpuBgpq<u32, u64> = CpuBgpq::new(opts);
@@ -173,7 +170,7 @@ fn cpu_gate_wide() {
         assert_eq!(q.delete_min_batch(&mut out, K), K);
     }
     let allocs = end_gate();
-    assert_eq!(allocs, 0, "wide-entry (SoA) steady state hit the allocator {allocs} times");
+    assert_eq!(allocs, 0, "wide-entry steady state hit the allocator {allocs} times");
 }
 
 fn sim_gate() {

@@ -1,9 +1,11 @@
-//! Dispatch-mode equivalence: the SIMD kernels are an implementation
-//! detail, so a BGPQ run must be bit-for-bit reproducible whether the
-//! dispatcher selects the vector kernels or is pinned to the scalar
-//! fallback. This drives identical operation scripts through both modes
-//! and demands identical deleted streams AND identical linearization
-//! histories (same sequence numbers, same op payloads).
+//! Dispatch-mode equivalence: a BGPQ run must be bit-for-bit
+//! reproducible whether the dispatcher selects the vector kernels or is
+//! pinned to the scalar fallback. The heap does not read the dispatch
+//! mode (its node operations take the scalar primitives and its
+//! prefetch hints run unconditionally), so this guards against any heap
+//! path that starts to. It drives identical operation scripts through
+//! both modes and demands identical deleted streams AND identical
+//! linearization histories (same sequence numbers, same op payloads).
 //!
 //! Everything lives in one `#[test]` body: `set_forced_scalar` is
 //! process-global, and the harness runs sibling tests on concurrent
@@ -42,8 +44,7 @@ fn schedule(seed: u64, n: usize, k: usize) -> Vec<Op> {
 /// One full CPU-platform run of a script with history on; returns the
 /// deleted key stream and the recorded history. `value` builds the
 /// payload from the key, letting the same script drive both the narrow
-/// (8-byte entry, scalar route) and wide (16-byte entry, SoA key-lane
-/// route) instantiations.
+/// (8-byte entry) and wide (16-byte entry) instantiations.
 fn cpu_run<V: ValueType>(
     k: usize,
     ops: &[Op],
@@ -120,9 +121,7 @@ fn runs_are_identical_with_dispatch_on_and_off() {
     // is covered on capable hosts.
     let native = simd::dispatch_mode();
 
-    // Narrow entries (8 bytes: scalar entry route) at small k; wide
-    // entries (16 bytes: SoA key-lane route) at k=64 so sort_split
-    // totals clear the SoA eligibility floor.
+    // Narrow entries (8 bytes) at k=8; wide entries (16 bytes) at k=64.
     let narrow_ops = schedule(0xD15EA5E, 200, 8);
     let wide_ops = schedule(0x0DD_BA11, 120, 64);
 
@@ -144,10 +143,10 @@ fn runs_are_identical_with_dispatch_on_and_off() {
         scalar_results.unwrap_or_else(|p| std::panic::resume_unwind(p));
 
     assert_eq!(nd_v, nd_s, "narrow CPU deleted streams diverge between dispatch modes");
-    assert_eq!(wd_v, wd_s, "wide (SoA) CPU deleted streams diverge between dispatch modes");
+    assert_eq!(wd_v, wd_s, "wide CPU deleted streams diverge between dispatch modes");
     assert_eq!(sd_v, sd_s, "sim deleted streams diverge between dispatch modes");
     assert_same_history(&nh_v, &nh_s, "narrow CPU");
-    assert_same_history(&wh_v, &wh_s, "wide (SoA) CPU");
+    assert_same_history(&wh_v, &wh_s, "wide CPU");
     assert_same_history(&sh_v, &sh_s, "sim");
     assert!(bgpq::check_history(&nh_v).is_none());
     assert!(bgpq::check_history(&wh_v).is_none());
