@@ -41,6 +41,18 @@ fn sorted_lanes(max_len: usize) -> impl Strategy<Value = Vec<KeyIdxLane>> {
     })
 }
 
+/// Sorted full-width lanes: arbitrary `u64` bit patterns (index halves
+/// included, about half with the top bit set), small values and
+/// `u64::MAX` duplicates.
+fn sorted_raw_lanes(max_len: usize) -> impl Strategy<Value = Vec<KeyIdxLane>> {
+    proptest::collection::vec(prop_oneof![any::<u64>(), 0u64..16, Just(u64::MAX)], 0..max_len)
+        .prop_map(|v| {
+            let mut lanes: Vec<KeyIdxLane> = v.into_iter().map(KeyIdxLane).collect();
+            lanes.sort_unstable();
+            lanes
+        })
+}
+
 /// Payload-carrying element whose ordering looks only at the key — lets
 /// the differential tests observe tie-breaking (stability), which the
 /// plain `u32` properties cannot.
@@ -276,12 +288,27 @@ proptest! {
     // is multi-threaded.
 
     #[test]
-    fn simd_merge_lane_matches_scalar_oracle(
+    fn simd_merge_u32_matches_scalar_oracle(
         a in sorted_lanes(200),
         b in sorted_lanes(200),
     ) {
-        // Lengths are arbitrary, so tails shorter than a vector width
-        // (4 lanes) and fully unaligned splits are routine here.
+        // 32-bit keys packed with small indices. Lengths are arbitrary,
+        // so tails shorter than a vector width (4 lanes) and fully
+        // unaligned splits are routine here.
+        let mut fast = vec![KeyIdxLane::default(); a.len() + b.len()];
+        let mut slow = fast.clone();
+        simd::merge_into(&a, &b, &mut fast);
+        merge_into_scalar(&a, &b, &mut slow);
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn simd_merge_u64_matches_scalar_oracle(
+        a in sorted_raw_lanes(160),
+        b in sorted_raw_lanes(160),
+    ) {
+        // Full-width lanes: the unsigned 64-bit compare must order the
+        // index half and top-bit patterns exactly as the scalar merge.
         let mut fast = vec![KeyIdxLane::default(); a.len() + b.len()];
         let mut slow = fast.clone();
         simd::merge_into(&a, &b, &mut fast);
