@@ -36,9 +36,11 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 /// looks stalled, stop burning its CPU).
 const SPIN_ESCALATE_AFTER: u64 = 1 << 10;
 
-/// Most locks any single operation holds at once (delete-heapify holds
-/// a node plus both children).
-const MAX_HELD: usize = 4;
+/// Most locks any single operation holds at once: a delete-heapify
+/// level holds its node and both children. The losing child outlives
+/// its parent's lock by one store, but is released before the next
+/// level takes any lock; inserts and the root refill hold at most two.
+const MAX_HELD: usize = 3;
 
 /// A batched, heap-based, lock-based, linearizable concurrent priority
 /// queue — the paper's contribution.
@@ -91,6 +93,23 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
     #[inline]
     fn charge(&mut self, c: PrimitiveCost) {
         self.q.platform.charge(self.w, c);
+    }
+
+    /// One coalesced global load of `n` entries into the block's shared
+    /// memory (nothing to charge when `n == 0`).
+    #[inline]
+    fn load(&mut self, n: usize) {
+        if n > 0 {
+            self.charge(PrimitiveCost::GlobalRead { n });
+        }
+    }
+
+    /// One coalesced global store of `n` entries from shared memory.
+    #[inline]
+    fn store(&mut self, n: usize) {
+        if n > 0 {
+            self.charge(PrimitiveCost::GlobalWrite { n });
+        }
     }
 
     #[inline]
@@ -525,18 +544,16 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// keys from the root into `out`, compacting the root. Caller holds
     /// the root lock. Returns the number extracted.
     ///
-    /// Only the root read is charged here: the extracted keys wait in
-    /// the block's shared memory and reach the caller's buffer in one
-    /// coalesced store after the root lock is released
-    /// ([`Self::store_results`]).
-    fn extract_root(
-        &self,
-        c: &mut Crit<'_, K, V, P>,
-        out: &mut Vec<Entry<K, V>>,
-        want: usize,
-    ) -> usize {
+    /// Charges nothing: the caller knows whether the root is already in
+    /// the block's shared memory and charges its load, fused with the
+    /// other keys its held locks cover. The device model takes keys off
+    /// the root's head by moving where the root starts, so a root that
+    /// did not otherwise change needs no store. The extracted keys reach
+    /// the caller's buffer in one coalesced store after the root lock is
+    /// released ([`Self::store_results`]).
+    fn extract_root(&self, out: &mut Vec<Entry<K, V>>, want: usize) -> usize {
         // SAFETY: root lock held (caller), references scoped to this fn.
-        let taken = unsafe {
+        unsafe {
             let rl = self.storage.meta_mut().root_len;
             let s = want.min(rl);
             if s > 0 {
@@ -546,11 +563,13 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 self.storage.meta_mut().root_len = rl - s;
             }
             s
-        };
-        if taken > 0 {
-            c.charge(PrimitiveCost::GlobalRead { n: taken });
         }
-        taken
+    }
+
+    /// Keys the root holds (caller holds the root lock).
+    fn root_len(&self) -> usize {
+        // SAFETY: root lock held (caller).
+        unsafe { self.storage.meta_mut().root_len }
     }
 
     /// Store a DELETEMIN's `n` results from shared memory to the
@@ -699,7 +718,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 m.root_len = size;
                 m.heap_size = 1;
             }
-            c.charge(PrimitiveCost::GlobalWrite { n: size });
+            c.store(size);
             c.touch(ROOT, true);
             self.storage.set_state(ROOT, NodeState::Avail);
             OpStats::bump(&self.stats.inserts_buffered);
@@ -709,23 +728,27 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             return Ok(());
         }
 
+        // The root and the pBuffer share the root lock: one load brings
+        // both on-chip, and one store writes both back before the lock
+        // is released. A full batch that bypasses the buffer leaves it
+        // unread.
+        let root_len = self.root_len();
+        let buf_in = if direct_full_batch { 0 } else { buf_len };
+        c.load(root_len + buf_in);
+
         // Merge with the root so it keeps the |root| smallest keys
         // (Alg. 1 line 20).
-        let root_len = unsafe { self.storage.meta_mut().root_len };
         if root_len > 0 {
-            c.charge(PrimitiveCost::GlobalRead { n: root_len });
             c.charge(PrimitiveCost::SortSplit { na: root_len, nb: size });
             unsafe {
                 let root = self.storage.node_mut(ROOT);
                 split::sort_split_entries(root, root_len, buf, size, root_len, scratch);
             }
-            c.charge(PrimitiveCost::GlobalWrite { n: root_len });
         }
 
         if !direct_full_batch && buf_len + size < k {
             // Buffer absorbs the batch (Alg. 1 lines 21-24); kept sorted
             // by merging (see module docs).
-            c.charge(PrimitiveCost::GlobalRead { n: buf_len });
             c.charge(PrimitiveCost::Merge { n: buf_len + size });
             unsafe {
                 let pb = self.storage.node_mut(PBUFFER);
@@ -736,7 +759,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 split::merge_absorb(&mut pb[..buf_len + size], buf_len, &buf[..size], scratch);
                 self.storage.meta_mut().buf_len = buf_len + size;
             }
-            c.charge(PrimitiveCost::GlobalWrite { n: buf_len + size });
+            c.store(root_len + buf_len + size);
             OpStats::bump(&self.stats.inserts_buffered);
             self.linearize_insert(ctx);
             c.touch(ROOT, true);
@@ -748,17 +771,21 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         // Overflow (Alg. 1 lines 25-29): extract the k smallest of
         // (batch ∪ buffer) into `buf`, leave the rest in the buffer. An
         // empty buffer means `size == k`: `buf` already is that batch.
-        if !direct_full_batch && buf_len > 0 {
+        let buf_out = if buf_in > 0 {
             debug_assert!(buf_len + size >= k);
-            c.charge(PrimitiveCost::GlobalRead { n: buf_len });
             c.charge(PrimitiveCost::SortSplit { na: size, nb: buf_len });
             unsafe {
                 let pb = self.storage.node_mut(PBUFFER);
                 split::sort_split_entries(buf, size, pb, buf_len, k, scratch);
                 self.storage.meta_mut().buf_len = buf_len + size - k;
             }
-            c.charge(PrimitiveCost::GlobalWrite { n: buf_len + size - k });
-        }
+            buf_len + size - k
+        } else {
+            0
+        };
+        // The root section's only store: root and leftover buffer, once
+        // their last change is made (before the heapify takes any lock).
+        c.store(root_len + buf_out);
 
         // ---- full insert-heapify (Alg. 1 lines 5-14) ----
         OpStats::bump(&self.stats.insert_heapifies);
@@ -790,7 +817,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             self.unlock_path(c, held, ctx);
             held = cur;
-            c.charge(PrimitiveCost::GlobalRead { n: k });
+            c.load(k);
             c.charge(PrimitiveCost::SortSplit { na: k, nb: k });
             // Pull the next path node into L2 while this level's merge
             // runs (same overlap trick as the delete path).
@@ -802,7 +829,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             unsafe {
                 split::sort_split_full_entries(self.storage.node_mut(cur), buf, scratch);
             }
-            c.charge(PrimitiveCost::GlobalWrite { n: k });
+            c.store(k);
             cur = next_on_path(cur, tar);
             c.touch(tar, false);
         }
@@ -820,7 +847,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             unsafe {
                 self.storage.node_mut(tar).copy_from_slice(&buf[..k]);
             }
-            c.charge(PrimitiveCost::GlobalWrite { n: k });
+            c.store(k);
             c.touch(tar, true);
             self.storage.set_state(tar, NodeState::Avail);
             self.record_protocol(ProtocolKind::TargetFilled, tar);
@@ -840,7 +867,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 // the charge below reads a stale root.
                 c.touch(ROOT, true);
                 self.storage.set_state(ROOT, NodeState::Avail);
-                c.charge(PrimitiveCost::GlobalWrite { n: k });
+                c.store(k);
                 unsafe {
                     self.storage.node_mut(ROOT).copy_from_slice(&buf[..k]);
                     self.storage.meta_mut().root_len = k;
@@ -853,7 +880,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     self.storage.node_mut(ROOT).copy_from_slice(&buf[..k]);
                     self.storage.meta_mut().root_len = k;
                 }
-                c.charge(PrimitiveCost::GlobalWrite { n: k });
+                c.store(k);
                 c.touch(ROOT, true);
                 self.storage.set_state(ROOT, NodeState::Avail);
             }
@@ -1068,9 +1095,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
 
         // ---- PARTIAL_DELETEMIN (Alg. 2 lines 15-31) ----
         // SAFETY throughout: root lock held.
-        let (heap_size, root_len) = unsafe {
+        let (heap_size, root_len, buf_len) = unsafe {
             let m = self.storage.meta_mut();
-            (m.heap_size, m.root_len)
+            (m.heap_size, m.root_len, m.buf_len)
         };
 
         // The root refill below will stream the last heap node; start
@@ -1086,21 +1113,26 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         }
 
         if count < root_len {
-            // Root alone satisfies the request (Alg. 2 lines 18-20).
-            self.extract_root(c, out, count);
+            // Root alone satisfies the request (Alg. 2 lines 18-20):
+            // load the keys it takes.
+            c.load(count);
+            self.extract_root(out, count);
             OpStats::bump(&self.stats.deletes_from_root);
             self.finish_delete(c, out, start, ROOT, true, ctx)?;
             return Ok(count);
         }
 
-        // Take everything the root has (Alg. 2 line 22).
-        self.extract_root(c, out, root_len);
+        // Take everything the root has (Alg. 2 line 22). Those keys are
+        // loaded below, together with whatever else the held locks
+        // cover.
+        self.extract_root(out, root_len);
 
         if heap_size == 1 {
             // No full nodes: serve the remainder from the buffer
-            // (Alg. 2 lines 23-29).
+            // (Alg. 2 lines 23-29). Root and buffer arrive in one load;
+            // the buffer's leftover keys, now the root's, in one store.
+            c.load(root_len + buf_len);
             unsafe {
-                let buf_len = self.storage.meta_mut().buf_len;
                 if buf_len > 0 {
                     let pb_ptr = self.storage.node_mut(PBUFFER);
                     let root = self.storage.node_mut(ROOT);
@@ -1110,17 +1142,15 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     m.buf_len = 0;
                 }
             }
-            c.charge(PrimitiveCost::GlobalRead { n: k });
-            let remaining = count - (out.len() - start);
-            self.extract_root(c, out, remaining);
-            unsafe {
-                let m = self.storage.meta_mut();
-                if m.root_len == 0 {
-                    // Heap fully drained; reset to the empty state.
-                    m.heap_size = 0;
-                    c.touch(ROOT, true);
-                    self.storage.set_state(ROOT, NodeState::Empty);
-                }
+            self.extract_root(out, count - root_len);
+            let left = self.root_len();
+            c.store(left);
+            if left == 0 {
+                // Heap fully drained; reset to the empty state.
+                // SAFETY: root lock held.
+                unsafe { self.storage.meta_mut().heap_size = 0 };
+                c.touch(ROOT, true);
+                self.storage.set_state(ROOT, NodeState::Empty);
             }
             OpStats::bump(&self.stats.deletes_from_root);
             self.finish_delete(c, out, start, ROOT, true, ctx)?;
@@ -1130,7 +1160,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         // ---- refill the root from a heap node (Alg. 2 lines 4-14) ----
         c.touch(ROOT, true);
         self.storage.set_state(ROOT, NodeState::Empty);
-        let remained = count - (out.len() - start);
+        let remained = count - root_len;
         let tar = unsafe {
             let m = self.storage.meta_mut();
             let t = m.heap_size;
@@ -1141,25 +1171,31 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         c.lock_or_poison(tar)?;
         c.charge(PrimitiveCost::Atomic);
 
-        // Whether the refilled root is still only in shared memory (a
-        // collaborating inserter stores it to global memory itself).
-        let mut root_in_shared = true;
+        // With the root and `tar` held, one load brings the old root's
+        // keys (the results), `tar`'s batch and the pBuffer on-chip.
+        // `root_on_chip` is false only when a collaborating inserter
+        // stored the new root itself.
+        let mut root_on_chip = true;
         c.touch(tar, false);
-        if self.storage.state(tar) == NodeState::Target {
-            if self.opts.use_collaboration {
-                // Collaborate: the in-flight insertion refills the root
-                // directly (§4.3; footnote 2: we spin holding the root
-                // lock). Bounded: a dead inserter must not wedge us.
-                c.touch(tar, true);
-                self.storage.set_state(tar, NodeState::Marked);
-                self.record_protocol(ProtocolKind::MarkedSet, tar);
-                c.unlock(tar);
-                if let Err(e) = self.bounded_wait(c, ROOT, NodeState::Avail) {
-                    c.release_all();
-                    return Err(e);
-                }
-                root_in_shared = false;
-            } else {
+        let target = self.storage.state(tar) == NodeState::Target;
+        if target && self.opts.use_collaboration {
+            // Collaborate: the in-flight insertion refills the root
+            // directly (§4.3; footnote 2: we spin holding the root lock).
+            // `tar` holds no keys yet, and the results must be loaded
+            // before the inserter overwrites the root. Bounded: a dead
+            // inserter must not wedge us.
+            c.load(root_len + buf_len);
+            c.touch(tar, true);
+            self.storage.set_state(tar, NodeState::Marked);
+            self.record_protocol(ProtocolKind::MarkedSet, tar);
+            c.unlock(tar);
+            if let Err(e) = self.bounded_wait(c, ROOT, NodeState::Avail) {
+                c.release_all();
+                return Err(e);
+            }
+            root_on_chip = false;
+        } else {
+            if target {
                 // Ablation: wait for the insertion to finish filling
                 // `tar`, then take its keys like any AVAIL node.
                 c.unlock(tar);
@@ -1168,17 +1204,21 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     return Err(e);
                 }
                 c.lock_or_poison(tar)?;
-                debug_assert_eq!(self.storage.state(tar), NodeState::Avail);
-                self.move_node_to_root(c, tar, k);
             }
-        } else {
             debug_assert_eq!(self.storage.state(tar), NodeState::Avail);
-            self.move_node_to_root(c, tar, k);
+            c.load(root_len + k + buf_len);
+            self.move_node_to_root(c, tar);
         }
 
-        // Re-establish root ≤ buffer (Alg. 2 line 13).
-        let buf_len = unsafe { self.storage.meta_mut().buf_len };
+        // Re-establish root ≤ buffer (Alg. 2 line 13). The split needs
+        // the root on-chip, so a root the inserter stored is loaded now;
+        // the rewritten buffer is stored with level 0's root.
+        let mut buf_dirty = 0;
         if buf_len > 0 {
+            if !root_on_chip {
+                c.load(k);
+                root_on_chip = true;
+            }
             c.charge(PrimitiveCost::SortSplit { na: k, nb: buf_len });
             // SAFETY: root lock held covers both the root and buffer.
             unsafe {
@@ -1186,10 +1226,11 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 let pb = self.storage.node_mut(PBUFFER);
                 split::sort_split_entries(root, k, pb, buf_len, k, scratch);
             }
+            buf_dirty = buf_len;
         }
 
         OpStats::bump(&self.stats.delete_heapifies);
-        self.delete_heapify(c, out, start, remained, root_in_shared, scratch, ctx)?;
+        self.delete_heapify(c, out, start, remained, root_on_chip, buf_dirty, scratch, ctx)?;
         Ok(out.len() - start)
     }
 
@@ -1223,19 +1264,19 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     }
 
     /// Move AVAIL node `tar`'s full batch into the (empty) root and
-    /// release `tar`. Caller holds both the root and `tar` locks.
+    /// release `tar`. Caller holds both the root and `tar` locks and has
+    /// charged `tar`'s load.
     ///
-    /// The block keeps the new root in shared memory: level 0 of the
-    /// delete-heapify rewrites it straight away, so the heapify charges
-    /// the root's one global store (see [`Self::delete_heapify`]).
-    fn move_node_to_root(&self, c: &mut Crit<'_, K, V, P>, tar: usize, k: usize) {
-        c.charge(PrimitiveCost::GlobalRead { n: k });
+    /// The block keeps the new root in shared memory: the heapify
+    /// stores it once, just before releasing the root
+    /// (see [`Self::delete_heapify`]).
+    fn move_node_to_root(&self, c: &mut Crit<'_, K, V, P>, tar: usize) {
         // SAFETY: both locks held; nodes are disjoint (tar >= 2).
         unsafe {
             let src = self.storage.node_ref(tar);
             let dst = self.storage.node_mut(ROOT);
             dst.copy_from_slice(src);
-            self.storage.meta_mut().root_len = k;
+            self.storage.meta_mut().root_len = src.len();
         }
         c.touch(tar, true);
         self.storage.set_state(tar, NodeState::Empty);
@@ -1247,9 +1288,16 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// `DELETEMIN_HEAPIFY` (Alg. 3), iteratively. On entry the caller
     /// holds `cur = root`'s lock; `remained` keys still owed to the
     /// caller are extracted from the root before it is released.
-    /// `root_in_shared` says the refilled root has not been stored to
-    /// global memory yet: level 0's SORT_SPLIT write-back stores it, or
-    /// an early exit at level 0 charges that store itself.
+    ///
+    /// Each level moves data once: one load brings both children (and
+    /// `cur`, unless it is already on-chip) into shared memory, and each
+    /// changed node is stored once, just before its lock is released.
+    /// The winner `y` stays on-chip as the next level's `cur`; the loser
+    /// `x` is stored and released right after its parent, keeping its
+    /// store out of the parent's (at level 0, the root's) hold.
+    /// `root_on_chip` says the caller left a changed, not yet stored
+    /// root in shared memory; `buf_dirty` pBuffer keys the refill split
+    /// rewrote are stored with it.
     // The merge scratch arrives split off the op's arena, so it can't
     // ride in as one `&mut OpScratch` alongside `out` (which is also
     // arena-owned).
@@ -1260,13 +1308,18 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         out: &mut Vec<Entry<K, V>>,
         start: usize,
         remained: usize,
-        root_in_shared: bool,
+        root_on_chip: bool,
+        buf_dirty: usize,
         scratch: &mut Vec<Entry<K, V>>,
         ctx: &mut OpCtx<K>,
     ) -> Result<(), QueueError> {
         let k = self.opts.node_capacity;
         let max = self.opts.max_nodes;
         let mut cur = ROOT;
+        // `cur`'s keys are on-chip, changed and not yet stored.
+        let mut cur_on_chip = root_on_chip;
+        // Extra entries stored with `cur` (the pBuffer, at the root).
+        let mut extra = buf_dirty;
         loop {
             c.inject(InjectionPoint::MidDeleteHeapify);
             let l = crate::tree::left(cur);
@@ -1297,6 +1350,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             let l_has = l_in && self.storage.state(l) == NodeState::Avail;
             let r_has = r_in && self.storage.state(r) == NodeState::Avail;
+            let child_keys = (usize::from(l_has) + usize::from(r_has)) * k;
+            c.load(if cur_on_chip { 0 } else { k } + child_keys);
 
             // SAFETY: we hold cur (and child) locks; AVAIL non-root
             // nodes are full and sorted.
@@ -1311,23 +1366,22 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     (false, false) => None,
                 }
             };
-            c.charge(PrimitiveCost::GlobalRead { n: if l_has { k } else { 0 } });
-            c.charge(PrimitiveCost::GlobalRead { n: if r_has { k } else { 0 } });
 
             // Alg. 3 lines 4-8: heap property already satisfied (TARGET
-            // and EMPTY children hold no keys).
+            // and EMPTY children hold no keys). The children are
+            // unchanged; `cur` is stored only if it changed.
             if min_child.is_none_or(|m| cur_max <= m) {
                 if cur == ROOT {
-                    if root_in_shared {
-                        c.charge(PrimitiveCost::GlobalWrite { n: k });
-                    }
-                    self.extract_root(c, out, remained);
+                    self.extract_root(out, remained);
                 }
                 if r_in {
                     c.unlock(r);
                 }
                 if l_in {
                     c.unlock(l);
+                }
+                if cur_on_chip {
+                    c.store(self.node_len(cur) + extra);
                 }
                 self.finish_delete(c, out, start, cur, cur == ROOT, ctx)?;
                 return Ok(());
@@ -1340,7 +1394,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // three-stream merge was tried and rejected — the 3-way
             // select defeats branch if-conversion and costs more than
             // the traffic it saves (EXPERIMENTS.md E11).
-            let y = if l_has && r_has {
+            let (y, x) = if l_has && r_has {
                 let (x, y) = unsafe {
                     let lmax = self.storage.node_ref(l)[k - 1].key;
                     let rmax = self.storage.node_ref(r)[k - 1].key;
@@ -1359,9 +1413,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                         scratch,
                     );
                 }
-                c.charge(PrimitiveCost::GlobalWrite { n: k });
-                c.unlock(x);
-                y
+                (y, Some(x))
             } else {
                 let y = if l_has { l } else { r };
                 // Release the keyless sibling immediately.
@@ -1371,7 +1423,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 } else if other == l && l_in {
                     c.unlock(l);
                 }
-                y
+                (y, None)
             };
 
             // The next iteration streams `y`'s children in its sibling
@@ -1396,13 +1448,29 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     scratch,
                 );
             }
-            c.charge(PrimitiveCost::GlobalWrite { n: 2 * k });
 
             if cur == ROOT {
-                self.extract_root(c, out, remained);
+                self.extract_root(out, remained);
             }
+            c.store(self.node_len(cur) + extra);
             self.finish_delete(c, out, start, cur, cur == ROOT, ctx)?;
+            if let Some(x) = x {
+                c.store(k);
+                c.unlock(x);
+            }
             cur = y;
+            cur_on_chip = true;
+            extra = 0;
+        }
+    }
+
+    /// Keys node `node` holds: `root_len` for the root, `k` for a full
+    /// batch node. Caller holds `node`'s lock.
+    fn node_len(&self, node: usize) -> usize {
+        if node == ROOT {
+            self.root_len()
+        } else {
+            self.opts.node_capacity
         }
     }
 

@@ -5,7 +5,7 @@
 
 use bgpq::{check_history, Bgpq, BgpqOptions};
 use bgpq_runtime::SimPlatform;
-use gpu_sim::{launch, GpuConfig, SimReport, TraceKind};
+use gpu_sim::{launch, GpuConfig, SimReport, TraceEvent, TraceKind};
 use pq_api::Entry;
 use primitives::PrimitiveCost;
 use rand::rngs::StdRng;
@@ -181,68 +181,257 @@ fn sim_larger_nodes_are_faster_per_key() {
     assert!(large < small, "larger batches must amortize better: {large} !< {small}");
 }
 
+/// k = 1024 on 256-thread blocks: the shape every schedule test below
+/// pins its lock holds against.
+const K: usize = 1024;
+
+fn pinned_cfg(blocks: usize) -> (GpuConfig, BgpqOptions) {
+    let opts = BgpqOptions { node_capacity: K, max_nodes: 8, ..Default::default() };
+    (GpuConfig::new(blocks, 256), opts)
+}
+
+/// Cycles of `p` on the pinned block shape.
+fn cyc(cfg: &GpuConfig, p: PrimitiveCost) -> u64 {
+    cfg.cost.cycles(p, cfg.block_dim)
+}
+
+/// `n` consecutive keys from `from`, as one insert batch.
+fn keys(from: usize, n: usize) -> Vec<Entry<u32, u32>> {
+    (from as u32..(from + n) as u32).map(|key| Entry::new(key, 0)).collect()
+}
+
+/// Build a traced queue whose node `n` is the scheduler's lock
+/// `base + n`: the platform's lock arena is created right after the
+/// probe, so `base` is the first lock it will hand out.
+fn traced_queue(
+    sched: &std::sync::Arc<gpu_sim::Scheduler>,
+    cfg: &GpuConfig,
+    opts: BgpqOptions,
+) -> (std::sync::Arc<gpu_sim::Scheduler>, usize, SimQueue) {
+    sched.enable_trace(1 << 12);
+    let base = sched.create_locks(0);
+    (std::sync::Arc::clone(sched), base, sim_queue(sched, cfg, opts))
+}
+
+/// Virtual times of `agent`'s trace events of `kind`, oldest first
+/// (`None` matches every agent).
+fn times(trace: &[TraceEvent], agent: Option<usize>, kind: TraceKind) -> Vec<u64> {
+    trace
+        .iter()
+        .filter(|e| e.kind == kind && agent.is_none_or(|a| e.agent == a))
+        .map(|e| e.vtime)
+        .collect()
+}
+
 /// The root-lock critical section of a full-batch DELETEMIN holds only
-/// root-ordered work: the root read, the refill from the last node,
-/// and level 0 of the heapify. The refilled root stays in shared memory
-/// until level 0's SORT_SPLIT write-back stores it, and the results
-/// reach the caller in one store after the root lock is released —
-/// still inside the operation, never dropped.
+/// root-ordered work, and moves each node's keys once. With the root
+/// and the last node held, one load brings the results, the last node
+/// and the pBuffer on-chip; level 0 loads both children in one transfer
+/// and stores only the root before releasing it. The loser's store, the
+/// winner's store (one level later) and the results' store all come
+/// after the root lock is released.
 #[test]
 fn root_lock_holds_only_root_ordered_work() {
-    let k = 1024usize;
-    let cfg = GpuConfig::new(1, 256);
-    let cost = cfg.cost;
-    let c = |p: PrimitiveCost| cost.cycles(p, cfg.block_dim);
-    let opts = BgpqOptions { node_capacity: k, max_nodes: 8, ..Default::default() };
-    let times = std::sync::Mutex::new((0u64, 0u64));
-    let (_, (sched, root_lock, q)) = launch(
+    let (cfg, opts) = pinned_cfg(1);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let span = std::sync::Mutex::new((0u64, 0u64));
+    let (_, (sched, base, q)) = launch(
         cfg,
-        |sched| {
-            sched.enable_trace(1 << 12);
-            // The platform's locks come next in the arena; lock `ROOT`
-            // of the queue is the platform's lock 1.
-            let root_lock = sched.create_locks(0) + 1;
-            (std::sync::Arc::clone(sched), root_lock, sim_queue(sched, &cfg, opts))
-        },
+        |sched| traced_queue(sched, &cfg, opts),
         |ctx, (_, _, q)| {
             // Preload ascending full batches: root = [0, k), nodes 2, 3
             // and 4 hold the next three key ranges in order.
-            for b in 0..4u32 {
-                let items: Vec<Entry<u32, u32>> =
-                    (b * k as u32..(b + 1) * k as u32).map(|key| Entry::new(key, 0)).collect();
-                q.insert(ctx.worker(), &items);
+            for b in 0..4 {
+                q.insert(ctx.worker(), &keys(b * K, K));
             }
             let mut out = Vec::new();
             let t0 = ctx.now();
-            assert_eq!(q.delete_min(ctx.worker(), &mut out, k), k);
-            *times.lock().unwrap() = (t0, ctx.now());
-            assert!(out.iter().map(|e| e.key).eq(0..k as u32), "wrong result set");
+            assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
+            *span.lock().unwrap() = (t0, ctx.now());
+            assert!(out.iter().map(|e| e.key).eq(0..K as u32), "wrong result set");
         },
     );
     q.check_invariants();
-    let (t0, t_end) = times.into_inner().unwrap();
+    let (t0, t_end) = span.into_inner().unwrap();
     let trace = sched.take_trace();
-    let last = |kind: TraceKind| trace.iter().rev().find(|e| e.kind == kind).unwrap().vtime;
-    let acquired = last(TraceKind::LockAcquired(root_lock));
-    let released = last(TraceKind::LockReleased(root_lock));
-    assert_eq!(acquired, t0 + cost.c_atomic, "nothing but the lock word precedes the root section");
+    let root = base + 1;
+    let acquired = *times(&trace, None, TraceKind::LockAcquired(root)).last().unwrap();
+    let released = *times(&trace, None, TraceKind::LockReleased(root)).last().unwrap();
+    assert_eq!(acquired, t0 + a, "nothing but the lock word precedes the root section");
 
-    // Root section: extract the root (read), take node 4 into the root
-    // (lock, state atomic, read, unlock; no store), then level 0: lock
-    // both children, read them, split them and store the loser, split
-    // the root with the winner and store both, release the loser and
-    // finally the root. No result store and no separate root store.
-    let root_section = 4 * c(PrimitiveCost::GlobalRead { n: k })
-        + 2 * c(PrimitiveCost::SortSplit { na: k, nb: k })
-        + c(PrimitiveCost::GlobalWrite { n: k })
-        + c(PrimitiveCost::GlobalWrite { n: 2 * k })
-        + 7 * cost.c_atomic;
+    // Root section: lock node 4, its state atomic, one load of the
+    // results and node 4 (no pBuffer keys), release node 4; level 0:
+    // lock both children, one load of both, two SORT_SPLITs, store the
+    // root, release it. 3066 cycles (4594 when every transfer was its
+    // own and the loser was stored and released under the root).
+    let root_section = 2 * c(PrimitiveCost::GlobalRead { n: 2 * K })
+        + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
+        + c(PrimitiveCost::GlobalWrite { n: K })
+        + 6 * a;
+    assert_eq!(root_section, 3066);
     assert_eq!(released - acquired, root_section, "root-lock hold time");
 
-    // After the root: level 1 locks node 2's two empty children, stops,
-    // releases all three locks; then the k results are stored.
-    let after_root = 5 * cost.c_atomic + c(PrimitiveCost::GlobalWrite { n: k });
-    assert_eq!(t_end - released, after_root, "the results must be stored after release");
+    // After the root: store and release the loser (node 3); level 1
+    // locks node 2's two empty children, releases them, stores node 2
+    // (the winner, kept on-chip since level 0) and releases it; then
+    // the k results are stored. 2592 cycles (1464 when both children
+    // were stored under the root).
+    let after_root = 3 * c(PrimitiveCost::GlobalWrite { n: K }) + 6 * a;
+    assert_eq!(after_root, 2592);
+    assert_eq!(t_end - released, after_root, "stores after the root's release");
+}
+
+/// A delete whose heapify descends two levels. The loser of level 0 is
+/// stored and released right after the root; the winner (node 2) is
+/// loaded once, with its sibling at level 0, stays on-chip as level 1's
+/// node, and is stored once, just before its own release.
+#[test]
+fn delete_heapify_moves_each_node_once() {
+    let (cfg, opts) = pinned_cfg(1);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let (_, (sched, base, q)) = launch(
+        cfg,
+        |sched| traced_queue(sched, &cfg, opts),
+        |ctx, (_, _, q)| {
+            // Root = [0, k); nodes 2..=7 hold the next six ranges.
+            for b in 0..7 {
+                q.insert(ctx.worker(), &keys(b * K, K));
+            }
+            let mut out = Vec::new();
+            assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
+            assert!(out.iter().map(|e| e.key).eq(0..K as u32), "wrong result set");
+        },
+    );
+    q.check_invariants();
+    let trace = sched.take_trace();
+    let last = |kind: TraceKind| *times(&trace, None, kind).last().unwrap();
+    let (root, winner, loser) = (base + 1, base + 2, base + 3);
+    let root_released = last(TraceKind::LockReleased(root));
+
+    // Node 7 refills the root; level 0 swaps it with node 2's keys.
+    assert_eq!(
+        last(TraceKind::LockReleased(loser)),
+        root_released + c(PrimitiveCost::GlobalWrite { n: K }) + a,
+        "the loser is stored and released right after the root"
+    );
+
+    // Node 2's hold: lock node 3 and load both children (node 2's one
+    // load); split, store the root, release it; store the loser, release
+    // it; level 1: lock nodes 4 and 5, load both, split, store node 2
+    // (its one store) and release it. 4340 cycles (5932 with two loads
+    // and two stores of node 2).
+    let hold = last(TraceKind::LockReleased(winner)) - last(TraceKind::LockAcquired(winner));
+    let expected = 2 * c(PrimitiveCost::GlobalRead { n: 2 * K })
+        + 4 * c(PrimitiveCost::SortSplit { na: K, nb: K })
+        + 3 * c(PrimitiveCost::GlobalWrite { n: K })
+        + 6 * a;
+    assert_eq!(hold, expected, "level-1 node hold");
+}
+
+/// An insert with keys in both the root and the pBuffer loads them in
+/// one transfer and stores them in one, whether the buffer absorbs the
+/// batch or overflows into a heapify.
+#[test]
+fn insert_moves_root_and_buffer_together() {
+    let (cfg, opts) = pinned_cfg(1);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let (_, (sched, base, q)) = launch(
+        cfg,
+        |sched| traced_queue(sched, &cfg, opts),
+        |ctx, (_, _, q)| {
+            q.insert(ctx.worker(), &keys(0, K)); // root = [0, k)
+            q.insert(ctx.worker(), &keys(10 * K, 300)); // buffer: 300
+            q.insert(ctx.worker(), &keys(11 * K, 200)); // absorb: 500
+            q.insert(ctx.worker(), &keys(12 * K, 700)); // overflow: 176
+        },
+    );
+    q.check_invariants();
+    let trace = sched.take_trace();
+    let root = base + 1;
+    let acq = times(&trace, None, TraceKind::LockAcquired(root));
+    let rel = times(&trace, None, TraceKind::LockReleased(root));
+    assert_eq!((acq.len(), rel.len()), (4, 4), "one root section per insert");
+
+    // Absorb: root (k) and buffer (300) in, SORT_SPLIT with the root,
+    // merge into the buffer, root and buffer (500) out, release. 1437
+    // cycles (2237 with separate root and buffer transfers).
+    let absorb = c(PrimitiveCost::GlobalRead { n: K + 300 })
+        + c(PrimitiveCost::SortSplit { na: K, nb: 200 })
+        + c(PrimitiveCost::Merge { n: 500 })
+        + c(PrimitiveCost::GlobalWrite { n: K + 500 })
+        + a;
+    assert_eq!(rel[2] - acq[2], absorb, "absorbing insert's root section");
+
+    // Overflow: root and buffer (500) in, two SORT_SPLITs, root and the
+    // buffer's leftover (500 + 700 - k = 176) out; then mark node 2
+    // TARGET (lock, release), lock it again and release the root. 2094
+    // cycles (2894 with separate root and buffer transfers).
+    let overflow = c(PrimitiveCost::GlobalRead { n: K + 500 })
+        + c(PrimitiveCost::SortSplit { na: K, nb: 700 })
+        + c(PrimitiveCost::SortSplit { na: 700, nb: 500 })
+        + c(PrimitiveCost::GlobalWrite { n: K + 176 })
+        + 4 * a;
+    assert_eq!(rel[3] - acq[3], overflow, "overflowing insert's root section");
+}
+
+/// A DELETEMIN that collaborates with a MARKED inserter loads the
+/// results (and the pBuffer) before handing the root over, and loads
+/// the root the inserter stored together with level 0's children.
+#[test]
+fn collaborating_delete_loads_the_inserted_root() {
+    let (cfg, opts) = pinned_cfg(2);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let sort = c(PrimitiveCost::SortWith { n: K, algo: opts.sort_algo });
+    let preload = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        if ctx.block_id() == 0 {
+            // Root = [0, k), nodes 2 and 3 the next two ranges.
+            for b in 0..3 {
+                q.insert(ctx.worker(), &keys(b * K, K));
+            }
+        }
+    };
+    let race = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        if ctx.block_id() == 0 {
+            // Heapifies down to TARGET node 4 via node 2, releasing the
+            // root on the way.
+            q.insert(ctx.worker(), &keys(3 * K, K));
+        } else {
+            // Queue on the root lock while the inserter holds it: the
+            // refill then finds node 4 still TARGET.
+            ctx.advance(sort + a);
+            let mut out = Vec::new();
+            assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
+            assert!(out.iter().map(|e| e.key).eq(0..K as u32), "wrong result set");
+        }
+    };
+    let (_, (sched, base, q)) =
+        gpu_sim::launch_phased(cfg, |sched| traced_queue(sched, &cfg, opts), &[&preload, &race]);
+    q.check_invariants();
+    assert_eq!(q.stats().snapshot().collaborations, 1, "the delete must collaborate");
+    let trace = sched.take_trace();
+    let (root, tar) = (base + 1, base + 4);
+    let deleter = trace.iter().rev().find(|e| e.kind == TraceKind::LockReleased(root)).unwrap();
+    let of = |kind: TraceKind| times(&trace, Some(deleter.agent), kind);
+
+    // Marking: the state atomic, one load of the k results (no buffer
+    // keys, and `tar` has none yet), release `tar`: 864 cycles.
+    let marking = of(TraceKind::LockReleased(tar))[0] - of(TraceKind::LockAcquired(tar))[0];
+    assert_eq!(marking, a + c(PrimitiveCost::GlobalRead { n: K }) + a, "marking hold");
+
+    // Level 0 after the wait: lock node 3, load the inserted root with
+    // both children, two SORT_SPLITs, store the root, release it: 1802
+    // cycles.
+    let level0 = deleter.vtime - of(TraceKind::LockAcquired(base + 2))[0];
+    let expected = a
+        + c(PrimitiveCost::GlobalRead { n: 3 * K })
+        + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
+        + c(PrimitiveCost::GlobalWrite { n: K })
+        + a;
+    assert_eq!(level0, expected, "level 0 of a collaborating delete");
 }
 
 /// Schedule fuzzing: seeded tie-break randomization explores many
