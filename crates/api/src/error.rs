@@ -42,24 +42,6 @@ pub enum QueueError {
     Unavailable,
 }
 
-impl QueueError {
-    /// Whether retrying the same call later can reasonably succeed.
-    ///
-    /// * [`QueueError::LockTimeout`] — the holder may recover, or a
-    ///   recovery pass may reset the queue; retry with backoff.
-    /// * [`QueueError::Unavailable`] — the front is fast-failing while
-    ///   its backend is down; a later probe may find it re-admitted.
-    /// * [`QueueError::Full`] — backpressure, not failure; retryable
-    ///   only if something is draining the queue (callers decide via
-    ///   [`crate::RetryPolicy::retry_full`]).
-    /// * [`QueueError::Poisoned`] — a structural verdict on *this*
-    ///   queue; retrying the same handle cannot succeed until an
-    ///   external salvage rebuilds it.
-    pub fn retryable(&self) -> bool {
-        matches!(self, QueueError::LockTimeout { .. } | QueueError::Unavailable)
-    }
-}
-
 impl std::fmt::Display for QueueError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -100,13 +82,5 @@ mod tests {
         assert_eq!(QueueError::Full { max_nodes: 8 }, QueueError::Full { max_nodes: 8 });
         assert_ne!(QueueError::Full { max_nodes: 8 }, QueueError::Poisoned);
         assert_ne!(QueueError::Unavailable, QueueError::Poisoned);
-    }
-
-    #[test]
-    fn retryable_classes() {
-        assert!(QueueError::LockTimeout { lock: 0, detail: String::new() }.retryable());
-        assert!(QueueError::Unavailable.retryable());
-        assert!(!QueueError::Poisoned.retryable());
-        assert!(!QueueError::Full { max_nodes: 8 }.retryable());
     }
 }

@@ -17,10 +17,8 @@
 //!   implementations so the bench harness can report contention metrics.
 //! * [`QueueError`] — typed failures (`Full`, `Poisoned`, `LockTimeout`,
 //!   `Unavailable`) returned by the hardened `try_*` queue entry points.
-//! * [`RetryPolicy`] / [`Deadline`] / [`Retrying`] — bounded
-//!   retry-with-backoff for the transient error classes, so callers
-//!   ride out a lock-holder unwind or a front's recovery window
-//!   without hand-rolled loops.
+//! * [`BufferPolicy`] — the knobs of a buffered, sticky front
+//!   (insertion-buffer capacity, refill width, stickiness).
 //! * [`ScratchSlot`] — the type-keyed per-worker parking spot through
 //!   which queue implementations keep their hot-path scratch arenas
 //!   alive between operations (zero steady-state allocations).
@@ -39,9 +37,7 @@ pub mod stats;
 pub use entry::Entry;
 pub use error::QueueError;
 pub use key::{KeyType, ValueType};
-pub use policy::{BufferPolicy, Deadline, RetryPolicy, Retrying};
-pub use pq::{
-    BatchPriorityQueue, ItemwiseBatch, PriorityQueue, QueueFactory, TryBatchPriorityQueue,
-};
+pub use policy::BufferPolicy;
+pub use pq::{BatchPriorityQueue, ItemwiseBatch, PriorityQueue, TryBatchPriorityQueue};
 pub use scratch::ScratchSlot;
 pub use stats::{occupancy_bucket, OpStats, StatsSnapshot, OCCUPANCY_BUCKETS};

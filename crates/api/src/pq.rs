@@ -162,18 +162,6 @@ where
 {
 }
 
-/// Factory for building fresh queue instances inside the bench harness
-/// (each trial constructs its own queue).
-pub trait QueueFactory<K: KeyType, V: ValueType>: Send + Sync {
-    type Queue: BatchPriorityQueue<K, V>;
-
-    /// Human-readable name used in tables ("BGPQ", "TBB", ...).
-    fn name(&self) -> &str;
-
-    /// Build a queue expected to hold around `capacity_hint` entries.
-    fn build(&self, capacity_hint: usize) -> Self::Queue;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,10 +52,6 @@ pub struct OpStats {
     /// TARGET/MARKED collaborations: a delete stole an in-flight
     /// insertion's keys to refill the root.
     pub collaborations: AtomicU64,
-    /// Lock acquisitions (when the implementation counts them).
-    pub lock_acquisitions: AtomicU64,
-    /// Failed first lock attempts, i.e. contention events.
-    pub lock_contended: AtomicU64,
     /// Lock acquisitions abandoned by the platform watchdog.
     pub lock_timeouts: AtomicU64,
     /// Bounded waits (MARKED spin / TARGET wait) that escalated from
@@ -134,8 +130,6 @@ impl OpStats {
             deletes_from_root: ld(&self.deletes_from_root),
             delete_heapifies: ld(&self.delete_heapifies),
             collaborations: ld(&self.collaborations),
-            lock_acquisitions: ld(&self.lock_acquisitions),
-            lock_contended: ld(&self.lock_contended),
             lock_timeouts: ld(&self.lock_timeouts),
             spin_escalations: ld(&self.spin_escalations),
             poison_events: ld(&self.poison_events),
@@ -168,8 +162,6 @@ impl OpStats {
         fold(&self.deletes_from_root, &other.deletes_from_root);
         fold(&self.delete_heapifies, &other.delete_heapifies);
         fold(&self.collaborations, &other.collaborations);
-        fold(&self.lock_acquisitions, &other.lock_acquisitions);
-        fold(&self.lock_contended, &other.lock_contended);
         fold(&self.lock_timeouts, &other.lock_timeouts);
         fold(&self.spin_escalations, &other.spin_escalations);
         fold(&self.poison_events, &other.poison_events);
@@ -198,8 +190,6 @@ impl OpStats {
         st(&self.deletes_from_root);
         st(&self.delete_heapifies);
         st(&self.collaborations);
-        st(&self.lock_acquisitions);
-        st(&self.lock_contended);
         st(&self.lock_timeouts);
         st(&self.spin_escalations);
         st(&self.poison_events);
@@ -229,8 +219,6 @@ pub struct StatsSnapshot {
     pub deletes_from_root: u64,
     pub delete_heapifies: u64,
     pub collaborations: u64,
-    pub lock_acquisitions: u64,
-    pub lock_contended: u64,
     pub lock_timeouts: u64,
     pub spin_escalations: u64,
     pub poison_events: u64,
@@ -259,8 +247,6 @@ impl std::ops::Add for StatsSnapshot {
             deletes_from_root: self.deletes_from_root + rhs.deletes_from_root,
             delete_heapifies: self.delete_heapifies + rhs.delete_heapifies,
             collaborations: self.collaborations + rhs.collaborations,
-            lock_acquisitions: self.lock_acquisitions + rhs.lock_acquisitions,
-            lock_contended: self.lock_contended + rhs.lock_contended,
             lock_timeouts: self.lock_timeouts + rhs.lock_timeouts,
             spin_escalations: self.spin_escalations + rhs.spin_escalations,
             poison_events: self.poison_events + rhs.poison_events,
@@ -327,25 +313,6 @@ impl StatsSnapshot {
     pub fn batches_recorded(&self) -> u64 {
         self.batch_occupancy.iter().sum()
     }
-
-    /// Mean fill fraction of recorded batches, estimated from bucket
-    /// midpoints (0.0 when nothing was recorded). Exact means come
-    /// from `items_inserted / inserts`; this estimator exists so the
-    /// histogram alone tells a coherent story in reports.
-    pub fn mean_occupancy_estimate(&self) -> f64 {
-        let total = self.batches_recorded();
-        if total == 0 {
-            return 0.0;
-        }
-        let b = OCCUPANCY_BUCKETS as f64;
-        let weighted: f64 = self
-            .batch_occupancy
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| n as f64 * (i as f64 + 0.5) / b)
-            .sum();
-        weighted / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -384,7 +351,7 @@ mod tests {
         let a = OpStats::new();
         let b = OpStats::new();
         // Distinct primes per counter so a missed field can't cancel out.
-        fn fields(s: &OpStats) -> [(&AtomicU64, u64); 24] {
+        fn fields(s: &OpStats) -> [(&AtomicU64, u64); 22] {
             [
                 (&s.inserts, 2u64),
                 (&s.delete_mins, 3),
@@ -395,8 +362,6 @@ mod tests {
                 (&s.deletes_from_root, 17),
                 (&s.delete_heapifies, 19),
                 (&s.collaborations, 23),
-                (&s.lock_acquisitions, 29),
-                (&s.lock_contended, 31),
                 (&s.lock_timeouts, 37),
                 (&s.spin_escalations, 41),
                 (&s.poison_events, 43),
@@ -421,7 +386,7 @@ mod tests {
         a.merge(&b);
         let merged = a.snapshot();
         assert_eq!(merged.inserts, 22);
-        assert_eq!(merged.lock_contended, 341);
+        assert_eq!(merged.lock_timeouts, 407);
         // merge must agree with snapshot addition, and leave `other` alone.
         let c = OpStats::new();
         for (cnt, n) in fields(&c) {
@@ -496,7 +461,6 @@ mod tests {
         assert_eq!(snap.batch_occupancy[0], 1);
         assert_eq!(snap.batch_occupancy[OCCUPANCY_BUCKETS - 1], 2);
         assert_eq!(snap.batches_recorded(), 3);
-        assert!(snap.mean_occupancy_estimate() > 0.5, "two full batches dominate");
 
         let other = OpStats::new();
         other.record_batch_occupancy(4, 8);
@@ -505,6 +469,5 @@ mod tests {
 
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
-        assert_eq!(StatsSnapshot::default().mean_occupancy_estimate(), 0.0);
     }
 }

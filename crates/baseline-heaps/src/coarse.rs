@@ -1,7 +1,7 @@
 //! Coarse-grained lock-protected binary heap (TBB stand-in).
 
 use parking_lot::Mutex;
-use pq_api::{Entry, ItemwiseBatch, KeyType, PriorityQueue, QueueFactory, ValueType};
+use pq_api::{Entry, KeyType, PriorityQueue, ValueType};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -40,29 +40,6 @@ impl<K: KeyType, V: ValueType> PriorityQueue<K, V> for CoarseLockPq<K, V> {
 
     fn len(&self) -> usize {
         self.heap.lock().len()
-    }
-}
-
-/// Factory producing itemwise-batched coarse queues for the harness.
-pub struct CoarseLockPqFactory {
-    pub batch: usize,
-}
-
-impl Default for CoarseLockPqFactory {
-    fn default() -> Self {
-        Self { batch: 1024 }
-    }
-}
-
-impl<K: KeyType, V: ValueType> QueueFactory<K, V> for CoarseLockPqFactory {
-    type Queue = ItemwiseBatch<CoarseLockPq<K, V>>;
-
-    fn name(&self) -> &str {
-        "TBB(coarse)"
-    }
-
-    fn build(&self, capacity_hint: usize) -> Self::Queue {
-        ItemwiseBatch::new(CoarseLockPq::with_capacity(capacity_hint), self.batch)
     }
 }
 

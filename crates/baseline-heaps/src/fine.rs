@@ -14,7 +14,7 @@
 //! insertion's slot waits for the insert to land.
 
 use parking_lot::Mutex;
-use pq_api::{Entry, ItemwiseBatch, KeyType, PriorityQueue, QueueFactory, ValueType};
+use pq_api::{Entry, KeyType, PriorityQueue, ValueType};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
@@ -206,29 +206,6 @@ impl<K: KeyType, V: ValueType> PriorityQueue<K, V> for FineHeapPq<K, V> {
 #[inline]
 fn level(i: usize) -> u32 {
     usize::BITS - 1 - i.leading_zeros()
-}
-
-/// Factory producing itemwise-batched fine-grained heaps.
-pub struct FineHeapPqFactory {
-    pub batch: usize,
-}
-
-impl Default for FineHeapPqFactory {
-    fn default() -> Self {
-        Self { batch: 1024 }
-    }
-}
-
-impl<K: KeyType, V: ValueType> QueueFactory<K, V> for FineHeapPqFactory {
-    type Queue = ItemwiseBatch<FineHeapPq<K, V>>;
-
-    fn name(&self) -> &str {
-        "FineHeap"
-    }
-
-    fn build(&self, capacity_hint: usize) -> Self::Queue {
-        ItemwiseBatch::new(FineHeapPq::new(capacity_hint.max(16)), self.batch)
-    }
 }
 
 #[cfg(test)]

@@ -17,5 +17,5 @@
 pub mod coarse;
 pub mod fine;
 
-pub use coarse::{CoarseLockPq, CoarseLockPqFactory};
-pub use fine::{FineHeapPq, FineHeapPqFactory};
+pub use coarse::CoarseLockPq;
+pub use fine::FineHeapPq;

@@ -21,7 +21,7 @@
 //! bench time — the structure itself is generic.
 
 use parking_lot::{Mutex, RwLock};
-use pq_api::{Entry, ItemwiseBatch, KeyType, PriorityQueue, QueueFactory, ValueType};
+use pq_api::{Entry, KeyType, PriorityQueue, ValueType};
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -214,30 +214,6 @@ impl<K: KeyType, V: ValueType> PriorityQueue<K, V> for CbpqPq<K, V> {
 
     fn len(&self) -> usize {
         self.len.load(Ordering::Relaxed).max(0) as usize
-    }
-}
-
-/// Factory for the bench harness.
-pub struct CbpqPqFactory {
-    pub batch: usize,
-    pub chunk_capacity: usize,
-}
-
-impl Default for CbpqPqFactory {
-    fn default() -> Self {
-        Self { batch: 1024, chunk_capacity: DEFAULT_CHUNK_CAPACITY }
-    }
-}
-
-impl<K: KeyType, V: ValueType> QueueFactory<K, V> for CbpqPqFactory {
-    type Queue = ItemwiseBatch<CbpqPq<K, V>>;
-
-    fn name(&self) -> &str {
-        "CBPQ"
-    }
-
-    fn build(&self, _capacity_hint: usize) -> Self::Queue {
-        ItemwiseBatch::new(CbpqPq::new(self.chunk_capacity), self.batch)
     }
 }
 

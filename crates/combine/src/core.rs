@@ -319,8 +319,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
             let t = self.unavail_ticket.fetch_add(1, Ordering::Relaxed);
             if !t.is_multiple_of(PROBE_INTERVAL) {
                 // Fast-fail without touching the backend: the caller
-                // keeps its key and may retry after backoff (see
-                // `pq_api::RetryPolicy`).
+                // keeps its key and may retry after backoff.
                 return Err(QueueError::Unavailable);
             }
             // This submission is a probe: it runs the full protocol

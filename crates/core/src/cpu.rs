@@ -3,9 +3,7 @@
 use crate::heap::Bgpq;
 use crate::options::BgpqOptions;
 use bgpq_runtime::{with_thread_worker, CpuPlatform, Platform};
-use pq_api::{
-    BatchPriorityQueue, Entry, KeyType, QueueError, QueueFactory, TryBatchPriorityQueue, ValueType,
-};
+use pq_api::{BatchPriorityQueue, Entry, KeyType, QueueError, TryBatchPriorityQueue, ValueType};
 
 /// BGPQ running on [`CpuPlatform`] (real `parking_lot` locks, real
 /// threads). Implements [`BatchPriorityQueue`] so the application
@@ -95,30 +93,6 @@ impl<K: KeyType, V: ValueType> TryBatchPriorityQueue<K, V> for CpuBgpq<K, V> {
     }
 }
 
-/// Factory for the bench harness.
-pub struct CpuBgpqFactory {
-    /// Node capacity `k`.
-    pub node_capacity: usize,
-}
-
-impl Default for CpuBgpqFactory {
-    fn default() -> Self {
-        Self { node_capacity: 1024 }
-    }
-}
-
-impl<K: KeyType, V: ValueType> QueueFactory<K, V> for CpuBgpqFactory {
-    type Queue = CpuBgpq<K, V>;
-
-    fn name(&self) -> &str {
-        "BGPQ"
-    }
-
-    fn build(&self, capacity_hint: usize) -> CpuBgpq<K, V> {
-        CpuBgpq::new(BgpqOptions::with_capacity_for(self.node_capacity, capacity_hint.max(1)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,16 +125,5 @@ mod tests {
             out.iter().map(|e| (e.key, e.value)).collect::<Vec<_>>(),
             vec![(1, 11), (2, 22), (3, 33)]
         );
-    }
-
-    #[test]
-    fn factory_builds_working_queue() {
-        let f = CpuBgpqFactory { node_capacity: 8 };
-        let q: CpuBgpq<u32, ()> = f.build(1000);
-        assert_eq!(<CpuBgpqFactory as QueueFactory<u32, ()>>::name(&f), "BGPQ");
-        q.insert_batch(&[Entry::new(42u32, ())]);
-        let mut out = Vec::new();
-        assert_eq!(q.delete_min_batch(&mut out, 1), 1);
-        assert_eq!(out[0].key, 42);
     }
 }

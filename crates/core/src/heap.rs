@@ -1506,35 +1506,39 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     }
 }
 
-/// What a [`Bgpq::salvage_reset`] walk found and did. The caller-facing
-/// accounting lives in `bgpq-recover`'s `SalvageReport`; this is the
-/// raw storage-level outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SalvageOutcome {
-    /// Entries walked out of node storage into the caller's buffer.
-    pub recovered: usize,
-    /// The queue's item count at the moment of salvage (clamped at 0).
-    /// An upper bound on the keys that were settled: a worker that
-    /// crashed *before* its insert linearized has already bumped the
-    /// count for keys its caller still owns (see `try_insert` docs), so
-    /// `expected - recovered` can over-report loss — never under.
-    pub expected: usize,
+/// Exact accounting of one [`Bgpq::salvage_reset`] pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SalvageReport {
+    /// Keys walked out of node storage into the caller's buffer.
+    pub keys_recovered: usize,
+    /// Keys the item count promised but the walk could not find:
+    /// confirmed or conservatively presumed lost to in-flight
+    /// operations. Zero on a quiescent healthy queue.
+    pub keys_lost: usize,
+    /// The queue's item count at the moment of salvage (clamped at 0),
+    /// `keys_recovered + keys_lost` by construction. An upper bound on
+    /// the keys that were settled: a worker that crashed *before* its
+    /// insert linearized has already bumped the count for keys its
+    /// caller still owns (see `try_insert` docs), so `keys_lost` can
+    /// over-report loss — never under.
+    pub keys_expected: usize,
     /// Nodes skipped in TARGET state: reserved by an in-flight insert
     /// whose keys died on the crashed worker's stack.
-    pub skipped_target: usize,
+    pub nodes_skipped_target: usize,
     /// Nodes skipped in MARKED state: a collaboration was in flight;
     /// the stolen keys died with whichever worker held them.
-    pub skipped_marked: usize,
-    /// Whether the queue was poisoned when salvage began.
+    pub nodes_skipped_marked: usize,
+    /// Whether the queue was poisoned when salvage began (`false`
+    /// means a healthy drain-and-reset).
     pub was_poisoned: bool,
 }
 
-impl SalvageOutcome {
-    /// Keys confirmed or conservatively presumed lost to in-flight
-    /// operations: everything the item count promised but the walk
-    /// could not find. Zero on a quiescent healthy queue.
-    pub fn lost(&self) -> usize {
-        self.expected.saturating_sub(self.recovered)
+impl SalvageReport {
+    /// The conservation identity every salvage upholds:
+    /// `recovered + lost == expected`. (True by construction here;
+    /// drills assert it against independently tracked traffic.)
+    pub fn conserves(&self) -> bool {
+        self.keys_recovered + self.keys_lost == self.keys_expected
     }
 }
 
@@ -1572,8 +1576,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// salvage must discard it (the entries are still in storage).
     ///
     /// Works on healthy queues too (drain-and-reset), where
-    /// `lost() == 0` at quiescence.
-    pub fn salvage_reset(&self, w: &mut P::Worker, out: &mut Vec<Entry<K, V>>) -> SalvageOutcome {
+    /// `keys_lost == 0` at quiescence.
+    pub fn salvage_reset(&self, w: &mut P::Worker, out: &mut Vec<Entry<K, V>>) -> SalvageReport {
         // The walk reads, and the reset rewrites, the entire queue:
         // conflicts with every operation on it.
         self.platform.touch_domain(w, true);
@@ -1631,7 +1635,14 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         self.poisoned.store(false, Ordering::SeqCst);
         OpStats::bump(&self.stats.salvages);
 
-        SalvageOutcome { recovered, expected, skipped_target, skipped_marked, was_poisoned }
+        SalvageReport {
+            keys_recovered: recovered,
+            keys_lost: expected.saturating_sub(recovered),
+            keys_expected: expected,
+            nodes_skipped_target: skipped_target,
+            nodes_skipped_marked: skipped_marked,
+            was_poisoned,
+        }
     }
 }
 

@@ -42,8 +42,8 @@ pub(crate) mod split;
 pub mod storage;
 pub mod tree;
 
-pub use cpu::{CpuBgpq, CpuBgpqFactory};
-pub use heap::{Bgpq, SalvageOutcome};
+pub use cpu::CpuBgpq;
+pub use heap::{Bgpq, SalvageReport};
 pub use history::{
     check_collaboration, check_history, HistoryEvent, HistoryOp, HistoryViolation, ProtocolEvent,
     ProtocolKind,

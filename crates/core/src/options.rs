@@ -76,11 +76,6 @@ pub struct BgpqOptions {
 }
 
 impl BgpqOptions {
-    /// The paper's evaluation configuration: k = 1024.
-    pub fn paper_default() -> Self {
-        Self::with_capacity_for(1024, 64 << 20)
-    }
-
     /// Options sized to hold at least `items` keys with node capacity
     /// `k`.
     pub fn with_capacity_for(k: usize, items: usize) -> Self {
@@ -149,7 +144,6 @@ mod tests {
     #[test]
     fn defaults_are_valid() {
         BgpqOptions::default().validate();
-        BgpqOptions::paper_default().validate();
     }
 
     #[test]

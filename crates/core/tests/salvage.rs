@@ -27,9 +27,9 @@ fn healthy_queue_salvages_to_its_exact_contents() {
     let mut w = CpuWorker::new();
     let outcome = q.inner().salvage_reset(&mut w, &mut out);
     assert!(!outcome.was_poisoned);
-    assert_eq!(outcome.recovered, keys.len() - 4);
-    assert_eq!(outcome.expected, keys.len() - 4);
-    assert_eq!(outcome.lost(), 0, "quiescent healthy salvage loses nothing");
+    assert_eq!(outcome.keys_recovered, keys.len() - 4);
+    assert_eq!(outcome.keys_expected, keys.len() - 4);
+    assert_eq!(outcome.keys_lost, 0, "quiescent healthy salvage loses nothing");
 
     let mut expect: Vec<u32> = keys.clone();
     expect.sort_unstable();
@@ -94,13 +94,16 @@ fn poisoned_queue_salvages_and_serves_again() {
     let mut w = CpuWorker::new();
     let outcome = q.inner().salvage_reset(&mut w, &mut out);
     assert!(outcome.was_poisoned);
-    assert!(outcome.recovered > 0, "settled keys are recoverable");
-    assert_eq!(outcome.recovered, out.len());
+    assert!(outcome.keys_recovered > 0, "settled keys are recoverable");
+    assert_eq!(outcome.keys_recovered, out.len());
 
     // Conservation, conservatively: recovered + reported-lost covers
     // everything not already returned to callers.
-    assert_eq!(outcome.recovered + outcome.lost(), outcome.expected);
-    assert!(deleted.len() + outcome.recovered <= total as usize, "salvage must never invent keys");
+    assert_eq!(outcome.keys_recovered + outcome.keys_lost, outcome.keys_expected);
+    assert!(
+        deleted.len() + outcome.keys_recovered <= total as usize,
+        "salvage must never invent keys"
+    );
     // No duplicates between what callers got and what salvage found.
     let mut all: Vec<u32> =
         deleted.iter().map(|e| e.key).chain(out.iter().map(|e| e.key)).collect();
@@ -156,14 +159,14 @@ fn salvage_skips_inflight_target_nodes_and_reports_them() {
     q2.platform().force_reset_locks();
     let mut out = Vec::new();
     let outcome = q2.salvage_reset(&mut w, &mut out);
-    assert!(outcome.skipped_target >= 1, "the reserved TARGET node is visible: {outcome:?}");
-    assert!(outcome.lost() >= 2, "the in-flight batch is accounted lost, not silent");
+    assert!(outcome.nodes_skipped_target >= 1, "the reserved TARGET node is visible: {outcome:?}");
+    assert!(outcome.keys_lost >= 2, "the in-flight batch is accounted lost, not silent");
 
     // And the first (healthy) queue still reports zero skips.
     let mut out1 = Vec::new();
     let o1 = q.salvage_reset(&mut w, &mut out1);
-    assert_eq!(o1.skipped_target + o1.skipped_marked, 0);
-    assert_eq!(o1.recovered, settled);
+    assert_eq!(o1.nodes_skipped_target + o1.nodes_skipped_marked, 0);
+    assert_eq!(o1.keys_recovered, settled);
 }
 
 #[test]
@@ -192,8 +195,8 @@ fn salvage_walk_injection_point_can_refault_and_resalvage() {
 
     // Storage untouched: a re-run recovers the full multiset.
     let outcome = q.salvage_reset(&mut w, &mut out);
-    assert_eq!(outcome.recovered, settled);
-    assert_eq!(outcome.lost(), 0);
+    assert_eq!(outcome.keys_recovered, settled);
+    assert_eq!(outcome.keys_lost, 0);
     assert_eq!(q.stats().snapshot().salvages, 1);
     q.check_invariants();
 }

@@ -11,7 +11,6 @@ use crate::spec::{FrontSpec, WorkOp, WorkloadSpec};
 use bgpq::{check_collaboration, check_history, Bgpq, BgpqOptions};
 use bgpq::{HistoryEvent, HistoryOp, ProtocolEvent};
 use bgpq_combine::{CombineBackend, CombineShared, CombinerOptions, Op};
-use bgpq_recover::SalvageReport;
 use bgpq_runtime::{FaultAction, FaultPlan, Platform, SimPlatform};
 use bgpq_shard::{RecoveryOptions, ShardedBgpq, ShardedOptions};
 use gpu_sim::sched::SimWorker;
@@ -247,17 +246,6 @@ fn front_balance(events: &[HistoryEvent<u32>]) -> i64 {
         .sum()
 }
 
-/// Salvage hook for simulator-platform shards: same accounting as the
-/// CPU path (`bgpq_recover::salvage_heap`) minus the force-unlock — a
-/// dead sim agent's locks were already handed off at its fail-stop.
-fn sim_salvage(
-    q: &Bgpq<u32, u32, SimPlatform>,
-    w: &mut SimWorker,
-    out: &mut Vec<Entry<u32, u32>>,
-) -> SalvageReport {
-    SalvageReport::from_outcome(q.salvage_reset(w, out))
-}
-
 /// Run the scripts against a `bgpq-shard` router (circuit breaker +
 /// salvage re-admission armed). Inserts use the agent id as routing
 /// affinity; the delete sample is the full shard set, so routing is
@@ -303,8 +291,12 @@ fn run_sharded(
                         }
                     })
                     .collect();
+                // The CPU salvager also force-resets lock words; a dead
+                // sim agent's locks were already handed off at its
+                // fail-stop, so the bare storage walk is the whole job.
+                let salvager = Bgpq::salvage_reset;
                 let q: Q =
-                    Arc::new(ShardedBgpq::with_platforms_recovering(platforms, sopts, sim_salvage));
+                    Arc::new(ShardedBgpq::with_platforms_recovering(platforms, sopts, salvager));
                 *stash.lock().unwrap() = Some((Arc::clone(&q), Arc::clone(sched)));
                 q
             },

@@ -237,18 +237,6 @@ impl WorkloadSpec {
         self.faults = faults;
         self
     }
-
-    /// Same spec driving a different submission front.
-    pub fn with_front(mut self, front: FrontSpec) -> Self {
-        self.front = front;
-        self
-    }
-
-    /// Same spec with the fault plan pinned to one shard's platform.
-    pub fn with_fault_shard(mut self, shard: Option<usize>) -> Self {
-        self.fault_shard = shard;
-        self
-    }
 }
 
 /// A spec plus the sparse schedule overrides that reproduce one

@@ -44,16 +44,6 @@ impl GpuConfig {
         Self { num_blocks, block_dim, ..Self::default() }
     }
 
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    pub fn with_sms(mut self, sm_count: usize) -> Self {
-        self.sm_count = sm_count;
-        self
-    }
-
     /// Enable schedule fuzzing (tie-order exploration) for this launch.
     pub fn with_fuzz_seed(mut self, seed: u64) -> Self {
         self.fuzz_seed = Some(seed);

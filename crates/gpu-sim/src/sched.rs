@@ -319,11 +319,6 @@ impl Scheduler {
         })
     }
 
-    /// Number of agents in this run.
-    pub fn agent_count(&self) -> usize {
-        self.cvs.len()
-    }
-
     /// Allocate `n` simulated locks; returns the id of the first (ids are
     /// contiguous). May be called before or during the run.
     pub fn create_locks(&self, n: usize) -> LockId {

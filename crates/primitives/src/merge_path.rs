@@ -8,10 +8,12 @@
 //! its chunk independently — no inter-thread communication until the
 //! final barrier.
 //!
-//! We implement the same decomposition. [`parallel_merge`] runs the
-//! per-partition merges in their schedule order (they are independent, so
-//! sequential execution yields the identical result a thread block
-//! produces), and the partition/search counts feed the cost model.
+//! The host keeps the diagonal search ([`merge_path_search`], which
+//! the heap's `SORT_SPLIT` uses to find its split point) and the chunk
+//! walk ([`merge_path_partition`], the outer loop of the SIMD merge).
+//! The merges themselves run sequentially ([`merge_into`]); the
+//! simulator charges the partitioned schedule from the closed-form
+//! counts in [`crate::cost`].
 
 /// Find the merge-path intersection for cross diagonal `diag`
 /// (`0 <= diag <= a.len() + b.len()`): returns `(i, j)` with
@@ -44,11 +46,11 @@ pub fn merge_path_search<T: Ord>(a: &[T], b: &[T], diag: usize) -> (usize, usize
 /// `b[j0..j1]`. Boundaries come from [`merge_path_search`], so the
 /// chunks compose to exactly the stable (`a` wins ties) merge.
 ///
-/// This is the Merge Path *outer loop* shared by the scalar
-/// [`parallel_merge`] schedule and the SIMD kernels in [`crate::simd`]:
-/// a chunk whose `a` (or `b`) range is empty is a pure copy of the
-/// other run — the caller can service it with a bulk copy and reserve
-/// the merge kernel for chunks where the runs actually cross.
+/// This is the Merge Path *outer loop* of the SIMD kernels in
+/// [`crate::simd`]: a chunk whose `a` (or `b`) range is empty is a pure
+/// copy of the other run — the caller can service it with a bulk copy
+/// and reserve the merge kernel for chunks where the runs actually
+/// cross.
 pub fn merge_path_partition<T: Ord>(
     a: &[T],
     b: &[T],
@@ -214,40 +216,6 @@ pub fn merge_into_vec<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     unsafe { out.set_len(total) };
 }
 
-/// Merge with the Merge Path decomposition into `partitions` independent
-/// chunks — the schedule a `partitions`-thread block executes. Each chunk
-/// performs one diagonal binary search plus a bounded sequential merge.
-///
-/// Produces exactly the same output as [`merge_into`].
-pub fn parallel_merge<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T], partitions: usize) {
-    assert_eq!(out.len(), a.len() + b.len(), "output size mismatch");
-    assert!(partitions >= 1, "need at least one partition");
-    let total = out.len();
-    if total == 0 {
-        return;
-    }
-    let chunk = total.div_ceil(partitions);
-
-    // Phase 1 (parallel on GPU): each partition searches its starting
-    // diagonal. Phase 2 (parallel on GPU): each partition merges
-    // out[d0..d1] from a[i0..i1] x b[j0..j1]. The partitions write
-    // disjoint output ranges, so running them in sequence is
-    // result-identical to the lock-step execution.
-    let mut starts = Vec::with_capacity(partitions + 1);
-    for p in 0..=partitions {
-        let diag = (p * chunk).min(total);
-        starts.push(merge_path_search(a, b, diag));
-    }
-
-    for p in 0..partitions {
-        let (i0, j0) = starts[p];
-        let (i1, j1) = starts[p + 1];
-        let d0 = i0 + j0;
-        let d1 = i1 + j1;
-        merge_into(&a[i0..i1], &b[j0..j1], &mut out[d0..d1]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,28 +296,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_matches_sequential_for_all_partition_counts() {
-        let a: Vec<u32> = (0..64).map(|x| x * 3).collect();
-        let b: Vec<u32> = (0..48).map(|x| x * 4 + 1).collect();
-        let mut reference = vec![0u32; a.len() + b.len()];
-        merge_into(&a, &b, &mut reference);
-        for p in [1usize, 2, 3, 7, 16, 32, 112, 200] {
-            let mut out = vec![0u32; a.len() + b.len()];
-            parallel_merge(&a, &b, &mut out, p);
-            assert_eq!(out, reference, "partitions={p}");
-        }
-    }
-
-    #[test]
     fn empty_inputs() {
         let mut out: [u32; 0] = [];
-        parallel_merge(&[], &[], &mut out, 4);
+        merge_into(&[], &[], &mut out);
         let a = [1u32, 2];
         let mut out2 = [0u32; 2];
-        parallel_merge(&a, &[], &mut out2, 3);
+        merge_into(&a, &[], &mut out2);
         assert_eq!(out2, [1, 2]);
         let mut out3 = [0u32; 2];
-        parallel_merge(&[], &a, &mut out3, 3);
+        merge_into(&[], &a, &mut out3);
         assert_eq!(out3, [1, 2]);
     }
 }

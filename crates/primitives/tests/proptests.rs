@@ -1,11 +1,11 @@
-//! Property-based tests for the data-parallel primitives: the network
-//! and merge-path schedules must agree with the standard library on every
-//! input, and `SORT_SPLIT` must satisfy the paper's formal postconditions.
+//! Property-based tests for the data-parallel primitives: the merge
+//! kernels and the merge-path search must agree with the standard library
+//! on every input, and `SORT_SPLIT` must satisfy the paper's formal
+//! postconditions.
 
 use primitives::simd::{self, KeyIdxLane};
 use primitives::{
-    bitonic_sort, bitonic_sort_padded, bitonic_sort_scalar, merge_into, merge_into_scalar,
-    merge_into_vec, merge_path_search, parallel_merge, sort_split, sort_split_full,
+    merge_into, merge_into_scalar, merge_into_vec, merge_path_search, sort_split, sort_split_full,
 };
 use proptest::prelude::*;
 
@@ -86,26 +86,6 @@ fn sorted_keyed(max_len: usize, side: u32) -> impl Strategy<Value = Vec<Keyed>> 
 
 proptest! {
     #[test]
-    fn bitonic_equals_std_sort(mut v in proptest::collection::vec(any::<u32>(), 0..257)) {
-        // Pad to a power of two inside bitonic_sort_padded.
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        bitonic_sort_padded(&mut v, u32::MAX);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn bitonic_pow2_is_permutation(v in (0u32..=8).prop_flat_map(|e| {
-            proptest::collection::vec(any::<u32>(), 1usize << e)
-        })) {
-        let mut sorted = v.clone();
-        bitonic_sort(&mut sorted);
-        let mut expect = v;
-        expect.sort_unstable();
-        prop_assert_eq!(sorted, expect);
-    }
-
-    #[test]
     fn merge_path_search_is_a_valid_split(a in sorted_vec(64), b in sorted_vec(64), frac in 0.0f64..=1.0) {
         let diag = ((a.len() + b.len()) as f64 * frac) as usize;
         let (i, j) = merge_path_search(&a, &b, diag);
@@ -117,15 +97,6 @@ proptest! {
         if j > 0 && i < a.len() {
             prop_assert!(b[j - 1] <= a[i]);
         }
-    }
-
-    #[test]
-    fn parallel_merge_equals_std(a in sorted_vec(128), b in sorted_vec(128), p in 1usize..64) {
-        let mut out = vec![0u32; a.len() + b.len()];
-        parallel_merge(&a, &b, &mut out, p);
-        let mut expect: Vec<u32> = a.iter().chain(b.iter()).copied().collect();
-        expect.sort_unstable();
-        prop_assert_eq!(out, expect);
     }
 
     #[test]
@@ -222,17 +193,6 @@ proptest! {
         if b.len() + c.len() <= cap {
             prop_assert_eq!(out.capacity(), cap);
         }
-    }
-
-    #[test]
-    fn bitonic_matches_scalar_oracle(v in (0u32..=8).prop_flat_map(|e| {
-            proptest::collection::vec(0u32..32, 1usize << e)
-        })) {
-        let mut fast = v.clone();
-        let mut slow = v;
-        bitonic_sort(&mut fast);
-        bitonic_sort_scalar(&mut slow);
-        prop_assert_eq!(fast, slow);
     }
 
     #[test]

@@ -1,27 +1,21 @@
-//! # bgpq-recover — salvage and rebuild for poisoned BGPQ instances
+//! # bgpq-recover — salvage for poisoned BGPQ instances
 //!
-//! PR 2's hardening made BGPQ fail-*stop*: a crashed or wedged worker
-//! poisons the queue and every later call gets
-//! [`pq_api::QueueError::Poisoned`]. That protects invariants but
-//! strands every settled key inside node storage. The batched-heap
-//! layout makes those keys salvageable — every committed key lives in
-//! an `AVAIL` node (or the root/partial buffer), and node states are
-//! kept accurate between fault points — so "poisoned" does not have to
-//! mean "lost".
+//! BGPQ is fail-*stop*: a crashed or wedged worker poisons the queue
+//! and every later call gets [`pq_api::QueueError::Poisoned`]. That
+//! protects invariants but strands every settled key inside node
+//! storage. The batched-heap layout makes those keys salvageable —
+//! every committed key lives in an `AVAIL` node (or the root/partial
+//! buffer), and node states are kept accurate between fault points —
+//! so "poisoned" does not have to mean "lost".
 //!
-//! This crate closes the loop from fault to restored service:
-//!
-//! 1. [`salvage`] takes exclusive ownership of a poisoned (or merely
-//!    retired) [`CpuBgpq`], force-resets its lock words, walks node
-//!    storage, and resets the queue to a fresh empty state — returning
-//!    the recovered entries plus a [`SalvageReport`] with exact
-//!    accounting.
-//! 2. [`salvage_rebuild`] additionally re-inserts the recovered
-//!    entries, handing back a queue that is *serving* again.
-//!
-//! The shard router (`bgpq-shard`) drives these from its circuit
-//! breaker to re-admit quarantined shards; the `recover` bench bin
-//! measures MTTR and keys-lost with them.
+//! [`salvage`] takes exclusive ownership of a poisoned (or merely
+//! retired) [`CpuBgpq`], force-resets its lock words, walks node
+//! storage, and resets the queue to a fresh empty state — returning
+//! the recovered entries plus a [`SalvageReport`] with exact
+//! accounting. What to do with the recovered keys is the caller's
+//! choice: the shard router's circuit breaker (`bgpq-shard`) installs
+//! [`salvage_heap`] as its salvager and re-inserts the keys itself;
+//! the `recover` bench bin measures MTTR and keys-lost.
 //!
 //! ## What is and is not guaranteed
 //!
@@ -42,56 +36,11 @@
 //!   the caller must also wait out workers that entered before the
 //!   poison landed.
 
-use bgpq::{Bgpq, CpuBgpq, SalvageOutcome};
+use bgpq::{Bgpq, CpuBgpq};
 use bgpq_runtime::{CpuPlatform, CpuWorker};
 use pq_api::{Entry, KeyType, ValueType};
 
-/// Exact accounting of one salvage pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SalvageReport {
-    /// Keys walked out of node storage and returned to the caller.
-    pub keys_recovered: usize,
-    /// Keys the queue's accepted-minus-returned count promised but the
-    /// walk could not find: confirmed or conservatively presumed lost
-    /// to in-flight batches (see crate docs on over-reporting).
-    pub keys_lost: usize,
-    /// The accepted-minus-returned count at salvage time —
-    /// `keys_recovered + keys_lost` by construction.
-    pub keys_expected: usize,
-    /// Node slots skipped in `TARGET` state (reserved by an in-flight
-    /// insert that died before filling them).
-    pub nodes_skipped_target: usize,
-    /// Node slots skipped in `MARKED` state (a §4.3 collaboration was
-    /// in flight when the worker died).
-    pub nodes_skipped_marked: usize,
-    /// Whether the queue was poisoned when salvage began (`false`
-    /// means a healthy drain-and-reset).
-    pub was_poisoned: bool,
-}
-
-impl SalvageReport {
-    /// Build a report from a heap's raw [`SalvageOutcome`]. Public so
-    /// non-CPU salvagers (the schedule explorer's simulator-platform
-    /// salvage hook) can produce the same accounting the shard router's
-    /// breaker consumes.
-    pub fn from_outcome(o: SalvageOutcome) -> Self {
-        Self {
-            keys_recovered: o.recovered,
-            keys_lost: o.lost(),
-            keys_expected: o.expected,
-            nodes_skipped_target: o.skipped_target,
-            nodes_skipped_marked: o.skipped_marked,
-            was_poisoned: o.was_poisoned,
-        }
-    }
-
-    /// The conservation identity every salvage upholds:
-    /// `recovered + lost == expected`. (Trivially true by construction
-    /// here; drills assert it against independently tracked traffic.)
-    pub fn conserves(&self) -> bool {
-        self.keys_recovered + self.keys_lost == self.keys_expected
-    }
-}
+pub use bgpq::SalvageReport;
 
 /// Salvage a [`CpuBgpq`]: force-reset abandoned lock words, walk every
 /// settled key out of node storage into `out`, and reset the queue to
@@ -133,41 +82,7 @@ pub fn salvage_heap<K: KeyType, V: ValueType>(
     // later operation on the reset queue. Sound under the quiescence
     // contract (no live holder exists).
     q.platform().force_reset_locks();
-    SalvageReport::from_outcome(q.salvage_reset(w, out))
-}
-
-/// Salvage `q` and immediately rebuild it from its own recovered keys:
-/// after this returns, `q` is un-poisoned and holds exactly the
-/// recovered multiset again. Returns the report.
-///
-/// Re-insertion uses the queue's own batched insert; entries that no
-/// longer fit (they always fit — capacity did not shrink — but the
-/// path is defensive) are appended to `overflow` instead of dropped.
-pub fn salvage_rebuild<K: KeyType, V: ValueType>(
-    q: &mut CpuBgpq<K, V>,
-    overflow: &mut Vec<Entry<K, V>>,
-) -> SalvageReport {
-    let mut recovered = Vec::new();
-    let report = salvage(q, &mut recovered);
-    let mut w = CpuWorker::new();
-    reinsert(q.inner(), &mut w, recovered, overflow);
-    report
-}
-
-/// Re-insert `entries` into a freshly reset heap, spilling anything
-/// refused (`Full`, or a re-poison mid-rebuild) into `overflow`.
-pub fn reinsert<K: KeyType, V: ValueType>(
-    q: &Bgpq<K, V, CpuPlatform>,
-    w: &mut CpuWorker,
-    entries: Vec<Entry<K, V>>,
-    overflow: &mut Vec<Entry<K, V>>,
-) {
-    let k = q.node_capacity();
-    for chunk in entries.chunks(k) {
-        if q.try_insert(w, chunk).is_err() {
-            overflow.extend_from_slice(chunk);
-        }
-    }
+    q.salvage_reset(w, out)
 }
 
 #[cfg(test)]
@@ -199,23 +114,6 @@ mod tests {
         assert!(out.iter().all(|e| e.value == e.key * 2), "values ride along");
         assert_eq!(q.len(), 0);
         q.inner().check_invariants();
-    }
-
-    #[test]
-    fn rebuild_restores_service_with_the_same_contents() {
-        let mut q = queue(4, 32);
-        for i in 0..40u32 {
-            q.insert_batch(&[Entry::new(i, i)]);
-        }
-        let mut overflow = Vec::new();
-        let report = salvage_rebuild(&mut q, &mut overflow);
-        assert_eq!(report.keys_recovered, 40);
-        assert!(overflow.is_empty(), "capacity did not shrink; nothing spills");
-        assert_eq!(q.len(), 40);
-        let mut out = Vec::new();
-        assert_eq!(q.delete_min_batch(&mut out, 4), 4);
-        assert_eq!(out.iter().map(|e| e.key).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        assert_eq!(q.inner().stats().snapshot().salvages, 1);
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl CpuPlatform {
         self.watchdog
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
     /// Force every lock in the table back to the released state,
     /// clearing the watchdog's holder tokens.
     ///

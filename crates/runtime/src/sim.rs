@@ -59,11 +59,6 @@ impl SimPlatform {
     pub fn block_dim(&self) -> u32 {
         self.block_dim
     }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
 }
 
 impl Platform for SimPlatform {

@@ -28,8 +28,7 @@
 //! loss is never silent.
 
 use crate::router::ShardedBgpq;
-use bgpq::Bgpq;
-use bgpq_recover::SalvageReport;
+use bgpq::{Bgpq, SalvageReport};
 use bgpq_runtime::Platform;
 use pq_api::{Entry, KeyType, OpStats, ValueType};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};

@@ -10,10 +10,7 @@
 
 use crate::router::{ShardedBgpq, ShardedOptions};
 use bgpq_runtime::{with_thread_worker, CpuPlatform};
-use pq_api::{
-    BatchPriorityQueue, Entry, KeyType, PriorityQueue, QueueFactory, TryBatchPriorityQueue,
-    ValueType,
-};
+use pq_api::{BatchPriorityQueue, Entry, KeyType, PriorityQueue, TryBatchPriorityQueue, ValueType};
 use std::cell::Cell;
 
 thread_local! {
@@ -199,68 +196,6 @@ impl<K: KeyType, V: ValueType> PriorityQueue<K, V> for CpuShardedBgpq<K, V> {
     }
 }
 
-/// Factory for the bench harness and the application drivers.
-pub struct ShardedBgpqFactory {
-    /// Number of shards `S`.
-    pub shards: usize,
-    /// Shards sampled per delete `c`.
-    pub sample: usize,
-    /// Per-shard node capacity `k`.
-    pub node_capacity: usize,
-    /// Per-worker buffering (`None` = classic unbuffered front).
-    pub buffer: Option<pq_api::BufferPolicy>,
-    name: String,
-}
-
-impl ShardedBgpqFactory {
-    pub fn new(shards: usize, sample: usize, node_capacity: usize) -> Self {
-        Self {
-            shards,
-            sample,
-            node_capacity,
-            buffer: None,
-            name: format!("BGPQ-shard/S{shards}c{sample}"),
-        }
-    }
-
-    /// Build queues with the buffered sticky front enabled.
-    pub fn with_buffering(mut self, policy: pq_api::BufferPolicy) -> Self {
-        self.name = format!(
-            "BGPQ-shard/S{}c{}+buf{}s{}",
-            self.shards, self.sample, policy.insert_capacity, policy.stickiness
-        );
-        self.buffer = Some(policy);
-        self
-    }
-}
-
-impl Default for ShardedBgpqFactory {
-    fn default() -> Self {
-        Self::new(4, 2, 1024)
-    }
-}
-
-impl<K: KeyType, V: ValueType> QueueFactory<K, V> for ShardedBgpqFactory {
-    type Queue = CpuShardedBgpq<K, V>;
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn build(&self, capacity_hint: usize) -> CpuShardedBgpq<K, V> {
-        let mut opts = ShardedOptions::with_capacity_for(
-            self.shards,
-            self.sample,
-            self.node_capacity,
-            capacity_hint.max(1),
-        );
-        if let Some(policy) = self.buffer {
-            opts = opts.with_buffering(policy);
-        }
-        CpuShardedBgpq::new(opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,33 +325,6 @@ mod tests {
         let fs = q.inner().front_stats().snapshot();
         assert!(fs.buffer_refills > 0, "deletes must have gone through the buffer");
         assert!(fs.buffer_flushes > 0, "flush() and capacity flushes must have fired");
-    }
-
-    #[test]
-    fn factory_builds_working_queue() {
-        let f = ShardedBgpqFactory::new(3, 2, 16);
-        assert_eq!(<ShardedBgpqFactory as QueueFactory<u32, ()>>::name(&f), "BGPQ-shard/S3c2");
-        let q: CpuShardedBgpq<u32, ()> = f.build(10_000);
-        assert_eq!(q.inner().num_shards(), 3);
-        q.insert_batch(&[Entry::new(42u32, ())]);
-        let mut out = Vec::new();
-        assert_eq!(q.delete_min_batch(&mut out, 1), 1);
-        assert_eq!(out[0].key, 42);
-
-        let fb = ShardedBgpqFactory::new(3, 2, 16)
-            .with_buffering(pq_api::BufferPolicy::new().with_insert_capacity(8).with_stickiness(2));
-        assert_eq!(
-            <ShardedBgpqFactory as QueueFactory<u32, ()>>::name(&fb),
-            "BGPQ-shard/S3c2+buf8s2"
-        );
-        let q: CpuShardedBgpq<u32, ()> = fb.build(10_000);
-        assert!(q.buffered());
-        q.insert_batch(&[Entry::new(7u32, ())]);
-        assert_eq!(q.len(), 1, "staged key is visible");
-        out.clear();
-        assert_eq!(q.delete_min_batch(&mut out, 1), 1);
-        assert_eq!(out[0].key, 7);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod cpu;
 pub mod quality;
 pub mod router;
 
-pub use cpu::{worker_id, CpuShardedBgpq, ShardedBgpqFactory};
+pub use cpu::{worker_id, CpuShardedBgpq};
 pub use pq_api::BufferPolicy;
 pub use quality::{QualitySnapshot, QualityStats};
 pub use router::{BreakerState, RecoveryOptions, Salvager, ShardedBgpq, ShardedOptions};

@@ -26,6 +26,6 @@ pub mod list;
 pub mod lotan;
 pub mod spray;
 
-pub use linden::{LindenJonssonPq, LindenJonssonPqFactory};
-pub use lotan::{LotanShavitPq, LotanShavitPqFactory};
-pub use spray::{SprayListPq, SprayListPqFactory};
+pub use linden::LindenJonssonPq;
+pub use lotan::LotanShavitPq;
+pub use spray::SprayListPq;

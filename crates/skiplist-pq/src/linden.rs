@@ -2,7 +2,7 @@
 //! physical unlinking over the shared skiplist.
 
 use crate::list::SkipList;
-use pq_api::{Entry, ItemwiseBatch, KeyType, PriorityQueue, QueueFactory, ValueType};
+use pq_api::{Entry, KeyType, PriorityQueue, ValueType};
 
 /// Skiplist priority queue with deferred, batched physical deletion
 /// (the "LJSL" column of Table 2).
@@ -39,30 +39,6 @@ impl<K: KeyType, V: ValueType> PriorityQueue<K, V> for LindenJonssonPq<K, V> {
 
     fn len(&self) -> usize {
         self.list.len()
-    }
-}
-
-/// Factory for the bench harness.
-pub struct LindenJonssonPqFactory {
-    pub batch: usize,
-    pub cleanup_threshold: usize,
-}
-
-impl Default for LindenJonssonPqFactory {
-    fn default() -> Self {
-        Self { batch: 1024, cleanup_threshold: 32 }
-    }
-}
-
-impl<K: KeyType, V: ValueType> QueueFactory<K, V> for LindenJonssonPqFactory {
-    type Queue = ItemwiseBatch<LindenJonssonPq<K, V>>;
-
-    fn name(&self) -> &str {
-        "LJSL"
-    }
-
-    fn build(&self, _capacity_hint: usize) -> Self::Queue {
-        ItemwiseBatch::new(LindenJonssonPq::new(self.cleanup_threshold), self.batch)
     }
 }
 

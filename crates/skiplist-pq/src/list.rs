@@ -263,12 +263,6 @@ impl<K: KeyType, V: ValueType> SkipList<K, V> {
             + MAX_LEVEL * std::mem::size_of::<AtomicPtr<Node<K, V>>>()
     }
 
-    /// Number of nodes ever allocated (live + logically deleted; the
-    /// arena frees nothing until drop).
-    pub fn allocated_nodes(&self) -> usize {
-        self.arena.lock().len()
-    }
-
     /// Quiescent check: level-0 order is sorted; `len` matches the
     /// number of live nodes; every live node is reachable at level 0.
     pub fn check_invariants(&self) {

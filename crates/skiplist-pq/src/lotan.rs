@@ -10,7 +10,7 @@
 //! after every claim.
 
 use crate::list::SkipList;
-use pq_api::{Entry, ItemwiseBatch, KeyType, PriorityQueue, QueueFactory, ValueType};
+use pq_api::{Entry, KeyType, PriorityQueue, ValueType};
 
 /// Eager-unlink skiplist priority queue (the "STSL" design point).
 pub struct LotanShavitPq<K, V> {
@@ -48,29 +48,6 @@ impl<K: KeyType, V: ValueType> PriorityQueue<K, V> for LotanShavitPq<K, V> {
 
     fn len(&self) -> usize {
         self.list.len()
-    }
-}
-
-/// Factory for the bench harness.
-pub struct LotanShavitPqFactory {
-    pub batch: usize,
-}
-
-impl Default for LotanShavitPqFactory {
-    fn default() -> Self {
-        Self { batch: 1024 }
-    }
-}
-
-impl<K: KeyType, V: ValueType> QueueFactory<K, V> for LotanShavitPqFactory {
-    type Queue = ItemwiseBatch<LotanShavitPq<K, V>>;
-
-    fn name(&self) -> &str {
-        "STSL"
-    }
-
-    fn build(&self, _capacity_hint: usize) -> Self::Queue {
-        ItemwiseBatch::new(LotanShavitPq::new(), self.batch)
     }
 }
 

@@ -4,7 +4,7 @@
 //! contention at the cost of strict min ordering.
 
 use crate::list::{SkipList, MAX_LEVEL};
-use pq_api::{Entry, ItemwiseBatch, KeyType, PriorityQueue, QueueFactory, ValueType};
+use pq_api::{Entry, KeyType, PriorityQueue, ValueType};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -107,30 +107,6 @@ impl<K: KeyType, V: ValueType> PriorityQueue<K, V> for SprayListPq<K, V> {
 
     fn len(&self) -> usize {
         self.list.len()
-    }
-}
-
-/// Factory for the bench harness.
-pub struct SprayListPqFactory {
-    pub batch: usize,
-    pub threads_hint: usize,
-}
-
-impl Default for SprayListPqFactory {
-    fn default() -> Self {
-        Self { batch: 1024, threads_hint: 8 }
-    }
-}
-
-impl<K: KeyType, V: ValueType> QueueFactory<K, V> for SprayListPqFactory {
-    type Queue = ItemwiseBatch<SprayListPq<K, V>>;
-
-    fn name(&self) -> &str {
-        "SprayList"
-    }
-
-    fn build(&self, _capacity_hint: usize) -> Self::Queue {
-        ItemwiseBatch::new(SprayListPq::new(self.threads_hint, 64), self.batch)
     }
 }
 

@@ -295,15 +295,19 @@ fn sim_salvage_drill(point: InjectionPoint, nth: u64) {
     let mut recovered = Vec::new();
     let outcome = q.salvage_reset(&mut w, &mut recovered);
 
-    assert_eq!(outcome.recovered + outcome.lost(), outcome.expected, "{point:?}: {outcome:?}");
+    assert_eq!(
+        outcome.keys_recovered + outcome.keys_lost,
+        outcome.keys_expected,
+        "{point:?}: {outcome:?}"
+    );
     assert_eq!(outcome.was_poisoned, was_poisoned, "{point:?}");
     assert_no_invention(&recovered, &offered, &deleted);
     assert!(
-        recovered.len() as i64 >= committed_outstanding - outcome.lost() as i64,
+        recovered.len() as i64 >= committed_outstanding - outcome.keys_lost as i64,
         "{point:?}: silent loss on sim — {} recovered, {} outstanding, {} reported lost",
         recovered.len(),
         committed_outstanding,
-        outcome.lost()
+        outcome.keys_lost
     );
     assert!(!q.is_poisoned(), "{point:?}: salvage must clear the poison flag");
     assert_eq!(q.len(), 0);

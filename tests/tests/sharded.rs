@@ -8,8 +8,8 @@ use apps::{
 };
 use bgpq::BgpqOptions;
 use bgpq_runtime::{CpuPlatform, CpuWorker};
-use bgpq_shard::{CpuShardedBgpq, ShardedBgpq, ShardedBgpqFactory, ShardedOptions};
-use pq_api::{BatchPriorityQueue, Entry, QueueFactory};
+use bgpq_shard::{CpuShardedBgpq, ShardedBgpq, ShardedOptions};
+use pq_api::{BatchPriorityQueue, Entry};
 use proptest::prelude::*;
 use workloads::{
     generate_keys, Correlation, Graph, GraphSpec, Grid, GridSpec, KeyDist, KnapsackInstance,
@@ -143,11 +143,11 @@ fn exact_drain_under_concurrent_producers() {
 /// (stale-entry guards + incumbent pruning absorb out-of-order pops).
 #[test]
 fn astar_over_sharded_matches_sequential() {
-    let factory = ShardedBgpqFactory::new(4, 2, 16);
     for spec in [GridSpec::new(24, 0.10, 1), GridSpec::new(32, 0.20, 9), GridSpec::new(16, 0.35, 4)]
     {
         let grid = Grid::generate(spec);
-        let q: <ShardedBgpqFactory as QueueFactory<u64, AstarNode>>::Queue = factory.build(1 << 15);
+        let q: CpuShardedBgpq<u64, AstarNode> =
+            CpuShardedBgpq::new(ShardedOptions::with_capacity_for(4, 2, 16, 1 << 15));
         let par = solve_astar(&grid, &q, 4);
         let seq = solve_astar_sequential(&grid);
         assert_eq!(par.cost, seq.cost);
@@ -158,10 +158,10 @@ fn astar_over_sharded_matches_sequential() {
 /// SSSP over the sharded queue reaches Dijkstra's fixpoint.
 #[test]
 fn sssp_over_sharded_matches_dijkstra() {
-    let factory = ShardedBgpqFactory::new(4, 2, 16);
     for spec in [GraphSpec::new(200, 3, 1), GraphSpec::new(500, 5, 2)] {
         let graph = Graph::generate(spec);
-        let q: <ShardedBgpqFactory as QueueFactory<u64, SsspNode>>::Queue = factory.build(1 << 15);
+        let q: CpuShardedBgpq<u64, SsspNode> =
+            CpuShardedBgpq::new(ShardedOptions::with_capacity_for(4, 2, 16, 1 << 15));
         let r = solve_sssp(&graph, 0, &q, 4);
         assert_eq!(r.dist, graph.dijkstra_reference(0));
         assert!(q.is_empty());
@@ -173,14 +173,14 @@ fn sssp_over_sharded_matches_dijkstra() {
 /// correctness, and the exact-emptiness sweep certifies termination.
 #[test]
 fn knapsack_over_sharded_matches_dp() {
-    let factory = ShardedBgpqFactory::new(4, 2, 8);
     for (n, c, s) in [
         (16, Correlation::Uncorrelated, 1u64),
         (20, Correlation::Weak, 2),
         (18, Correlation::Strong, 3),
     ] {
         let inst = KnapsackInstance::generate(KnapsackSpec::new(n, c, s));
-        let q: <ShardedBgpqFactory as QueueFactory<u64, KsNode>>::Queue = factory.build(1 << 15);
+        let q: CpuShardedBgpq<u64, KsNode> =
+            CpuShardedBgpq::new(ShardedOptions::with_capacity_for(4, 2, 8, 1 << 15));
         let got = solve_knapsack(&inst, &q, 4);
         assert_eq!(got.best_profit, inst.optimum_dp());
         assert_eq!(got.best_profit, solve_knapsack_sequential(&inst).best_profit);
