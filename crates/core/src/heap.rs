@@ -37,10 +37,35 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 const SPIN_ESCALATE_AFTER: u64 = 1 << 10;
 
 /// Most locks any single operation holds at once: a delete-heapify
-/// level holds its node and both children. The losing child outlives
-/// its parent's lock by one store, but is released before the next
+/// level holds its node and both children. The losing child leaves in
+/// its parent's store and is released right after it, before the next
 /// level takes any lock; inserts and the root refill hold at most two.
 const MAX_HELD: usize = 3;
+
+/// Most nodes an operation has changed but not yet stored: at the root
+/// level of a delete heapify, the root, the pBuffer and both children.
+#[cfg(debug_assertions)]
+const MAX_DIRTY: usize = 4;
+
+/// The lock guarding `node`'s keys: the pBuffer shares the root's.
+#[cfg(debug_assertions)]
+fn lock_of(node: usize) -> usize {
+    if node == PBUFFER {
+        ROOT
+    } else {
+        node
+    }
+}
+
+/// How an operation holds a node's lock+state word for one state
+/// change (see [`Crit::take_word`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Word {
+    /// One CAS: the word was unlocked.
+    Cas,
+    /// The charged lock path: the word was locked.
+    Locked,
+}
 
 /// A batched, heap-based, lock-based, linearizable concurrent priority
 /// queue — the paper's contribution.
@@ -73,16 +98,34 @@ pub struct Bgpq<K, V, P: Platform> {
 /// panic, any bug) releases its whole lock chain — peers un-wedge — and
 /// poisons the queue *before* the locks become grabbable, so those peers
 /// observe the crash as a typed error rather than corrupt state.
+///
+/// In debug builds it also checks the store side of the device model:
+/// every node whose keys the host changed must be named by a
+/// [`Crit::store`] before its lock is released.
 struct Crit<'a, K: KeyType, V: ValueType, P: Platform> {
     q: &'a Bgpq<K, V, P>,
     w: &'a mut P::Worker,
     held: [usize; MAX_HELD],
     n: usize,
+    /// Nodes changed since their last store.
+    #[cfg(debug_assertions)]
+    dirty: [usize; MAX_DIRTY],
+    #[cfg(debug_assertions)]
+    n_dirty: usize,
 }
 
 impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
     fn new(q: &'a Bgpq<K, V, P>, w: &'a mut P::Worker) -> Self {
-        Crit { q, w, held: [0; MAX_HELD], n: 0 }
+        Crit {
+            q,
+            w,
+            held: [0; MAX_HELD],
+            n: 0,
+            #[cfg(debug_assertions)]
+            dirty: [0; MAX_DIRTY],
+            #[cfg(debug_assertions)]
+            n_dirty: 0,
+        }
     }
 
     #[inline]
@@ -104,11 +147,53 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
         }
     }
 
-    /// One coalesced global store of `n` entries from shared memory.
+    /// One coalesced global store from shared memory of the named
+    /// `(node, entries)` ranges, charged as one `GlobalWrite` of their
+    /// sum. A range may be empty: a root whose changed keys all left as
+    /// results has nothing left to write.
     #[inline]
-    fn store(&mut self, n: usize) {
+    fn store(&mut self, parts: impl IntoIterator<Item = (usize, usize)>) {
+        let mut n = 0;
+        for (_node, len) in parts {
+            n += len;
+            #[cfg(debug_assertions)]
+            if let Some(i) = self.dirty[..self.n_dirty].iter().position(|&d| d == _node) {
+                self.n_dirty -= 1;
+                self.dirty[i] = self.dirty[self.n_dirty];
+            }
+        }
         if n > 0 {
             self.charge(PrimitiveCost::GlobalWrite { n });
+        }
+    }
+
+    /// Note that the host changed `node`'s keys: a [`Crit::store`] must
+    /// name it before its lock is released (checked in debug builds).
+    /// Taking keys off the root's head is not a change: the device model
+    /// moves where the root starts instead.
+    #[inline]
+    fn changed(&mut self, _node: usize) {
+        #[cfg(debug_assertions)]
+        if !self.dirty[..self.n_dirty].contains(&_node) {
+            assert!(self.n_dirty < MAX_DIRTY, "more than {MAX_DIRTY} unstored nodes");
+            self.dirty[self.n_dirty] = _node;
+            self.n_dirty += 1;
+        }
+    }
+
+    /// Debug-build store check, run before `releasing` is released:
+    /// every changed, unstored node must stay guarded by a held lock.
+    /// (Checked while `releasing` is still tracked, so a failing check
+    /// unwinds through [`Drop`] and frees it.)
+    #[inline]
+    fn check_stored(&self, _releasing: usize) {
+        #[cfg(debug_assertions)]
+        for &node in &self.dirty[..self.n_dirty] {
+            let lock = lock_of(node);
+            assert!(
+                lock != _releasing && self.held[..self.n].contains(&lock),
+                "node {node} changed but not stored when lock {_releasing} was released"
+            );
         }
     }
 
@@ -135,6 +220,24 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
         self.q.platform.touch_domain(self.w, write);
     }
 
+    fn track(&mut self, lock: usize) {
+        debug_assert!(self.n < MAX_HELD, "lock chain deeper than MAX_HELD");
+        self.held[self.n] = lock;
+        self.n += 1;
+    }
+
+    fn untrack(&mut self, lock: usize) {
+        self.check_stored(lock);
+        let pos = self.held[..self.n]
+            .iter()
+            .rposition(|&l| l == lock)
+            .expect("releasing a lock this operation does not hold");
+        for i in pos..self.n - 1 {
+            self.held[i] = self.held[i + 1];
+        }
+        self.n -= 1;
+    }
+
     /// Acquire `lock` and track it. A watchdog failure is counted and
     /// surfaced; the caller decides whether it poisons (see
     /// [`Crit::lock_or_poison`]).
@@ -142,9 +245,7 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
         self.inject(InjectionPoint::PreLockAcquire);
         match self.q.platform.lock_checked(self.w, lock) {
             Ok(()) => {
-                debug_assert!(self.n < MAX_HELD, "lock chain deeper than MAX_HELD");
-                self.held[self.n] = lock;
-                self.n += 1;
+                self.track(lock);
                 self.inject(InjectionPoint::PostLockAcquire);
                 Ok(())
             }
@@ -190,15 +291,45 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
     /// Normal-path release (with the pre-release injection point).
     fn unlock(&mut self, lock: usize) {
         self.inject(InjectionPoint::PreLockRelease);
-        let pos = self.held[..self.n]
-            .iter()
-            .rposition(|&l| l == lock)
-            .expect("releasing a lock this operation does not hold");
-        for i in pos..self.n - 1 {
-            self.held[i] = self.held[i + 1];
-        }
-        self.n -= 1;
+        self.untrack(lock);
         self.q.platform.unlock(self.w, lock);
+    }
+
+    /// Take node `lock`'s lock+state word for one state change that
+    /// moves no keys under the node's lock (DESIGN §2). On the device
+    /// the word holds the lock bit and the state, so while it is
+    /// unlocked one CAS, one `c_atomic`, reads or changes the state
+    /// ([`Word::Cas`]); the host holds the lock for the CAS's duration.
+    /// A locked word takes the charged lock path instead
+    /// ([`Word::Locked`]), after the failed CAS. Both paths keep the
+    /// lock injection points, and both poison like
+    /// [`Crit::lock_or_poison`].
+    fn take_word(&mut self, lock: usize) -> Result<Word, QueueError> {
+        self.inject(InjectionPoint::PreLockAcquire);
+        if !self.q.platform.try_lock(self.w, lock) {
+            self.lock_or_poison(lock)?;
+            return Ok(Word::Locked);
+        }
+        self.track(lock);
+        self.inject(InjectionPoint::PostLockAcquire);
+        if self.q.is_poisoned() {
+            self.release_all();
+            return Err(QueueError::Poisoned);
+        }
+        Ok(Word::Cas)
+    }
+
+    /// End a [`Crit::take_word`]: the CAS's release costs nothing more;
+    /// the lock path's is a charged unlock.
+    fn release_word(&mut self, lock: usize, word: Word) {
+        match word {
+            Word::Cas => {
+                self.inject(InjectionPoint::PreLockRelease);
+                self.untrack(lock);
+                self.q.platform.unlock_uncharged(self.w, lock);
+            }
+            Word::Locked => self.unlock(lock),
+        }
     }
 
     /// Abandon-path release: raw unlocks (no injection hooks, so a
@@ -718,7 +849,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 m.root_len = size;
                 m.heap_size = 1;
             }
-            c.store(size);
+            c.changed(ROOT);
+            c.store([(ROOT, size)]);
             c.touch(ROOT, true);
             self.storage.set_state(ROOT, NodeState::Avail);
             OpStats::bump(&self.stats.inserts_buffered);
@@ -744,6 +876,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 let root = self.storage.node_mut(ROOT);
                 split::sort_split_entries(root, root_len, buf, size, root_len, scratch);
             }
+            c.changed(ROOT);
         }
 
         if !direct_full_batch && buf_len + size < k {
@@ -759,7 +892,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 split::merge_absorb(&mut pb[..buf_len + size], buf_len, &buf[..size], scratch);
                 self.storage.meta_mut().buf_len = buf_len + size;
             }
-            c.store(root_len + buf_len + size);
+            c.changed(PBUFFER);
+            c.store([(ROOT, root_len), (PBUFFER, buf_len + size)]);
             OpStats::bump(&self.stats.inserts_buffered);
             self.linearize_insert(ctx);
             c.touch(ROOT, true);
@@ -779,13 +913,14 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 split::sort_split_entries(buf, size, pb, buf_len, k, scratch);
                 self.storage.meta_mut().buf_len = buf_len + size - k;
             }
+            c.changed(PBUFFER);
             buf_len + size - k
         } else {
             0
         };
         // The root section's only store: root and leftover buffer, once
         // their last change is made (before the heapify takes any lock).
-        c.store(root_len + buf_out);
+        c.store([(ROOT, root_len), (PBUFFER, buf_out)]);
 
         // ---- full insert-heapify (Alg. 1 lines 5-14) ----
         OpStats::bump(&self.stats.insert_heapifies);
@@ -797,13 +932,16 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             m.heap_size += 1;
             m.heap_size
         };
-        if let Err(e) = c.lock_or_poison(tar) {
-            return self.insert_tail(ctx, e);
-        }
+        // Reserve `tar` (EMPTY → TARGET): one CAS while its word is
+        // unlocked.
+        let word = match c.take_word(tar) {
+            Ok(word) => word,
+            Err(e) => return self.insert_tail(ctx, e),
+        };
         c.touch(tar, true);
         self.storage.set_state(tar, NodeState::Target);
         self.record_protocol(ProtocolKind::TargetSet, tar);
-        c.unlock(tar);
+        c.release_word(tar, word);
 
         // INSERT_HEAPIFY (Alg. 1 lines 30-34), iteratively. `held` is
         // the lock we currently hold — initially the root.
@@ -829,7 +967,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             unsafe {
                 split::sort_split_full_entries(self.storage.node_mut(cur), buf, scratch);
             }
-            c.store(k);
+            c.changed(cur);
+            c.store([(cur, k)]);
             cur = next_on_path(cur, tar);
             c.touch(tar, false);
         }
@@ -847,7 +986,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             unsafe {
                 self.storage.node_mut(tar).copy_from_slice(&buf[..k]);
             }
-            c.store(k);
+            c.changed(tar);
+            c.store([(tar, k)]);
             c.touch(tar, true);
             self.storage.set_state(tar, NodeState::Avail);
             self.record_protocol(ProtocolKind::TargetFilled, tar);
@@ -867,7 +1007,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 // the charge below reads a stale root.
                 c.touch(ROOT, true);
                 self.storage.set_state(ROOT, NodeState::Avail);
-                c.store(k);
+                c.changed(ROOT);
+                c.store([(ROOT, k)]);
                 unsafe {
                     self.storage.node_mut(ROOT).copy_from_slice(&buf[..k]);
                     self.storage.meta_mut().root_len = k;
@@ -880,7 +1021,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     self.storage.node_mut(ROOT).copy_from_slice(&buf[..k]);
                     self.storage.meta_mut().root_len = k;
                 }
-                c.store(k);
+                c.changed(ROOT);
+                c.store([(ROOT, k)]);
                 c.touch(ROOT, true);
                 self.storage.set_state(ROOT, NodeState::Avail);
             }
@@ -1038,7 +1180,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// escalating the backoff once the peer looks stalled and giving up
     /// (poisoning) at `opts.marked_spin_bound` — the peer has evidently
     /// died and the awaited refill will never come. Also aborts as soon
-    /// as an existing poison is observed. Caller handles lock release.
+    /// as an existing poison is observed. Either failure releases every
+    /// held lock.
     fn bounded_wait(
         &self,
         c: &mut Crit<'_, K, V, P>,
@@ -1051,12 +1194,14 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         c.touch_domain(false);
         while self.storage.state(node) != want {
             if self.is_poisoned() {
+                c.release_all();
                 return Err(QueueError::Poisoned);
             }
             iters += 1;
             if iters > self.opts.marked_spin_bound {
                 c.touch_domain(true);
                 self.poison_now();
+                c.release_all();
                 return Err(QueueError::Poisoned);
             }
             c.inject(InjectionPoint::MarkedSpin);
@@ -1141,10 +1286,11 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     m.root_len = buf_len;
                     m.buf_len = 0;
                 }
+                c.changed(ROOT);
             }
             self.extract_root(out, count - root_len);
             let left = self.root_len();
-            c.store(left);
+            c.store([(ROOT, left)]);
             if left == 0 {
                 // Heap fully drained; reset to the empty state.
                 // SAFETY: root lock held.
@@ -1168,47 +1314,62 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             t
         };
         debug_assert!(tar >= 2);
-        c.lock_or_poison(tar)?;
-        c.charge(PrimitiveCost::Atomic);
 
-        // With the root and `tar` held, one load brings the old root's
-        // keys (the results), `tar`'s batch and the pBuffer on-chip.
-        // `root_on_chip` is false only when a collaborating inserter
-        // stored the new root itself.
-        let mut root_on_chip = true;
-        c.touch(tar, false);
-        let target = self.storage.state(tar) == NodeState::Target;
-        if target && self.opts.use_collaboration {
-            // Collaborate: the in-flight insertion refills the root
-            // directly (§4.3; footnote 2: we spin holding the root lock).
-            // `tar` holds no keys yet, and the results must be loaded
-            // before the inserter overwrites the root. Bounded: a dead
-            // inserter must not wedge us.
-            c.load(root_len + buf_len);
-            c.touch(tar, true);
-            self.storage.set_state(tar, NodeState::Marked);
-            self.record_protocol(ProtocolKind::MarkedSet, tar);
-            c.unlock(tar);
-            if let Err(e) = self.bounded_wait(c, ROOT, NodeState::Avail) {
-                c.release_all();
-                return Err(e);
+        // Take `tar`'s keys, or hand the refill to the insert that
+        // reserved it. Each pass takes `tar`'s word once: one CAS while
+        // it is unlocked, the lock path otherwise. `pending` counts the
+        // old root's keys (the results) and the pBuffer's not yet
+        // loaded. The loop yields `root_on_chip`, false only when a
+        // collaborating inserter stored the new root itself.
+        let mut pending = root_len + buf_len;
+        let mut root_on_chip = loop {
+            let word = c.take_word(tar)?;
+            if word == Word::Locked {
+                // The lock path reads the state with an atomic of its own.
+                c.charge(PrimitiveCost::Atomic);
             }
-            root_on_chip = false;
-        } else {
-            if target {
-                // Ablation: wait for the insertion to finish filling
-                // `tar`, then take its keys like any AVAIL node.
-                c.unlock(tar);
-                if let Err(e) = self.bounded_wait(c, tar, NodeState::Avail) {
-                    c.release_all();
-                    return Err(e);
+            c.touch(tar, false);
+            match self.storage.state(tar) {
+                NodeState::Avail => {
+                    // `tar` is EMPTY once its word is released, and no
+                    // insert can reserve it while the root is held: its
+                    // keys arrive with the results and the pBuffer in
+                    // one load after the release.
+                    self.move_node_to_root(c, tar);
+                    c.release_word(tar, word);
+                    c.load(pending + k);
+                    break true;
                 }
-                c.lock_or_poison(tar)?;
+                NodeState::Target if !self.opts.use_collaboration => {
+                    // Ablation: wait for the insertion to finish filling
+                    // `tar`, then take its keys like any AVAIL node.
+                    c.release_word(tar, word);
+                    self.bounded_wait(c, tar, NodeState::Avail)?;
+                }
+                NodeState::Target if word == Word::Cas && pending > 0 => {
+                    // A CAS that found TARGET changed nothing. The results
+                    // must be on-chip before the inserter overwrites the
+                    // root; a second CAS marks `tar` once they are.
+                    c.release_word(tar, word);
+                    c.load(pending);
+                    pending = 0;
+                }
+                NodeState::Target => {
+                    // Collaborate: the in-flight insertion refills the
+                    // root directly (§4.3; footnote 2: we spin holding the
+                    // root lock). `tar` holds no keys yet. Bounded: a dead
+                    // inserter must not wedge us.
+                    c.load(pending);
+                    c.touch(tar, true);
+                    self.storage.set_state(tar, NodeState::Marked);
+                    self.record_protocol(ProtocolKind::MarkedSet, tar);
+                    c.release_word(tar, word);
+                    self.bounded_wait(c, ROOT, NodeState::Avail)?;
+                    break false;
+                }
+                s => unreachable!("refill node {tar} is {s:?}"),
             }
-            debug_assert_eq!(self.storage.state(tar), NodeState::Avail);
-            c.load(root_len + k + buf_len);
-            self.move_node_to_root(c, tar);
-        }
+        };
 
         // Re-establish root ≤ buffer (Alg. 2 line 13). The split needs
         // the root on-chip, so a root the inserter stored is loaded now;
@@ -1226,6 +1387,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 let pb = self.storage.node_mut(PBUFFER);
                 split::sort_split_entries(root, k, pb, buf_len, k, scratch);
             }
+            c.changed(ROOT);
+            c.changed(PBUFFER);
             buf_dirty = buf_len;
         }
 
@@ -1263,9 +1426,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         }
     }
 
-    /// Move AVAIL node `tar`'s full batch into the (empty) root and
-    /// release `tar`. Caller holds both the root and `tar` locks and has
-    /// charged `tar`'s load.
+    /// Move AVAIL node `tar`'s full batch into the (empty) root and mark
+    /// `tar` EMPTY. Caller holds the root lock and `tar`'s word, and
+    /// charges `tar`'s load.
     ///
     /// The block keeps the new root in shared memory: the heapify
     /// stores it once, just before releasing the root
@@ -1278,9 +1441,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             dst.copy_from_slice(src);
             self.storage.meta_mut().root_len = src.len();
         }
+        c.changed(ROOT);
         c.touch(tar, true);
         self.storage.set_state(tar, NodeState::Empty);
-        c.unlock(tar);
         c.touch(ROOT, true);
         self.storage.set_state(ROOT, NodeState::Avail);
     }
@@ -1290,14 +1453,13 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// caller are extracted from the root before it is released.
     ///
     /// Each level moves data once: one load brings both children (and
-    /// `cur`, unless it is already on-chip) into shared memory, and each
-    /// changed node is stored once, just before its lock is released.
-    /// The winner `y` stays on-chip as the next level's `cur`; the loser
-    /// `x` is stored and released right after its parent, keeping its
-    /// store out of the parent's (at level 0, the root's) hold.
-    /// `root_on_chip` says the caller left a changed, not yet stored
-    /// root in shared memory; `buf_dirty` pBuffer keys the refill split
-    /// rewrote are stored with it.
+    /// `cur`, unless it is already on-chip) into shared memory, and the
+    /// nodes whose locks are held together leave together: `cur` and
+    /// the loser `x` in one store, just before `cur`'s release, and `x`
+    /// is released right after `cur`. The winner `y` stays on-chip as
+    /// the next level's `cur`. `root_on_chip` says the caller left a
+    /// changed, not yet stored root in shared memory; `buf_dirty`
+    /// pBuffer keys the refill split rewrote are stored with it.
     // The merge scratch arrives split off the op's arena, so it can't
     // ride in as one `&mut OpScratch` alongside `out` (which is also
     // arena-owned).
@@ -1318,8 +1480,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         let mut cur = ROOT;
         // `cur`'s keys are on-chip, changed and not yet stored.
         let mut cur_on_chip = root_on_chip;
-        // Extra entries stored with `cur` (the pBuffer, at the root).
-        let mut extra = buf_dirty;
+        // The pBuffer keys stored with `cur` (at the root only).
+        let mut extra = (buf_dirty > 0).then_some((PBUFFER, buf_dirty));
         loop {
             c.inject(InjectionPoint::MidDeleteHeapify);
             let l = crate::tree::left(cur);
@@ -1381,7 +1543,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     c.unlock(l);
                 }
                 if cur_on_chip {
-                    c.store(self.node_len(cur) + extra);
+                    c.store([(cur, self.node_len(cur))].into_iter().chain(extra));
                 }
                 self.finish_delete(c, out, start, cur, cur == ROOT, ctx)?;
                 return Ok(());
@@ -1413,6 +1575,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                         scratch,
                     );
                 }
+                c.changed(x);
                 (y, Some(x))
             } else {
                 let y = if l_has { l } else { r };
@@ -1448,19 +1611,20 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     scratch,
                 );
             }
+            c.changed(cur);
+            c.changed(y);
 
             if cur == ROOT {
                 self.extract_root(out, remained);
             }
-            c.store(self.node_len(cur) + extra);
+            c.store([(cur, self.node_len(cur))].into_iter().chain(extra).chain(x.map(|x| (x, k))));
             self.finish_delete(c, out, start, cur, cur == ROOT, ctx)?;
             if let Some(x) = x {
-                c.store(k);
                 c.unlock(x);
             }
             cur = y;
             cur_on_chip = true;
-            extra = 0;
+            extra = None;
         }
     }
 

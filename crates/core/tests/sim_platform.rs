@@ -4,7 +4,7 @@
 //! trigger for the TARGET/MARKED collaboration protocol.
 
 use bgpq::{check_history, Bgpq, BgpqOptions};
-use bgpq_runtime::SimPlatform;
+use bgpq_runtime::{Platform, SimPlatform};
 use gpu_sim::{launch, GpuConfig, SimReport, TraceEvent, TraceKind};
 use pq_api::Entry;
 use primitives::PrimitiveCost;
@@ -224,12 +224,12 @@ fn times(trace: &[TraceEvent], agent: Option<usize>, kind: TraceKind) -> Vec<u64
 }
 
 /// The root-lock critical section of a full-batch DELETEMIN holds only
-/// root-ordered work, and moves each node's keys once. With the root
-/// and the last node held, one load brings the results, the last node
-/// and the pBuffer on-chip; level 0 loads both children in one transfer
-/// and stores only the root before releasing it. The loser's store, the
-/// winner's store (one level later) and the results' store all come
-/// after the root lock is released.
+/// root-ordered work, and moves each node's keys once. One CAS on the
+/// last node's word takes its keys; one load brings the results, the
+/// last node and the pBuffer on-chip; level 0 loads both children in
+/// one transfer and stores the root with the loser before releasing
+/// the root. The winner's store (one level later) and the results'
+/// store come after the root lock is released.
 #[test]
 fn root_lock_holds_only_root_ordered_work() {
     let (cfg, opts) = pinned_cfg(1);
@@ -260,32 +260,33 @@ fn root_lock_holds_only_root_ordered_work() {
     let released = *times(&trace, None, TraceKind::LockReleased(root)).last().unwrap();
     assert_eq!(acquired, t0 + a, "nothing but the lock word precedes the root section");
 
-    // Root section: lock node 4, its state atomic, one load of the
-    // results and node 4 (no pBuffer keys), release node 4; level 0:
-    // lock both children, one load of both, two SORT_SPLITs, store the
-    // root, release it. 3066 cycles (4594 when every transfer was its
-    // own and the loser was stored and released under the root).
+    // Root section: one CAS takes node 4 (AVAIL → EMPTY), one load of
+    // the results and node 4 (no pBuffer keys); level 0: lock both
+    // children, one load of both, two SORT_SPLITs, store the root with
+    // the loser, release the root. 2730 cycles (3066 when node 4 was
+    // locked, read and released with three atomics and the loser was
+    // stored on its own after the root's release).
     let root_section = 2 * c(PrimitiveCost::GlobalRead { n: 2 * K })
         + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
-        + c(PrimitiveCost::GlobalWrite { n: K })
-        + 6 * a;
-    assert_eq!(root_section, 3066);
+        + c(PrimitiveCost::GlobalWrite { n: 2 * K })
+        + 4 * a;
+    assert_eq!(root_section, 2730);
     assert_eq!(released - acquired, root_section, "root-lock hold time");
 
-    // After the root: store and release the loser (node 3); level 1
-    // locks node 2's two empty children, releases them, stores node 2
-    // (the winner, kept on-chip since level 0) and releases it; then
-    // the k results are stored. 2592 cycles (1464 when both children
-    // were stored under the root).
-    let after_root = 3 * c(PrimitiveCost::GlobalWrite { n: K }) + 6 * a;
-    assert_eq!(after_root, 2592);
+    // After the root: release the loser (node 3); level 1 locks node
+    // 2's two empty children, releases them, stores node 2 (the winner,
+    // kept on-chip since level 0) and releases it; then the k results
+    // are stored. 2128 cycles (2592 when the loser had its own store).
+    let after_root = 2 * c(PrimitiveCost::GlobalWrite { n: K }) + 6 * a;
+    assert_eq!(after_root, 2128);
     assert_eq!(t_end - released, after_root, "stores after the root's release");
 }
 
-/// A delete whose heapify descends two levels. The loser of level 0 is
-/// stored and released right after the root; the winner (node 2) is
-/// loaded once, with its sibling at level 0, stays on-chip as level 1's
-/// node, and is stored once, just before its own release.
+/// A delete whose heapify descends two levels. The loser of level 0
+/// leaves in the root's store and is released right after the root;
+/// the winner (node 2) is loaded once, with its sibling at level 0,
+/// stays on-chip as level 1's node, and is stored once, with its own
+/// loser, just before its release.
 #[test]
 fn delete_heapify_moves_each_node_once() {
     let (cfg, opts) = pinned_cfg(1);
@@ -311,22 +312,26 @@ fn delete_heapify_moves_each_node_once() {
     let root_released = last(TraceKind::LockReleased(root));
 
     // Node 7 refills the root; level 0 swaps it with node 2's keys.
+    // The loser went out in the root's store (the parent stored it on
+    // its own first, `GlobalWrite { n: K } + a` after the root).
     assert_eq!(
         last(TraceKind::LockReleased(loser)),
-        root_released + c(PrimitiveCost::GlobalWrite { n: K }) + a,
-        "the loser is stored and released right after the root"
+        root_released + a,
+        "the loser is released right after the root"
     );
 
     // Node 2's hold: lock node 3 and load both children (node 2's one
-    // load); split, store the root, release it; store the loser, release
-    // it; level 1: lock nodes 4 and 5, load both, split, store node 2
-    // (its one store) and release it. 4340 cycles (5932 with two loads
-    // and two stores of node 2).
+    // load); split, store the root with the loser, release both; level
+    // 1: lock nodes 4 and 5, load both, split, store node 2 (its one
+    // store) with its own loser and release it. 4004 cycles (4340 with
+    // each loser stored on its own, 5932 with two loads and two stores
+    // of node 2).
     let hold = last(TraceKind::LockReleased(winner)) - last(TraceKind::LockAcquired(winner));
     let expected = 2 * c(PrimitiveCost::GlobalRead { n: 2 * K })
         + 4 * c(PrimitiveCost::SortSplit { na: K, nb: K })
-        + 3 * c(PrimitiveCost::GlobalWrite { n: K })
+        + 2 * c(PrimitiveCost::GlobalWrite { n: 2 * K })
         + 6 * a;
+    assert_eq!(expected, 4004);
     assert_eq!(hold, expected, "level-1 node hold");
 }
 
@@ -366,20 +371,24 @@ fn insert_moves_root_and_buffer_together() {
     assert_eq!(rel[2] - acq[2], absorb, "absorbing insert's root section");
 
     // Overflow: root and buffer (500) in, two SORT_SPLITs, root and the
-    // buffer's leftover (500 + 700 - k = 176) out; then mark node 2
-    // TARGET (lock, release), lock it again and release the root. 2094
-    // cycles (2894 with separate root and buffer transfers).
+    // buffer's leftover (500 + 700 - k = 176) out; then one CAS marks
+    // node 2 TARGET, the insert locks it and releases the root. 1894
+    // cycles (2094 when the marking locked and released node 2, 2894
+    // with separate root and buffer transfers).
     let overflow = c(PrimitiveCost::GlobalRead { n: K + 500 })
         + c(PrimitiveCost::SortSplit { na: K, nb: 700 })
         + c(PrimitiveCost::SortSplit { na: 700, nb: 500 })
         + c(PrimitiveCost::GlobalWrite { n: K + 176 })
-        + 4 * a;
+        + 3 * a;
+    assert_eq!(overflow, 1894);
     assert_eq!(rel[3] - acq[3], overflow, "overflowing insert's root section");
 }
 
 /// A DELETEMIN that collaborates with a MARKED inserter loads the
 /// results (and the pBuffer) before handing the root over, and loads
-/// the root the inserter stored together with level 0's children.
+/// the root the inserter stored together with level 0's children. Two
+/// CASes on the reserved node's word do the marking: one finds it
+/// TARGET, one sets MARKED once the results are on-chip.
 #[test]
 fn collaborating_delete_loads_the_inserted_root() {
     let (cfg, opts) = pinned_cfg(2);
@@ -417,21 +426,189 @@ fn collaborating_delete_loads_the_inserted_root() {
     let deleter = trace.iter().rev().find(|e| e.kind == TraceKind::LockReleased(root)).unwrap();
     let of = |kind: TraceKind| times(&trace, Some(deleter.agent), kind);
 
-    // Marking: the state atomic, one load of the k results (no buffer
-    // keys, and `tar` has none yet), release `tar`: 864 cycles.
-    let marking = of(TraceKind::LockReleased(tar))[0] - of(TraceKind::LockAcquired(tar))[0];
-    assert_eq!(marking, a + c(PrimitiveCost::GlobalRead { n: K }) + a, "marking hold");
+    // Marking, from the root's acquisition: a CAS finds `tar` TARGET,
+    // one load brings the k results (no buffer keys, and `tar` has none
+    // yet), a second CAS sets MARKED. 864 cycles (1064 when `tar` was
+    // locked, its state read with an atomic and `tar` released).
+    // (The deleter's third release of `tar` is heapify level 1's.)
+    let marking = of(TraceKind::LockReleased(tar))[1] - of(TraceKind::LockAcquired(root))[0];
+    assert_eq!(marking, a + c(PrimitiveCost::GlobalRead { n: K }) + a, "marking section");
+    assert_eq!(marking, 864);
 
     // Level 0 after the wait: lock node 3, load the inserted root with
-    // both children, two SORT_SPLITs, store the root, release it: 1802
-    // cycles.
+    // both children, two SORT_SPLITs, store the root with the loser,
+    // release the root: 1866 cycles.
     let level0 = deleter.vtime - of(TraceKind::LockAcquired(base + 2))[0];
     let expected = a
         + c(PrimitiveCost::GlobalRead { n: 3 * K })
         + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
-        + c(PrimitiveCost::GlobalWrite { n: K })
+        + c(PrimitiveCost::GlobalWrite { n: 2 * K })
         + a;
+    assert_eq!(expected, 1866);
     assert_eq!(level0, expected, "level 0 of a collaborating delete");
+}
+
+/// Cycles the scheduler adds when it hands a released lock to a waiter.
+const HANDOFF: u64 = 200;
+
+/// How long the blocker in the fallback tests below holds its node.
+const BLOCKER_HOLD: u64 = 8000;
+
+/// Phase kernel for the fallback tests: block 1 takes node `node`'s
+/// lock right away and holds it for [`BLOCKER_HOLD`] cycles; block 0
+/// runs `op` once block 1 has the lock.
+fn block_node(
+    node: usize,
+    op: impl Fn(&mut gpu_sim::BlockCtx, &SimQueue) + Sync,
+) -> impl Fn(&mut gpu_sim::BlockCtx, &(std::sync::Arc<gpu_sim::Scheduler>, usize, SimQueue)) + Sync
+{
+    move |ctx, (_, _, q)| {
+        let a = ctx.cost_model().c_atomic;
+        if ctx.block_id() == 1 {
+            q.platform().lock(ctx.worker(), node);
+            ctx.advance(BLOCKER_HOLD);
+            q.platform().unlock(ctx.worker(), node);
+        } else {
+            ctx.advance(2 * a);
+            op(ctx, q);
+        }
+    }
+}
+
+/// Block 0's last root-lock hold in `trace` and its one wait for
+/// `node`, which block 1 held: `(hold, queued, wait)`, with `queued`
+/// counted from the root's acquisition. The wait must end when block
+/// 1's release is handed over.
+fn hold_behind_blocker(trace: &[TraceEvent], root: usize, node: usize) -> (u64, u64, u64) {
+    let acquired = *times(trace, Some(0), TraceKind::LockAcquired(root)).last().unwrap();
+    let released = *times(trace, Some(0), TraceKind::LockReleased(root)).last().unwrap();
+    let since = |agent: usize, kind: TraceKind| -> Vec<u64> {
+        times(trace, Some(agent), kind).into_iter().filter(|&t| t >= acquired).collect()
+    };
+    let queued = since(0, TraceKind::LockWait(node));
+    assert_eq!(queued.len(), 1, "block 0 queues on node {node} once");
+    let handed = since(1, TraceKind::LockReleased(node))[0] + HANDOFF;
+    assert_eq!(since(0, TraceKind::LockAcquired(node))[0], handed, "the lock path takes node {node}");
+    (released - acquired, queued[0] - acquired, handed - queued[0])
+}
+
+/// A refilling delete whose CAS finds the last node's word locked takes
+/// the lock path: its root hold is the failed CAS, the wait for the
+/// holder, and the lock path's charges.
+#[test]
+fn refill_cas_falls_back_to_the_lock_when_the_last_node_is_held() {
+    let (cfg, opts) = pinned_cfg(2);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let preload = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        if ctx.block_id() == 0 {
+            // Root = [0, k), nodes 2, 3 and 4 the next three ranges.
+            for b in 0..4 {
+                q.insert(ctx.worker(), &keys(b * K, K));
+            }
+        }
+    };
+    let delete = block_node(4, |ctx, q| {
+        let mut out = Vec::new();
+        assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
+        assert!(out.iter().map(|e| e.key).eq(0..K as u32), "wrong result set");
+    });
+    let (_, (sched, base, q)) =
+        gpu_sim::launch_phased(cfg, |sched| traced_queue(sched, &cfg, opts), &[&preload, &delete]);
+    q.check_invariants();
+    let (hold, queued, wait) = hold_behind_blocker(&sched.take_trace(), base + 1, base + 4);
+
+    // The failed CAS and the lock attempt's atomic precede the enqueue.
+    assert_eq!(queued, 2 * a, "the delete queues on node 4 after one CAS");
+    assert_eq!(wait, BLOCKER_HOLD + HANDOFF - 3 * a);
+
+    // Lock path: lock node 4, its state atomic, release it, one load of
+    // the results and node 4; level 0 as in the uncontended delete.
+    let lock_path = 2 * c(PrimitiveCost::GlobalRead { n: 2 * K })
+        + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
+        + c(PrimitiveCost::GlobalWrite { n: 2 * K })
+        + 6 * a;
+    assert_eq!(lock_path, 3130);
+    assert_eq!(hold, a + wait + lock_path, "contended root-lock hold");
+}
+
+/// An overflowing insert whose TARGET-marking CAS finds the new node's
+/// word locked takes the lock path: its root section is the failed
+/// CAS, the wait for the holder, and the lock path's charges.
+#[test]
+fn target_cas_falls_back_to_the_lock_when_the_new_node_is_held() {
+    let (cfg, opts) = pinned_cfg(2);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let preload = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        if ctx.block_id() == 0 {
+            q.insert(ctx.worker(), &keys(0, K)); // root = [0, k)
+            q.insert(ctx.worker(), &keys(10 * K, 500)); // buffer: 500
+        }
+    };
+    // Overflows into node 2, the heap's first batch node.
+    let insert = block_node(2, |ctx, q| q.insert(ctx.worker(), &keys(12 * K, 700)));
+    let (_, (sched, base, q)) =
+        gpu_sim::launch_phased(cfg, |sched| traced_queue(sched, &cfg, opts), &[&preload, &insert]);
+    assert_eq!(q.check_invariants(), K + 1200, "every key is in the queue");
+    let (hold, queued, wait) = hold_behind_blocker(&sched.take_trace(), base + 1, base + 2);
+
+    // Lock path: the root section before the marking, then lock node 2,
+    // mark it, release it, lock it again and release the root.
+    let lock_path = c(PrimitiveCost::GlobalRead { n: K + 500 })
+        + c(PrimitiveCost::SortSplit { na: K, nb: 700 })
+        + c(PrimitiveCost::SortSplit { na: 700, nb: 500 })
+        + c(PrimitiveCost::GlobalWrite { n: K + 176 })
+        + 4 * a;
+    assert_eq!(lock_path, 2094);
+    // The failed CAS and the lock attempt's atomic precede the enqueue.
+    assert_eq!(queued, lock_path - 4 * a + 2 * a, "the insert queues on node 2 after one CAS");
+    assert_eq!(hold, a + wait + lock_path, "contended root section");
+}
+
+/// Per-lock wait on a 16-block, k = 1024 insert/delete-pair load: the
+/// per-lock counts add up to the run's total, and the root's and the
+/// level-1 nodes' shares are reported.
+#[test]
+fn per_lock_wait_adds_up_to_the_run_total() {
+    let blocks = 16;
+    let cfg = GpuConfig::new(blocks, 256);
+    let opts = BgpqOptions { node_capacity: K, max_nodes: 96, ..Default::default() };
+    let batch = |ctx: &mut gpu_sim::BlockCtx, i: u64| -> Vec<Entry<u32, u32>> {
+        let mut rng = StdRng::seed_from_u64(ctx.block_id() as u64 * 1000 + i);
+        (0..K).map(|_| Entry::new(rng.gen_range(0..1 << 30), 0)).collect()
+    };
+    let preload = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        for i in 0..2 {
+            let items = batch(ctx, i);
+            q.insert(ctx.worker(), &items);
+        }
+    };
+    let pairs = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        let mut out = Vec::with_capacity(K);
+        for i in 2..6 {
+            let items = batch(ctx, i);
+            q.insert(ctx.worker(), &items);
+            out.clear();
+            assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
+        }
+    };
+    let (_, (sched, base, q)) =
+        gpu_sim::launch_phased(cfg, |sched| traced_queue(sched, &cfg, opts), &[&preload, &pairs]);
+    assert_eq!(q.check_invariants(), 2 * blocks * K);
+    let total = sched.metrics().lock_wait_cycles;
+    let waits = sched.lock_wait_cycles_by_lock();
+    assert_eq!(waits.iter().sum::<u64>(), total, "per-lock waits add up to the total");
+    assert!(total > 0, "16 blocks contend");
+    let share = |cycles: u64| cycles as f64 / total as f64;
+    let root = waits[base + 1];
+    let level1 = waits[base + 2] + waits[base + 3];
+    eprintln!(
+        "lock wait: {total} cycles; root {:.1}%, level-1 nodes {:.1}%",
+        100.0 * share(root),
+        100.0 * share(level1)
+    );
+    assert!(root > level1, "the root takes most of the wait");
 }
 
 /// Schedule fuzzing: seeded tie-break randomization explores many

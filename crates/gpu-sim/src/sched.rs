@@ -58,6 +58,8 @@ struct LockState {
     /// FIFO queue; enqueues happen in virtual-time order because every
     /// acquire attempt executes in global virtual-time order.
     waiters: VecDeque<(AgentId, u64 /* enqueue vtime */)>,
+    /// Virtual cycles agents spent parked in this lock's queue.
+    wait_cycles: u64,
 }
 
 #[derive(Debug, Default)]
@@ -461,6 +463,12 @@ impl Scheduler {
         self.inner.lock().vtime.clone()
     }
 
+    /// Virtual cycles agents spent parked in each lock's queue, indexed
+    /// by [`LockId`]. Sums to [`SimMetrics::lock_wait_cycles`].
+    pub fn lock_wait_cycles_by_lock(&self) -> Vec<u64> {
+        self.inner.lock().locks.iter().map(|l| l.wait_cycles).collect()
+    }
+
     // ------------------------------------------------------------------
     // internals — all take the inner guard
     // ------------------------------------------------------------------
@@ -475,6 +483,25 @@ impl Scheduler {
             return;
         }
         inner.cur_fp.push(acc);
+    }
+
+    /// Hand `lock`, released at virtual time `now`, to its oldest waiter,
+    /// whose clock jumps to the release time plus the handoff cost; the
+    /// wait is charged to the lock and to the run's metrics. Returns
+    /// whether a waiter took the lock.
+    fn hand_off(&self, inner: &mut SchedInner, lock: LockId, now: u64) -> bool {
+        let Some((next, enq_t)) = inner.locks[lock].waiters.pop_front() else {
+            inner.locks[lock].holder = None;
+            return false;
+        };
+        inner.locks[lock].holder = Some(next);
+        let resume = now.max(enq_t) + self.lock_handoff_cycles;
+        let wait = resume.saturating_sub(enq_t);
+        inner.locks[lock].wait_cycles += wait;
+        inner.metrics.lock_wait_cycles += wait;
+        inner.vtime[next] = inner.vtime[next].max(resume);
+        Self::push_ready(inner, next);
+        true
     }
 
     fn push_ready(inner: &mut SchedInner, id: AgentId) {
@@ -831,6 +858,7 @@ impl SimWorker {
         let me = self.id;
         if inner.locks[lock].holder.is_none() {
             inner.locks[lock].holder = Some(me);
+            Scheduler::trace(&mut inner, me, TraceKind::LockAcquired(lock));
             true
         } else {
             inner.metrics.lock_contended += 1;
@@ -860,25 +888,14 @@ impl SimWorker {
         let mut inner = sched.inner.lock();
         let me = self.id;
         let now = inner.vtime[me];
-        let handoff = sched.lock_handoff_cycles;
         Scheduler::tag(&mut inner, Access::point(lock as u64, true));
         assert_eq!(inner.locks[lock].holder, Some(me), "unlock of a lock not held by agent {me}");
         Scheduler::trace(&mut inner, me, TraceKind::LockReleased(lock));
-        match inner.locks[lock].waiters.pop_front() {
-            Some((next, enq_t)) => {
-                inner.locks[lock].holder = Some(next);
-                let resume = now.max(enq_t) + handoff;
-                inner.metrics.lock_wait_cycles += resume.saturating_sub(enq_t);
-                inner.vtime[next] = inner.vtime[next].max(resume);
-                Scheduler::push_ready(&mut inner, next);
-                // The new holder may now be the global minimum; yield if
-                // our own time is no longer minimal.
-                drop(inner);
-                self.yield_now();
-            }
-            None => {
-                inner.locks[lock].holder = None;
-            }
+        if sched.hand_off(&mut inner, lock, now) {
+            // The new holder may now be the global minimum; yield if our
+            // own time is no longer minimal.
+            drop(inner);
+            self.yield_now();
         }
     }
 
@@ -956,7 +973,6 @@ impl Drop for SimWorker {
             // hand off locks: conservatively conflict with everything.
             Scheduler::tag(&mut inner, Access::global());
             let now = inner.vtime[me];
-            let handoff = sched.lock_handoff_cycles;
             for lock in 0..inner.locks.len() {
                 inner.locks[lock].waiters.retain(|&(a, _)| a != me);
             }
@@ -965,16 +981,7 @@ impl Drop for SimWorker {
                     continue;
                 }
                 Scheduler::trace(&mut inner, me, TraceKind::LockReleased(lock));
-                match inner.locks[lock].waiters.pop_front() {
-                    Some((next, enq_t)) => {
-                        inner.locks[lock].holder = Some(next);
-                        let resume = now.max(enq_t) + handoff;
-                        inner.metrics.lock_wait_cycles += resume.saturating_sub(enq_t);
-                        inner.vtime[next] = inner.vtime[next].max(resume);
-                        Scheduler::push_ready(&mut inner, next);
-                    }
-                    None => inner.locks[lock].holder = None,
-                }
+                sched.hand_off(&mut inner, lock, now);
             }
         }
         inner.status[me] = Status::Done;
@@ -1072,6 +1079,34 @@ mod tests {
             assert!(pair[0].1 <= pair[1].0, "overlapping critical sections: {spans:?}");
         }
         assert!(sched.metrics().lock_contended >= 1, "expected contention");
+    }
+
+    #[test]
+    fn lock_wait_is_charged_to_the_waited_lock() {
+        let sched = Scheduler::new(3);
+        let hot = sched.create_locks(2);
+        let cold = hot + 1;
+        std::thread::scope(|s| {
+            for id in 0..3 {
+                let mut w = sched.worker(id);
+                s.spawn(move || {
+                    w.begin();
+                    w.advance(id as u64);
+                    w.lock(hot, 10);
+                    w.advance(100);
+                    w.unlock(hot, 10);
+                    if id == 0 {
+                        w.lock(cold, 10);
+                        w.unlock(cold, 10);
+                    }
+                    w.finish();
+                });
+            }
+        });
+        let waits = sched.lock_wait_cycles_by_lock();
+        assert!(waits[hot] > 0, "the shared lock is waited for");
+        assert_eq!(waits[cold], 0, "an uncontended lock has no wait");
+        assert_eq!(waits.iter().sum::<u64>(), sched.metrics().lock_wait_cycles);
     }
 
     #[test]

@@ -59,6 +59,15 @@ pub trait Platform: Send + Sync {
     /// Release `lock` (caller must hold it).
     fn unlock(&self, w: &mut Self::Worker, lock: usize);
 
+    /// Release `lock`, taken by [`Platform::try_lock`], at no cost of its
+    /// own: the two model one compare-and-swap on a device word holding
+    /// the lock bit and the node's state, whose single atomic round trip
+    /// the `try_lock` already paid. A plain [`Platform::unlock`] unless
+    /// the platform charges lock traffic.
+    fn unlock_uncharged(&self, w: &mut Self::Worker, lock: usize) {
+        self.unlock(w, lock);
+    }
+
     /// Account the cost of executing a data-parallel primitive. A no-op
     /// on real hardware, a virtual-clock advance in the simulator.
     fn charge(&self, w: &mut Self::Worker, c: PrimitiveCost);
