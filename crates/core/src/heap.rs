@@ -38,8 +38,10 @@ const SPIN_ESCALATE_AFTER: u64 = 1 << 10;
 
 /// Most locks any single operation holds at once: a delete-heapify
 /// level holds its node and both children. The losing child leaves in
-/// its parent's store and is released right after it, before the next
-/// level takes any lock; inserts and the root refill hold at most two.
+/// its parent's store and is released in its parent's release round
+/// trip, before the next level takes any lock. An insert holds three
+/// only while it waits for a held `tar` with the root and its first
+/// path node taken; the root refill holds at most two.
 const MAX_HELD: usize = 3;
 
 /// Most nodes an operation has changed but not yet stored: at the root
@@ -295,41 +297,80 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
         self.q.platform.unlock(self.w, lock);
     }
 
+    /// CAS the lock word of `a` and, if given, of `b` in one atomic
+    /// round trip (DESIGN §2): the two compare-and-swaps do not depend
+    /// on each other, so only `a`'s is charged a `c_atomic`. Returns
+    /// which words it took; a word found locked is left to the caller,
+    /// which takes it through the charged lock path. Each CAS keeps the
+    /// lock injection points, and a CAS that took a word poisons like
+    /// [`Crit::lock_or_poison`].
+    fn cas(&mut self, a: usize, b: Option<usize>) -> Result<(bool, bool), QueueError> {
+        self.inject(InjectionPoint::PreLockAcquire);
+        if b.is_some() {
+            self.inject(InjectionPoint::PreLockAcquire);
+        }
+        let got_a = self.q.platform.try_lock(self.w, a);
+        let got_b = b.filter(|&b| self.q.platform.try_lock_uncharged(self.w, b));
+        // Track every word taken before any injection point can unwind.
+        let got = [got_a.then_some(a), got_b];
+        for lock in got.into_iter().flatten() {
+            self.track(lock);
+        }
+        for _ in got.into_iter().flatten() {
+            self.inject(InjectionPoint::PostLockAcquire);
+        }
+        if got.iter().any(Option::is_some) && self.q.is_poisoned() {
+            self.release_all();
+            return Err(QueueError::Poisoned);
+        }
+        Ok((got_a, got_b.is_some()))
+    }
+
+    /// Lock `a` and, if given, `b`: one [`Crit::cas`] of both words,
+    /// then the charged lock path, in order, for each word it found
+    /// locked, keeping the word it got meanwhile.
+    fn lock_pair(&mut self, a: usize, b: Option<usize>) -> Result<(), QueueError> {
+        let (got_a, got_b) = self.cas(a, b)?;
+        if !got_a {
+            self.lock_or_poison(a)?;
+        }
+        match b {
+            Some(b) if !got_b => self.lock_or_poison(b),
+            _ => Ok(()),
+        }
+    }
+
     /// Take node `lock`'s lock+state word for one state change that
     /// moves no keys under the node's lock (DESIGN §2). On the device
     /// the word holds the lock bit and the state, so while it is
     /// unlocked one CAS, one `c_atomic`, reads or changes the state
     /// ([`Word::Cas`]); the host holds the lock for the CAS's duration.
     /// A locked word takes the charged lock path instead
-    /// ([`Word::Locked`]), after the failed CAS. Both paths keep the
-    /// lock injection points, and both poison like
-    /// [`Crit::lock_or_poison`].
+    /// ([`Word::Locked`]), after the failed CAS.
     fn take_word(&mut self, lock: usize) -> Result<Word, QueueError> {
-        self.inject(InjectionPoint::PreLockAcquire);
-        if !self.q.platform.try_lock(self.w, lock) {
-            self.lock_or_poison(lock)?;
-            return Ok(Word::Locked);
+        if self.cas(lock, None)?.0 {
+            return Ok(Word::Cas);
         }
-        self.track(lock);
-        self.inject(InjectionPoint::PostLockAcquire);
-        if self.q.is_poisoned() {
-            self.release_all();
-            return Err(QueueError::Poisoned);
-        }
-        Ok(Word::Cas)
+        self.lock_or_poison(lock)?;
+        Ok(Word::Locked)
     }
 
     /// End a [`Crit::take_word`]: the CAS's release costs nothing more;
     /// the lock path's is a charged unlock.
     fn release_word(&mut self, lock: usize, word: Word) {
         match word {
-            Word::Cas => {
-                self.inject(InjectionPoint::PreLockRelease);
-                self.untrack(lock);
-                self.q.platform.unlock_uncharged(self.w, lock);
-            }
+            Word::Cas => self.unlock_uncharged(lock),
             Word::Locked => self.unlock(lock),
         }
+    }
+
+    /// Release `lock` at no charge of its own: it rides in the atomic
+    /// round trip of the CAS that took it or of the charged release
+    /// just before it (with the pre-release injection point).
+    fn unlock_uncharged(&mut self, lock: usize) {
+        self.inject(InjectionPoint::PreLockRelease);
+        self.untrack(lock);
+        self.q.platform.unlock_uncharged(self.w, lock);
     }
 
     /// Abandon-path release: raw unlocks (no injection hooks, so a
@@ -932,26 +973,57 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             m.heap_size += 1;
             m.heap_size
         };
-        // Reserve `tar` (EMPTY → TARGET): one CAS while its word is
-        // unlocked.
-        let word = match c.take_word(tar) {
-            Ok(word) => word,
+        // Reserve `tar` (EMPTY → TARGET) and lock the first path node:
+        // one CAS of both words, or of `tar`'s alone, kept for the fill,
+        // when `tar` is that node. A held `tar` comes through the lock
+        // path. `tar` is marked and its word released before any wait
+        // for the first path node: a deleter holding that node locks
+        // `tar` as its child (DESIGN §2).
+        let first = next_on_path(ROOT, tar);
+        let (got_tar, mut got_first) = match c.cas(tar, (first != tar).then_some(first)) {
+            Ok(got) => got,
             Err(e) => return self.insert_tail(ctx, e),
         };
+        #[cfg(any(test, feature = "mutations"))]
+        let hold_tar = self.opts.mutation == crate::options::Mutation::PathWaitHoldsTarget;
+        #[cfg(not(any(test, feature = "mutations")))]
+        let hold_tar = false;
+        if hold_tar && got_tar && !got_first && first != tar {
+            // DELIBERATE BUG (schedule-explorer self-test, see
+            // `Mutation::PathWaitHoldsTarget`): wait for the first path
+            // node while still holding `tar`'s word.
+            if let Err(e) = c.lock_or_poison(first) {
+                return self.insert_tail(ctx, e);
+            }
+            got_first = true;
+        }
+        if !got_tar {
+            if let Err(e) = c.lock_or_poison(tar) {
+                return self.insert_tail(ctx, e);
+            }
+        }
         c.touch(tar, true);
         self.storage.set_state(tar, NodeState::Target);
         self.record_protocol(ProtocolKind::TargetSet, tar);
-        c.release_word(tar, word);
+        if first != tar {
+            c.release_word(tar, if got_tar { Word::Cas } else { Word::Locked });
+        }
 
         // INSERT_HEAPIFY (Alg. 1 lines 30-34), iteratively. `held` is
-        // the lock we currently hold — initially the root.
+        // the lock we currently hold — initially the root; `taken` says
+        // the CAS above already took `cur`'s lock.
         let mut held = ROOT;
-        let mut cur = next_on_path(ROOT, tar);
+        let mut cur = first;
+        let mut taken = got_first || first == tar;
         c.touch(tar, false);
+        // The root is held until the first pass releases it, so `tar`
+        // cannot be MARKED while the first path node is taken.
         while cur != tar && self.storage.state(tar) != NodeState::Marked {
             c.inject(InjectionPoint::MidInsertHeapify);
-            if let Err(e) = c.lock_or_poison(cur) {
-                return self.insert_tail(ctx, e);
+            if !std::mem::take(&mut taken) {
+                if let Err(e) = c.lock_or_poison(cur) {
+                    return self.insert_tail(ctx, e);
+                }
             }
             self.unlock_path(c, held, ctx);
             held = cur;
@@ -975,8 +1047,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
 
         // Alg. 1 lines 8-14.
         c.inject(InjectionPoint::MidInsertHeapify);
-        if let Err(e) = c.lock_or_poison(tar) {
-            return self.insert_tail(ctx, e);
+        if !taken {
+            if let Err(e) = c.lock_or_poison(tar) {
+                return self.insert_tail(ctx, e);
+            }
         }
         self.unlock_path(c, held, ctx);
         c.touch(tar, false);
@@ -1452,12 +1526,13 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// holds `cur = root`'s lock; `remained` keys still owed to the
     /// caller are extracted from the root before it is released.
     ///
-    /// Each level moves data once: one load brings both children (and
-    /// `cur`, unless it is already on-chip) into shared memory, and the
-    /// nodes whose locks are held together leave together: `cur` and
-    /// the loser `x` in one store, just before `cur`'s release, and `x`
-    /// is released right after `cur`. The winner `y` stays on-chip as
-    /// the next level's `cur`. `root_on_chip` says the caller left a
+    /// Each level moves data once: one CAS takes both children's lock
+    /// words, one load brings both children (and `cur`, unless it is
+    /// already on-chip) into shared memory, and the nodes whose locks
+    /// are held together leave together: `cur` and the loser `x` in one
+    /// store, just before `cur`'s release, and `x` is released in
+    /// `cur`'s release round trip. The winner `y` stays on-chip as the
+    /// next level's `cur`. `root_on_chip` says the caller left a
     /// changed, not yet stored root in shared memory; `buf_dirty`
     /// pBuffer keys the refill split rewrote are stored with it.
     // The merge scratch arrives split off the op's arena, so it can't
@@ -1498,13 +1573,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             if r_in {
                 self.prefetch_node(r, k);
             }
+            // Both children's words in one CAS; a held child comes
+            // through the lock path while the CAS keeps the other.
             if l_in {
-                c.lock_or_poison(l)?;
-            }
-            if r_in {
-                c.lock_or_poison(r)?;
-            }
-            if l_in {
+                c.lock_pair(l, r_in.then_some(r))?;
                 c.touch(l, false);
             }
             if r_in {
@@ -1531,16 +1603,17 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
 
             // Alg. 3 lines 4-8: heap property already satisfied (TARGET
             // and EMPTY children hold no keys). The children are
-            // unchanged; `cur` is stored only if it changed.
+            // unchanged and leave in one release round trip; `cur` is
+            // stored only if it changed.
             if min_child.is_none_or(|m| cur_max <= m) {
                 if cur == ROOT {
                     self.extract_root(out, remained);
                 }
-                if r_in {
-                    c.unlock(r);
-                }
                 if l_in {
                     c.unlock(l);
+                }
+                if r_in {
+                    c.unlock_uncharged(r);
                 }
                 if cur_on_chip {
                     c.store([(cur, self.node_len(cur))].into_iter().chain(extra));
@@ -1620,7 +1693,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.store([(cur, self.node_len(cur))].into_iter().chain(extra).chain(x.map(|x| (x, k))));
             self.finish_delete(c, out, start, cur, cur == ROOT, ctx)?;
             if let Some(x) = x {
-                c.unlock(x);
+                // Released in `cur`'s release round trip.
+                c.unlock_uncharged(x);
             }
             cur = y;
             cur_on_chip = true;

@@ -37,6 +37,14 @@ pub enum Mutation {
     /// backend never sees the insert, only the explorer's front-level
     /// accounting oracle can flag it.
     CombinerDropsForeignInsert,
+    /// Lock-order bug in the overflowing INSERT: when the CAS that
+    /// reserves `tar` finds the first path node's lock held, the mutated
+    /// insert waits for that node while still holding `tar`'s lock
+    /// word. A DELETEMIN holding the first path node (say node 2) that
+    /// locks `tar` (node 4) as its child then waits on the insert, and
+    /// the two blocks deadlock; the scheduler's deadlock detector
+    /// reports it.
+    PathWaitHoldsTarget,
 }
 
 /// Configuration of a [`crate::Bgpq`] instance.

@@ -4,12 +4,13 @@
 //! trigger for the TARGET/MARKED collaboration protocol.
 
 use bgpq::{check_history, Bgpq, BgpqOptions};
-use bgpq_runtime::{Platform, SimPlatform};
+use bgpq_runtime::{FaultAction, FaultPlan, InjectionPoint, Platform, SimPlatform};
 use gpu_sim::{launch, GpuConfig, SimReport, TraceEvent, TraceKind};
 use pq_api::Entry;
 use primitives::PrimitiveCost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 type SimQueue = Bgpq<u32, u32, SimPlatform>;
 
@@ -226,10 +227,11 @@ fn times(trace: &[TraceEvent], agent: Option<usize>, kind: TraceKind) -> Vec<u64
 /// The root-lock critical section of a full-batch DELETEMIN holds only
 /// root-ordered work, and moves each node's keys once. One CAS on the
 /// last node's word takes its keys; one load brings the results, the
-/// last node and the pBuffer on-chip; level 0 loads both children in
-/// one transfer and stores the root with the loser before releasing
-/// the root. The winner's store (one level later) and the results'
-/// store come after the root lock is released.
+/// last node and the pBuffer on-chip; level 0 takes both children's
+/// words in one CAS, loads both in one transfer and stores the root
+/// with the loser before releasing the root. The winner's store (one
+/// level later) and the results' store come after the root lock is
+/// released.
 #[test]
 fn root_lock_holds_only_root_ordered_work() {
     let (cfg, opts) = pinned_cfg(1);
@@ -261,32 +263,31 @@ fn root_lock_holds_only_root_ordered_work() {
     assert_eq!(acquired, t0 + a, "nothing but the lock word precedes the root section");
 
     // Root section: one CAS takes node 4 (AVAIL → EMPTY), one load of
-    // the results and node 4 (no pBuffer keys); level 0: lock both
-    // children, one load of both, two SORT_SPLITs, store the root with
-    // the loser, release the root. 2730 cycles (3066 when node 4 was
-    // locked, read and released with three atomics and the loser was
-    // stored on its own after the root's release).
+    // the results and node 4 (no pBuffer keys); level 0: one CAS takes
+    // both children, one load of both, two SORT_SPLITs, store the root
+    // with the loser, release the root: 2530 cycles.
     let root_section = 2 * c(PrimitiveCost::GlobalRead { n: 2 * K })
         + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
         + c(PrimitiveCost::GlobalWrite { n: 2 * K })
-        + 4 * a;
-    assert_eq!(root_section, 2730);
+        + 3 * a;
+    assert_eq!(root_section, 2530);
     assert_eq!(released - acquired, root_section, "root-lock hold time");
 
-    // After the root: release the loser (node 3); level 1 locks node
-    // 2's two empty children, releases them, stores node 2 (the winner,
-    // kept on-chip since level 0) and releases it; then the k results
-    // are stored. 2128 cycles (2592 when the loser had its own store).
-    let after_root = 2 * c(PrimitiveCost::GlobalWrite { n: K }) + 6 * a;
-    assert_eq!(after_root, 2128);
+    // After the root: the loser (node 3) leaves in the root's release
+    // round trip; level 1 takes node 2's two empty children in one CAS,
+    // releases them in one round trip, stores node 2 (the winner, kept
+    // on-chip since level 0) and releases it; then the k results are
+    // stored: 1528 cycles.
+    let after_root = 2 * c(PrimitiveCost::GlobalWrite { n: K }) + 3 * a;
+    assert_eq!(after_root, 1528);
     assert_eq!(t_end - released, after_root, "stores after the root's release");
 }
 
 /// A delete whose heapify descends two levels. The loser of level 0
-/// leaves in the root's store and is released right after the root;
-/// the winner (node 2) is loaded once, with its sibling at level 0,
-/// stays on-chip as level 1's node, and is stored once, with its own
-/// loser, just before its release.
+/// leaves in the root's store and in the root's release round trip;
+/// the winner (node 2) is taken with its sibling in one CAS and loaded
+/// once with it at level 0, stays on-chip as level 1's node, and is
+/// stored once, with its own loser, just before its release.
 #[test]
 fn delete_heapify_moves_each_node_once() {
     let (cfg, opts) = pinned_cfg(1);
@@ -312,26 +313,30 @@ fn delete_heapify_moves_each_node_once() {
     let root_released = last(TraceKind::LockReleased(root));
 
     // Node 7 refills the root; level 0 swaps it with node 2's keys.
-    // The loser went out in the root's store (the parent stored it on
-    // its own first, `GlobalWrite { n: K } + a` after the root).
+    // The loser went out in the root's store and leaves in the root's
+    // release round trip.
+    assert_eq!(
+        last(TraceKind::LockAcquired(loser)),
+        last(TraceKind::LockAcquired(winner)),
+        "one CAS takes both children"
+    );
     assert_eq!(
         last(TraceKind::LockReleased(loser)),
-        root_released + a,
-        "the loser is released right after the root"
+        root_released,
+        "the loser is released with the root"
     );
 
-    // Node 2's hold: lock node 3 and load both children (node 2's one
-    // load); split, store the root with the loser, release both; level
-    // 1: lock nodes 4 and 5, load both, split, store node 2 (its one
-    // store) with its own loser and release it. 4004 cycles (4340 with
-    // each loser stored on its own, 5932 with two loads and two stores
-    // of node 2).
+    // Node 2's hold, from the CAS that took it with node 3: load both
+    // children (node 2's one load), split, store the root with the
+    // loser, release both; level 1: one CAS takes nodes 4 and 5, load
+    // both, split, store node 2 (its one store) with its own loser and
+    // release it: 3404 cycles.
     let hold = last(TraceKind::LockReleased(winner)) - last(TraceKind::LockAcquired(winner));
     let expected = 2 * c(PrimitiveCost::GlobalRead { n: 2 * K })
         + 4 * c(PrimitiveCost::SortSplit { na: K, nb: K })
         + 2 * c(PrimitiveCost::GlobalWrite { n: 2 * K })
-        + 6 * a;
-    assert_eq!(expected, 4004);
+        + 3 * a;
+    assert_eq!(expected, 3404);
     assert_eq!(hold, expected, "level-1 node hold");
 }
 
@@ -372,15 +377,14 @@ fn insert_moves_root_and_buffer_together() {
 
     // Overflow: root and buffer (500) in, two SORT_SPLITs, root and the
     // buffer's leftover (500 + 700 - k = 176) out; then one CAS marks
-    // node 2 TARGET, the insert locks it and releases the root. 1894
-    // cycles (2094 when the marking locked and released node 2, 2894
-    // with separate root and buffer transfers).
+    // node 2, the first path node, TARGET and keeps its lock for the
+    // fill, and the insert releases the root: 1694 cycles.
     let overflow = c(PrimitiveCost::GlobalRead { n: K + 500 })
         + c(PrimitiveCost::SortSplit { na: K, nb: 700 })
         + c(PrimitiveCost::SortSplit { na: 700, nb: 500 })
         + c(PrimitiveCost::GlobalWrite { n: K + 176 })
-        + 3 * a;
-    assert_eq!(overflow, 1894);
+        + 2 * a;
+    assert_eq!(overflow, 1694);
     assert_eq!(rel[3] - acq[3], overflow, "overflowing insert's root section");
 }
 
@@ -435,16 +439,15 @@ fn collaborating_delete_loads_the_inserted_root() {
     assert_eq!(marking, a + c(PrimitiveCost::GlobalRead { n: K }) + a, "marking section");
     assert_eq!(marking, 864);
 
-    // Level 0 after the wait: lock node 3, load the inserted root with
-    // both children, two SORT_SPLITs, store the root with the loser,
-    // release the root: 1866 cycles.
+    // Level 0 after the wait, from the CAS that took nodes 2 and 3:
+    // load the inserted root with both children, two SORT_SPLITs, store
+    // the root with the loser, release the root: 1666 cycles.
     let level0 = deleter.vtime - of(TraceKind::LockAcquired(base + 2))[0];
-    let expected = a
-        + c(PrimitiveCost::GlobalRead { n: 3 * K })
+    let expected = c(PrimitiveCost::GlobalRead { n: 3 * K })
         + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
         + c(PrimitiveCost::GlobalWrite { n: 2 * K })
         + a;
-    assert_eq!(expected, 1866);
+    assert_eq!(expected, 1666);
     assert_eq!(level0, expected, "level 0 of a collaborating delete");
 }
 
@@ -488,7 +491,11 @@ fn hold_behind_blocker(trace: &[TraceEvent], root: usize, node: usize) -> (u64, 
     let queued = since(0, TraceKind::LockWait(node));
     assert_eq!(queued.len(), 1, "block 0 queues on node {node} once");
     let handed = since(1, TraceKind::LockReleased(node))[0] + HANDOFF;
-    assert_eq!(since(0, TraceKind::LockAcquired(node))[0], handed, "the lock path takes node {node}");
+    assert_eq!(
+        since(0, TraceKind::LockAcquired(node))[0],
+        handed,
+        "the lock path takes node {node}"
+    );
     (released - acquired, queued[0] - acquired, handed - queued[0])
 }
 
@@ -524,17 +531,21 @@ fn refill_cas_falls_back_to_the_lock_when_the_last_node_is_held() {
 
     // Lock path: lock node 4, its state atomic, release it, one load of
     // the results and node 4; level 0 as in the uncontended delete.
+    // 10730 cycles in all.
     let lock_path = 2 * c(PrimitiveCost::GlobalRead { n: 2 * K })
         + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
         + c(PrimitiveCost::GlobalWrite { n: 2 * K })
-        + 6 * a;
-    assert_eq!(lock_path, 3130);
+        + 5 * a;
+    assert_eq!(lock_path, 2930);
+    assert_eq!(a + wait + lock_path, 10730);
     assert_eq!(hold, a + wait + lock_path, "contended root-lock hold");
 }
 
 /// An overflowing insert whose TARGET-marking CAS finds the new node's
 /// word locked takes the lock path: its root section is the failed
-/// CAS, the wait for the holder, and the lock path's charges.
+/// CAS, the wait for the holder, and the lock path's charges. The new
+/// node is also the first path node, so the lock the path takes is
+/// kept for the fill.
 #[test]
 fn target_cas_falls_back_to_the_lock_when_the_new_node_is_held() {
     let (cfg, opts) = pinned_cfg(2);
@@ -553,17 +564,155 @@ fn target_cas_falls_back_to_the_lock_when_the_new_node_is_held() {
     assert_eq!(q.check_invariants(), K + 1200, "every key is in the queue");
     let (hold, queued, wait) = hold_behind_blocker(&sched.take_trace(), base + 1, base + 2);
 
-    // Lock path: the root section before the marking, then lock node 2,
-    // mark it, release it, lock it again and release the root.
-    let lock_path = c(PrimitiveCost::GlobalRead { n: K + 500 })
+    // The root section's work before the marking.
+    let work = c(PrimitiveCost::GlobalRead { n: K + 500 })
         + c(PrimitiveCost::SortSplit { na: K, nb: 700 })
         + c(PrimitiveCost::SortSplit { na: 700, nb: 500 })
-        + c(PrimitiveCost::GlobalWrite { n: K + 176 })
-        + 4 * a;
-    assert_eq!(lock_path, 2094);
+        + c(PrimitiveCost::GlobalWrite { n: K + 176 });
     // The failed CAS and the lock attempt's atomic precede the enqueue.
-    assert_eq!(queued, lock_path - 4 * a + 2 * a, "the insert queues on node 2 after one CAS");
+    assert_eq!(queued, work + 2 * a, "the insert queues on node 2 after one CAS");
+    // Lock path: the work, then lock node 2, mark it, keep it and
+    // release the root: 5670 cycles in all.
+    let lock_path = work + 2 * a;
+    assert_eq!(lock_path, 1694);
     assert_eq!(hold, a + wait + lock_path, "contended root section");
+    assert_eq!(hold, 5670);
+}
+
+/// A heapify level whose children's CAS finds one child's word locked
+/// keeps the child it got and takes the held one through the charged
+/// lock path: the root hold is the refill, the pair CAS, the lock
+/// attempt, the wait for the holder, and level 0's work.
+#[test]
+fn pair_cas_keeps_the_free_child_and_waits_for_the_held_one() {
+    let (cfg, opts) = pinned_cfg(2);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let preload = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        if ctx.block_id() == 0 {
+            // Root = [0, k), nodes 2, 3 and 4 the next three ranges.
+            for b in 0..4 {
+                q.insert(ctx.worker(), &keys(b * K, K));
+            }
+        }
+    };
+    // Block 1 holds node 2, the root's left child.
+    let delete = block_node(2, |ctx, q| {
+        let mut out = Vec::new();
+        assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
+        assert!(out.iter().map(|e| e.key).eq(0..K as u32), "wrong result set");
+    });
+    let (_, (sched, base, q)) =
+        gpu_sim::launch_phased(cfg, |sched| traced_queue(sched, &cfg, opts), &[&preload, &delete]);
+    q.check_invariants();
+    let trace = sched.take_trace();
+    let (root, held, free) = (base + 1, base + 2, base + 3);
+    let (hold, queued, wait) = hold_behind_blocker(&trace, root, held);
+    let acquired = *times(&trace, Some(0), TraceKind::LockAcquired(root)).last().unwrap();
+
+    // Refill: one CAS takes node 4, one load of the results and node 4.
+    // Level 0: one CAS of both children takes node 3; the lock path's
+    // atomic queues the delete on node 2.
+    let refill = a + c(PrimitiveCost::GlobalRead { n: 2 * K });
+    assert_eq!(
+        *times(&trace, Some(0), TraceKind::LockAcquired(free)).last().unwrap(),
+        acquired + refill + a,
+        "the pair CAS takes the free child"
+    );
+    assert_eq!(queued, refill + 2 * a, "the delete queues on node 2 after the pair CAS");
+
+    // After the wait: one load of both children, two SORT_SPLITs, store
+    // the root with the loser, release the root.
+    let level0 = c(PrimitiveCost::GlobalRead { n: 2 * K })
+        + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
+        + c(PrimitiveCost::GlobalWrite { n: 2 * K })
+        + a;
+    assert_eq!(hold, queued + wait + level0, "root hold behind a held child");
+    assert_eq!(hold, 9602);
+}
+
+/// Deadlock regression: an overflowing insert whose CAS reserves node 4
+/// while a delete holds node 2, the first path node, marks node 4 and
+/// releases its word before it waits for node 2, because the delete
+/// takes node 4 as node 2's child. (An insert that waits for node 2
+/// holding node 4's word deadlocks with the delete, each block
+/// `BlockedOnLock` on the other's node.) A stall at the delete's second
+/// `MidDeleteHeapify`, level 1 holding node 2, opens the window.
+#[test]
+fn insert_releases_the_reserved_node_before_waiting_for_its_path() {
+    let k = 4;
+    let cfg = GpuConfig::new(2, 32);
+    let opts = BgpqOptions { node_capacity: k, max_nodes: 8, ..Default::default() };
+    let plan = Arc::new(FaultPlan::new().with_rule(
+        InjectionPoint::MidDeleteHeapify,
+        2,
+        FaultAction::Stall { units: 100_000 },
+    ));
+    let setup = |sched: &Arc<gpu_sim::Scheduler>| {
+        sched.enable_trace(1 << 12);
+        let base = sched.create_locks(0);
+        let platform = SimPlatform::new(sched, opts.max_nodes + 1, cfg.cost, cfg.block_dim)
+            .with_faults(plan.clone());
+        (Arc::clone(sched), base, Bgpq::with_platform(platform, opts).with_history())
+    };
+    let preload = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        if ctx.block_id() == 0 {
+            // Root = [0, k), nodes 2, 3 and 4 the next three ranges.
+            for b in 0..4 {
+                q.insert(ctx.worker(), &keys(b * k, k));
+            }
+        }
+    };
+    let race = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        if ctx.block_id() == 1 {
+            // Refill from node 4, descend into node 2 and stall there.
+            let mut out = Vec::new();
+            assert_eq!(q.delete_min(ctx.worker(), &mut out, k), k);
+            assert!(out.iter().map(|e| e.key).eq(0..k as u32), "wrong result set");
+        } else {
+            // Queue on the root behind the delete: `tar` is node 4 again.
+            ctx.advance(2 * ctx.cost_model().c_atomic);
+            q.insert(ctx.worker(), &keys(100, k));
+        }
+    };
+    // Then block 0 drains the queue.
+    let rest = std::sync::Mutex::new(Vec::new());
+    let drain = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
+        if ctx.block_id() == 0 {
+            assert_eq!(q.check_invariants(), 4 * k);
+            let mut out = Vec::new();
+            q.drain(ctx.worker(), &mut out);
+            *rest.lock().unwrap() = out.iter().map(|e| e.key).collect::<Vec<u32>>();
+        }
+    };
+    let (_, (sched, base, q)) = gpu_sim::launch_phased(cfg, setup, &[&preload, &race, &drain]);
+    assert_eq!(plan.fired_count(), 1, "the stall hit the delete at level 1");
+    let trace = sched.take_trace();
+    let (n2, n4) = (base + 2, base + 4);
+    // `agent`'s events of `kind` since the delete took the root (the
+    // preload's come before).
+    let start = times(&trace, Some(1), TraceKind::LockAcquired(base + 1))[0];
+    let in_race = |agent: usize, kind: TraceKind| -> Vec<u64> {
+        times(&trace, Some(agent), kind).into_iter().filter(|&t| t > start).collect()
+    };
+    // The insert reserved node 4 and queued on node 2 while the delete
+    // held it; the delete then took node 4 as node 2's child.
+    let queued = in_race(0, TraceKind::LockWait(n2));
+    assert_eq!(queued.len(), 1, "the insert waits for node 2 once");
+    let reserved = in_race(0, TraceKind::LockAcquired(n4));
+    assert!(reserved[0] < queued[0], "the insert reserves node 4 before it waits for node 2");
+    let released = in_race(0, TraceKind::LockReleased(n4));
+    assert!(released[0] <= queued[0], "node 4's word is released before the wait");
+    let taken = in_race(1, TraceKind::LockAcquired(n4));
+    assert!(taken.iter().any(|&t| t > queued[0]), "the delete takes node 4 during the wait");
+
+    // Every key is accounted for: the delete took [0, k); the queue
+    // held the other three preloaded batches and the inserted one.
+    if let Some(v) = check_history(&q.take_history()) {
+        panic!("history violation at seq {}: {}", v.seq, v.detail);
+    }
+    let want: Vec<u32> = (k as u32..4 * k as u32).chain(100..100 + k as u32).collect();
+    assert_eq!(rest.into_inner().unwrap(), want, "every key is accounted for");
 }
 
 /// Per-lock wait on a 16-block, k = 1024 insert/delete-pair load: the

@@ -1,7 +1,7 @@
 //! Schedule-exploration CLI.
 //!
 //! ```text
-//! explore explore [--key-steal | --gen SEED] [--front shard|combine]
+//! explore explore [--key-steal | --path-race | --gen SEED] [--front shard|combine]
 //!                 [--k K] [--blocks B] [--ops N] [--mutate NAME]
 //!                 [--budget P] [--max-runs R] [--no-sleep-sets]
 //!                 [--random N] [--out FILE]
@@ -16,8 +16,10 @@
 //! `.sched` artifact. `--front` swaps the single shared queue for the
 //! sharded-router or flat-combining workload; `--mutate NAME`
 //! re-introduces a named protocol bug (`marked-early-avail`,
-//! `sweep-discards-on-trip`, `combiner-drops-foreign`). Exit status: 0
-//! clean, 1 counterexample found, 2 usage/parse error.
+//! `sweep-discards-on-trip`, `combiner-drops-foreign`,
+//! `path-wait-holds-target`). `--path-race` drives a delete racing an
+//! insert for node 4's lock word instead of the key-steal workload. Exit
+//! status: 0 clean, 1 counterexample found, 2 usage/parse error.
 
 use bgpq_explore::{
     explore, install_quiet_panic_hook, parse_mutation, random_walks, replay, shrink, summary_line,
@@ -28,7 +30,7 @@ use std::time::Instant;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  explore explore [--key-steal | --gen SEED] [--front shard|combine]\n                  [--k K] [--blocks B] [--ops N] [--mutate NAME]\n                  [--budget P] [--max-runs R] [--no-sleep-sets] [--random N] [--out FILE]\n  explore replay FILE [--expect-violation]\n  explore shrink FILE [--out FILE]"
+        "usage:\n  explore explore [--key-steal | --path-race | --gen SEED] [--front shard|combine]\n                  [--k K] [--blocks B] [--ops N] [--mutate NAME]\n                  [--budget P] [--max-runs R] [--no-sleep-sets] [--random N] [--out FILE]\n  explore replay FILE [--expect-violation]\n  explore shrink FILE [--out FILE]"
     );
     ExitCode::from(2)
 }
@@ -63,6 +65,8 @@ fn build_spec(args: &Args) -> Result<WorkloadSpec, String> {
                 let blocks = args.opt("--blocks")?.unwrap_or(3);
                 let ops = args.opt("--ops")?.unwrap_or(8);
                 WorkloadSpec::generated(seed, blocks, k, ops)
+            } else if args.has("--path-race") {
+                WorkloadSpec::path_race_mix(k)
             } else {
                 WorkloadSpec::key_steal_mix(k)
             }

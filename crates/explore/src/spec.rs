@@ -133,6 +133,32 @@ impl WorkloadSpec {
         }
     }
 
+    /// A delete racing an insert for node 4's lock word, scaled to `k`.
+    ///
+    /// Block 0 performs five full INSERTs: the first four fill the root
+    /// and nodes 2–4. Block 1 deletes `k` keys, refilling the root from
+    /// node 4 and descending into node 2, whose children are nodes 4 and
+    /// 5. A fifth insert that runs while the delete holds node 2
+    /// reserves node 4 as its TARGET with node 2 as its first path node,
+    /// so its reserving CAS finds node 2 held, and the delete's next
+    /// level then needs node 4's word. Two preemptions reach it: one
+    /// stops block 0 before its fifth insert, one stops the delete after
+    /// it released the root.
+    pub fn path_race_mix(k: usize) -> Self {
+        let insert =
+            |b: usize| WorkOp::Insert((0..k).map(|i| (b * k + i) as u32).collect::<Vec<_>>());
+        Self {
+            k,
+            max_nodes: 16,
+            use_collaboration: true,
+            mutation: Mutation::None,
+            scripts: vec![(0..5).map(insert).collect(), vec![WorkOp::DeleteMin(k)]],
+            faults: Vec::new(),
+            front: FrontSpec::Single,
+            fault_shard: None,
+        }
+    }
+
     /// The canonical sharded-router workload: three shards behind the
     /// `bgpq-shard` router with the circuit breaker and salvage
     /// re-admission armed, and shard 2 rigged to crash its first
@@ -255,6 +281,7 @@ pub fn mutation_name(m: Mutation) -> &'static str {
         Mutation::MarkedHandoffEarlyAvail => "marked-early-avail",
         Mutation::SweepDiscardsOnTrip => "sweep-discards-on-trip",
         Mutation::CombinerDropsForeignInsert => "combiner-drops-foreign",
+        Mutation::PathWaitHoldsTarget => "path-wait-holds-target",
     }
 }
 
@@ -265,6 +292,7 @@ pub fn parse_mutation(s: &str) -> Result<Mutation, String> {
         "marked-early-avail" => Ok(Mutation::MarkedHandoffEarlyAvail),
         "sweep-discards-on-trip" => Ok(Mutation::SweepDiscardsOnTrip),
         "combiner-drops-foreign" => Ok(Mutation::CombinerDropsForeignInsert),
+        "path-wait-holds-target" => Ok(Mutation::PathWaitHoldsTarget),
         other => Err(format!("unknown mutation `{other}`")),
     }
 }
@@ -512,6 +540,21 @@ mod tests {
         assert_eq!(spec.blocks(), 2);
         assert_eq!(spec.keys_inserted(), 16);
         assert_eq!(spec.scripts[1], vec![WorkOp::DeleteMin(2), WorkOp::DeleteMin(4)]);
+    }
+
+    #[test]
+    fn path_race_mix_shape() {
+        let spec = WorkloadSpec::path_race_mix(2);
+        assert_eq!(spec.blocks(), 2);
+        assert_eq!(spec.keys_inserted(), 10);
+        assert_eq!(spec.scripts[1], vec![WorkOp::DeleteMin(2)]);
+        let text = SchedFile {
+            spec: spec.with_mutation(Mutation::PathWaitHoldsTarget),
+            overrides: vec![(4, 1)],
+        }
+        .to_string();
+        assert!(text.contains("mutation path-wait-holds-target"));
+        assert_eq!(SchedFile::parse(&text).expect("parses").to_string(), text);
     }
 
     #[test]

@@ -123,6 +123,10 @@ pub struct Access {
 /// Base of the agent-tag region (high bit: no lock arena reaches it).
 pub const AGENT_BASE: u64 = 1 << 63;
 
+/// Panic-message marker of an agent aborted because another agent's
+/// panic (or the deadlock detector) poisoned the run.
+pub(crate) const ABORTED: &str = "aborting agent";
+
 impl Access {
     /// Point access at a single address.
     pub fn point(addr: u64, write: bool) -> Self {
@@ -653,7 +657,7 @@ impl Scheduler {
             if inner.granted[id] {
                 inner.granted[id] = false;
                 if inner.poisoned {
-                    panic!("gpu-sim: aborting agent {id}: another agent panicked");
+                    panic!("gpu-sim: {ABORTED} {id}: another agent panicked");
                 }
                 inner.status[id] = Status::Running;
                 inner.last_running = Some(id);

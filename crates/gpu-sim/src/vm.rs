@@ -2,7 +2,7 @@
 //! and reports the virtual makespan.
 
 use crate::config::GpuConfig;
-use crate::sched::{Scheduler, SimMetrics, SimWorker};
+use crate::sched::{Scheduler, SimMetrics, SimWorker, ABORTED};
 use primitives::{CostModel, PrimitiveCost};
 use std::sync::Arc;
 
@@ -117,10 +117,20 @@ fn run_wave<T: Sync>(
                 ctx.worker.finish();
             }));
         }
+        // Re-raise the panic that ended the run, not that of an agent
+        // aborted because of it (a deadlock or a fault panics in one
+        // agent and aborts the rest, in any block order).
+        let mut cause = None;
         for h in handles {
             if let Err(e) = h.join() {
-                std::panic::resume_unwind(e);
+                let aborted = e.downcast_ref::<String>().is_some_and(|m| m.contains(ABORTED));
+                if cause.as_ref().is_none_or(|(was_aborted, _)| *was_aborted && !aborted) {
+                    cause = Some((aborted, e));
+                }
             }
+        }
+        if let Some((_, e)) = cause {
+            std::panic::resume_unwind(e);
         }
     });
 }

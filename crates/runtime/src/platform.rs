@@ -56,14 +56,23 @@ pub trait Platform: Send + Sync {
     /// Try to acquire `lock` without blocking.
     fn try_lock(&self, w: &mut Self::Worker, lock: usize) -> bool;
 
+    /// [`Platform::try_lock`] at no cost of its own: one compare-and-swap
+    /// issued in the same atomic round trip as an earlier charged
+    /// `try_lock` or `unlock` it does not depend on. A plain
+    /// [`Platform::try_lock`] unless the platform charges lock traffic.
+    fn try_lock_uncharged(&self, w: &mut Self::Worker, lock: usize) -> bool {
+        self.try_lock(w, lock)
+    }
+
     /// Release `lock` (caller must hold it).
     fn unlock(&self, w: &mut Self::Worker, lock: usize);
 
-    /// Release `lock`, taken by [`Platform::try_lock`], at no cost of its
-    /// own: the two model one compare-and-swap on a device word holding
-    /// the lock bit and the node's state, whose single atomic round trip
-    /// the `try_lock` already paid. A plain [`Platform::unlock`] unless
-    /// the platform charges lock traffic.
+    /// Release `lock` at no cost of its own: either the release ends a
+    /// [`Platform::try_lock`] that models one compare-and-swap on a
+    /// device word holding the lock bit and the node's state, whose
+    /// single atomic round trip the `try_lock` already paid, or it rides
+    /// in the round trip of a charged release just before it. A plain
+    /// [`Platform::unlock`] unless the platform charges lock traffic.
     fn unlock_uncharged(&self, w: &mut Self::Worker, lock: usize) {
         self.unlock(w, lock);
     }

@@ -83,6 +83,11 @@ impl Platform for SimPlatform {
         w.try_lock(self.base_lock + lock, self.cost.c_atomic)
     }
 
+    fn try_lock_uncharged(&self, w: &mut SimWorker, lock: usize) -> bool {
+        debug_assert!(lock < self.num_locks);
+        w.try_lock(self.base_lock + lock, 0)
+    }
+
     fn unlock(&self, w: &mut SimWorker, lock: usize) {
         debug_assert!(lock < self.num_locks);
         w.unlock(self.base_lock + lock, self.cost.c_atomic);

@@ -108,6 +108,55 @@ fn mutation_needs_more_than_one_preemption() {
     assert!(report.counterexample.is_none());
 }
 
+/// The lock-order tripwire: `PathWaitHoldsTarget` makes an overflowing
+/// insert wait for its first path node (node 2) while it still holds
+/// the word of its TARGET node (node 4), which a delete holding node 2
+/// locks as a child. Two preemptions reach the race; the explorer must
+/// report the deadlock, shrink it, and replay it, and the correct order
+/// (mark node 4 and release its word before the wait) passes the same
+/// schedule.
+#[test]
+fn path_wait_mutation_deadlock_is_caught_shrunk_and_replayable() {
+    install_quiet_panic_hook();
+    let spec = WorkloadSpec::path_race_mix(4).with_mutation(Mutation::PathWaitHoldsTarget);
+    let cfg =
+        |budget| ExploreConfig { preemption_budget: budget, max_runs: 0, ..Default::default() };
+    let early = explore(&spec, &cfg(1));
+    assert!(early.exhausted && early.counterexample.is_none(), "{:?}", early.counterexample);
+
+    let ce = explore(&spec, &cfg(2)).counterexample.expect("the lock-order bug must be caught");
+    assert!(
+        matches!(ce.violation, bgpq_explore::Violation::Deadlock(_)),
+        "expected a deadlock, got {:?}",
+        ce.violation
+    );
+    let (min, _replays) = shrink(&spec, &ce);
+    assert!(min.overrides.len() <= 2, "shrinks to two overrides, got {}", min.overrides.len());
+
+    let text = SchedFile { spec: spec.clone(), overrides: min.overrides.clone() }.to_string();
+    let parsed = SchedFile::parse(&text).expect("artifact parses back");
+    let a = replay(&parsed.spec, &parsed.overrides);
+    let b = replay(&parsed.spec, &parsed.overrides);
+    assert_eq!(a.violation, Some(min.violation.clone()), "replay reproduces the deadlock");
+    assert_eq!(a.decisions, b.decisions, "replay is bit-for-bit deterministic");
+
+    let fixed = replay(&WorkloadSpec::path_race_mix(4), &min.overrides);
+    assert_eq!(fixed.violation, None, "{:?}", fixed.violation);
+}
+
+/// The full preemption-bound-2 tree of the path-race mix (~0.9k
+/// schedules); ignored in the default run, executed by CI's
+/// explore-smoke job.
+#[test]
+#[ignore = "exhaustive budget-2 tree; run by CI explore-smoke"]
+fn exhaustive_budget_two_path_race_mix_is_clean() {
+    let spec = WorkloadSpec::path_race_mix(4);
+    let report =
+        explore(&spec, &ExploreConfig { preemption_budget: 2, max_runs: 0, ..Default::default() });
+    assert!(report.exhausted);
+    assert!(report.counterexample.is_none(), "{:?}", report.counterexample);
+}
+
 /// Bounded random checking of configurations too large to enumerate:
 /// 3-block pseudo-random insert/delete mixes at k=8.
 #[test]
