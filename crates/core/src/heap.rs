@@ -519,9 +519,12 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         self.opts.capacity_items()
     }
 
-    /// Resident bytes of the preallocated node storage (the paper's
+    /// Bytes reserved for the preallocated node storage (the paper's
     /// memory-efficiency criterion: `k + O(1)` words for `k` keys —
-    /// Table 1 footnote b). Entries plus one state byte per node.
+    /// Table 1 footnote b). Entries plus one state byte per node. The
+    /// reservation is not written up front: resident bytes grow with
+    /// the nodes filled, and reach this figure once every node has
+    /// held keys.
     pub fn memory_bytes(&self) -> usize {
         (self.opts.max_nodes + 1)
             * (self.opts.node_capacity * std::mem::size_of::<Entry<K, V>>() + 1)
@@ -1035,6 +1038,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             if nxt != tar {
                 self.prefetch_node_full(nxt, k);
             }
+            debug_assert_eq!(self.storage.state(cur), NodeState::Avail);
             // SAFETY: we hold `cur`'s lock; path nodes are full AVAIL.
             unsafe {
                 split::sort_split_full_entries(self.storage.node_mut(cur), buf, scratch);
@@ -1056,9 +1060,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         c.touch(tar, false);
         if self.storage.state(tar) == NodeState::Target {
             // SAFETY: we hold tar's lock and it is TARGET (reserved for
-            // us; no keys yet).
+            // us; no keys yet, and perhaps never written).
             unsafe {
-                self.storage.node_mut(tar).copy_from_slice(&buf[..k]);
+                self.storage.fill(tar, &buf[..k]);
             }
             c.changed(tar);
             c.store([(tar, k)]);

@@ -15,6 +15,14 @@
 //!
 //! * node `i`'s entries may be accessed only while holding lock `i`
 //!   (lock `1` for both the root and the buffer, which share it — §4);
+//! * **first-fill rule**: the entry array is reserved, not written.
+//!   Nodes `0` and `1` start sentinel-filled; every other node's slots
+//!   are uninitialized until its first [`NodeStorage::fill`], and the
+//!   node may be viewed through [`NodeStorage::node_ref`] /
+//!   [`NodeStorage::node_mut`] only after it. The heap keeps this by
+//!   reading a node `≥ 2` only while it is `AVAIL`, which it becomes
+//!   only right after the TARGET fill writes all `k` slots. Debug
+//!   builds check the rule with a per-node written flag;
 //! * **collaboration exception** (§4.3, footnote 2): a DELETEMIN holding
 //!   the root lock that finds its refill node in state `TARGET` sets it
 //!   to `MARKED` and *delegates* the root refill to the inserting
@@ -29,6 +37,9 @@
 
 use pq_api::{Entry, KeyType, ValueType};
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// State of a heap node (§4).
@@ -72,31 +83,52 @@ pub struct Meta {
 /// Index of the partial buffer's storage slot.
 pub const PBUFFER: usize = 0;
 
+/// One entry slot: uninitialized until its node's first fill.
+type Slot<K, V> = UnsafeCell<MaybeUninit<Entry<K, V>>>;
+
 pub struct NodeStorage<K, V> {
-    entries: Box<[UnsafeCell<Entry<K, V>>]>,
+    entries: Box<[Slot<K, V>]>,
     states: Box<[AtomicU8]>,
+    /// Per node: its slots have been written (the first-fill rule).
+    #[cfg(debug_assertions)]
+    written: Box<[AtomicBool]>,
     meta: UnsafeCell<Meta>,
     k: usize,
     max_nodes: usize,
 }
 
 // SAFETY: access to `entries` and `meta` follows the lock protocol in
-// the module docs; `states` are atomics.
+// the module docs; `states` (and the debug `written` flags) are atomics.
 unsafe impl<K: Send, V: Send> Send for NodeStorage<K, V> {}
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for NodeStorage<K, V> {}
 
 impl<K: KeyType, V: ValueType> NodeStorage<K, V> {
-    /// Allocate storage for `max_nodes` heap nodes of capacity `k` plus
-    /// the partial buffer. All nodes start `Empty` and sentinel-filled.
+    /// Reserve storage for `max_nodes` heap nodes of capacity `k` plus
+    /// the partial buffer. All nodes start `Empty`; only the pBuffer
+    /// (node 0) and the root (node 1) are sentinel-filled. The other
+    /// nodes' slots stay unwritten until each node's first
+    /// [`Self::fill`], so the pages of nodes never filled never become
+    /// resident.
     pub fn new(k: usize, max_nodes: usize) -> Self {
         assert!(k >= 1, "node capacity must be positive");
         assert!(max_nodes >= 1, "need at least the root node");
         let slots = (max_nodes + 1) * k;
-        let entries: Box<[UnsafeCell<Entry<K, V>>]> =
-            (0..slots).map(|_| UnsafeCell::new(Entry::sentinel())).collect();
+        // SAFETY: `UnsafeCell<MaybeUninit<_>>` is valid uninitialized.
+        let mut entries = unsafe { Box::<[Slot<K, V>]>::new_uninit_slice(slots).assume_init() };
+        for slot in &mut entries[..2 * k] {
+            slot.get_mut().write(Entry::sentinel());
+        }
         let states: Box<[AtomicU8]> =
             (0..max_nodes + 1).map(|_| AtomicU8::new(NodeState::Empty as u8)).collect();
-        Self { entries, states, meta: UnsafeCell::new(Meta::default()), k, max_nodes }
+        Self {
+            entries,
+            states,
+            #[cfg(debug_assertions)]
+            written: (0..max_nodes + 1).map(|node| AtomicBool::new(node <= 1)).collect(),
+            meta: UnsafeCell::new(Meta::default()),
+            k,
+            max_nodes,
+        }
     }
 
     /// Node capacity `k`.
@@ -111,20 +143,54 @@ impl<K: KeyType, V: ValueType> NodeStorage<K, V> {
         self.max_nodes
     }
 
+    /// Write `src` (exactly `k` entries) into node `node`'s slots. The
+    /// one way to write a node before its first fill: it forms no
+    /// reference over the unwritten slots.
+    ///
+    /// # Safety
+    /// As [`Self::node_mut`], except that the node may be unwritten.
+    #[inline]
+    pub unsafe fn fill(&self, node: usize, src: &[Entry<K, V>]) {
+        debug_assert!(node <= self.max_nodes);
+        assert_eq!(src.len(), self.k, "a fill writes a whole node");
+        let base = self.entries[node * self.k].get().cast::<Entry<K, V>>();
+        // SAFETY: `base` points at `k` contiguous slots of node `node`,
+        // which the caller owns, and `src` is a live slice elsewhere.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), base, self.k) };
+        // Relaxed: the flag publishes nothing. The lock or the AVAIL
+        // release/acquire pair that orders this fill before a later
+        // read of the node orders the flag with it.
+        #[cfg(debug_assertions)]
+        self.written[node].store(true, Ordering::Relaxed);
+    }
+
+    /// Debug check of the first-fill rule (see the module docs).
+    #[inline]
+    fn check_written(&self, node: usize) {
+        debug_assert!(node <= self.max_nodes);
+        #[cfg(debug_assertions)]
+        assert!(
+            self.written[node].load(Ordering::Relaxed),
+            "node {node} read before its first fill"
+        );
+    }
+
     /// Mutable view of node `node`'s `k` entry slots.
     ///
     /// # Safety
     /// Caller must own node `node` per the module's protocol (hold its
-    /// lock, or be the collaboration-phase owner), and must not hold
-    /// another live reference to the same node.
+    /// lock, or be the collaboration-phase owner), must not hold
+    /// another live reference to the same node, and node `node` must
+    /// have been filled (nodes 0 and 1 always are; see the first-fill
+    /// rule).
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn node_mut(&self, node: usize) -> &mut [Entry<K, V>] {
-        debug_assert!(node <= self.max_nodes);
+        self.check_written(node);
         let base = self.entries[node * self.k].get();
-        // SAFETY: `base` points at `k` contiguous `UnsafeCell<Entry>`
-        // slots; `UnsafeCell<T>` has the same layout as `T`; exclusivity
-        // is the caller's protocol obligation.
+        // SAFETY: `base` points at `k` contiguous, written
+        // `UnsafeCell<MaybeUninit<Entry>>` slots, which have the layout
+        // of `Entry`; exclusivity is the caller's protocol obligation.
         unsafe { std::slice::from_raw_parts_mut(base.cast::<Entry<K, V>>(), self.k) }
     }
 
@@ -143,7 +209,7 @@ impl<K: KeyType, V: ValueType> NodeStorage<K, V> {
     /// As [`Self::node_mut`], except aliasing shared views are fine.
     #[inline]
     pub unsafe fn node_ref(&self, node: usize) -> &[Entry<K, V>] {
-        debug_assert!(node <= self.max_nodes);
+        self.check_written(node);
         let base = self.entries[node * self.k].get();
         unsafe { std::slice::from_raw_parts(base.cast::<Entry<K, V>>(), self.k) }
     }
@@ -184,15 +250,26 @@ mod tests {
         assert_eq!(st.max_nodes(), 8);
         for node in 0..=8 {
             assert_eq!(st.state(node), NodeState::Empty);
+        }
+        for node in [PBUFFER, 1] {
             let entries = unsafe { st.node_ref(node) };
             assert!(entries.iter().all(|e| e.is_sentinel()));
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "before its first fill")]
+    fn reading_an_unfilled_node_panics() {
+        let st = NodeStorage::<u32, ()>::new(4, 8);
+        let _ = unsafe { st.node_ref(2) };
     }
 
     #[test]
     fn nodes_are_disjoint() {
         let st = NodeStorage::<u32, u32>::new(2, 4);
         unsafe {
+            st.fill(2, &[Entry::sentinel(); 2]);
             let a = st.node_mut(1);
             let b = st.node_mut(2);
             a[0] = Entry::new(10, 0);

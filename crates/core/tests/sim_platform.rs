@@ -201,6 +201,9 @@ fn keys(from: usize, n: usize) -> Vec<Entry<u32, u32>> {
     (from as u32..(from + n) as u32).map(|key| Entry::new(key, 0)).collect()
 }
 
+/// A traced queue with its scheduler and lock base.
+type Traced = (Arc<gpu_sim::Scheduler>, usize, SimQueue);
+
 /// Build a traced queue whose node `n` is the scheduler's lock
 /// `base + n`: the platform's lock arena is created right after the
 /// probe, so `base` is the first lock it will hand out.
@@ -208,7 +211,7 @@ fn traced_queue(
     sched: &std::sync::Arc<gpu_sim::Scheduler>,
     cfg: &GpuConfig,
     opts: BgpqOptions,
-) -> (std::sync::Arc<gpu_sim::Scheduler>, usize, SimQueue) {
+) -> Traced {
     sched.enable_trace(1 << 12);
     let base = sched.create_locks(0);
     (std::sync::Arc::clone(sched), base, sim_queue(sched, cfg, opts))
@@ -388,6 +391,37 @@ fn insert_moves_root_and_buffer_together() {
     assert_eq!(rel[3] - acq[3], overflow, "overflowing insert's root section");
 }
 
+/// Preload phase of the collaboration tests (pinned shape): root =
+/// [0, k), nodes 2 and 3 the next two ranges.
+fn collab_preload(ctx: &mut gpu_sim::BlockCtx, (_, _, q): &Traced) {
+    if ctx.block_id() == 0 {
+        for b in 0..3 {
+            q.insert(ctx.worker(), &keys(b * K, K));
+        }
+    }
+}
+
+/// Race phase of the collaboration tests: block 0's overflowing insert
+/// reserves node 4, whose TARGET fill block 1's delete of [0, k) takes
+/// over as a collaboration.
+fn collab_race(ctx: &mut gpu_sim::BlockCtx, (_, _, q): &Traced) {
+    if ctx.block_id() == 0 {
+        // Heapifies down to TARGET node 4 via node 2, releasing the
+        // root on the way.
+        q.insert(ctx.worker(), &keys(3 * K, K));
+    } else {
+        // Queue on the root lock while the inserter holds it: the
+        // refill then finds node 4 still TARGET.
+        let cost = ctx.cost_model();
+        let algo = BgpqOptions::default().sort_algo;
+        let sort = cost.cycles(PrimitiveCost::SortWith { n: K, algo }, ctx.block_dim());
+        ctx.advance(sort + cost.c_atomic);
+        let mut out = Vec::new();
+        assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
+        assert!(out.iter().map(|e| e.key).eq(0..K as u32), "wrong result set");
+    }
+}
+
 /// A DELETEMIN that collaborates with a MARKED inserter loads the
 /// results (and the pBuffer) before handing the root over, and loads
 /// the root the inserter stored together with level 0's children. Two
@@ -398,31 +432,11 @@ fn collaborating_delete_loads_the_inserted_root() {
     let (cfg, opts) = pinned_cfg(2);
     let c = |p: PrimitiveCost| cyc(&cfg, p);
     let a = cfg.cost.c_atomic;
-    let sort = c(PrimitiveCost::SortWith { n: K, algo: opts.sort_algo });
-    let preload = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
-        if ctx.block_id() == 0 {
-            // Root = [0, k), nodes 2 and 3 the next two ranges.
-            for b in 0..3 {
-                q.insert(ctx.worker(), &keys(b * K, K));
-            }
-        }
-    };
-    let race = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &(_, usize, SimQueue)| {
-        if ctx.block_id() == 0 {
-            // Heapifies down to TARGET node 4 via node 2, releasing the
-            // root on the way.
-            q.insert(ctx.worker(), &keys(3 * K, K));
-        } else {
-            // Queue on the root lock while the inserter holds it: the
-            // refill then finds node 4 still TARGET.
-            ctx.advance(sort + a);
-            let mut out = Vec::new();
-            assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
-            assert!(out.iter().map(|e| e.key).eq(0..K as u32), "wrong result set");
-        }
-    };
-    let (_, (sched, base, q)) =
-        gpu_sim::launch_phased(cfg, |sched| traced_queue(sched, &cfg, opts), &[&preload, &race]);
+    let (_, (sched, base, q)) = gpu_sim::launch_phased(
+        cfg,
+        |sched| traced_queue(sched, &cfg, opts),
+        &[&collab_preload, &collab_race],
+    );
     q.check_invariants();
     assert_eq!(q.stats().snapshot().collaborations, 1, "the delete must collaborate");
     let trace = sched.take_trace();
@@ -449,6 +463,37 @@ fn collaborating_delete_loads_the_inserted_root() {
         + a;
     assert_eq!(expected, 1666);
     assert_eq!(level0, expected, "level 0 of a collaborating delete");
+}
+
+/// Node storage is reserved, not written: a node's slots are first
+/// written by its TARGET fill. Node 4's first reservation ends in the
+/// collaboration above, so it is never written; the next overflowing
+/// insert reserves it again and fills it before anything reads it.
+#[test]
+fn a_node_reserved_by_a_collaboration_is_filled_by_its_next_insert() {
+    let (cfg, opts) = pinned_cfg(2);
+    let refill = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &Traced| {
+        if ctx.block_id() == 0 {
+            // The root keeps [0, k) and carries its old keys through
+            // node 2, whose largest range lands in node 4.
+            q.insert(ctx.worker(), &keys(0, K));
+            assert_eq!(q.check_invariants(), 4 * K);
+            let mut out = Vec::new();
+            q.drain(ctx.worker(), &mut out);
+            assert!(out.iter().map(|e| e.key).eq(0..4 * K as u32), "drain out of order");
+        }
+    };
+    let (_, (_, _, q)) = gpu_sim::launch_phased(
+        cfg,
+        |sched| traced_queue(sched, &cfg, opts),
+        &[&collab_preload, &collab_race, &refill],
+    );
+    let stats = q.stats().snapshot();
+    assert_eq!(stats.collaborations, 1, "node 4's first reservation ends in the collaboration");
+    assert_eq!(q.check_invariants(), 0);
+    if let Some(v) = check_history(&q.take_history()) {
+        panic!("history violation at seq {}: {}", v.seq, v.detail);
+    }
 }
 
 /// Cycles the scheduler adds when it hands a released lock to a waiter.
