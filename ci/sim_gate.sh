@@ -4,9 +4,12 @@
 # Sim cells repeat bit for bit per seed, so a committed baseline can gate
 # them exactly. `run` prints the `sim_*` and `queue_mib` lines of
 # `perfbench --workload all --quick` for seeds 1-3, each prefixed with its
-# seed. `compare` fails when a `sim_*` line is worse than the baseline by
-# more than its BENCHMARK.json bound, when `queue_mib` differs at all, or
-# when a line is missing from either side.
+# seed, and those of one full-length `astar_grid` run (seed 1, ~40 s),
+# prefixed `full1`: the quick 64x64 grid never heapifies, so only the
+# full search's lines see heapify levels and delete/insert
+# collaborations. `compare` fails when a `sim_*` line is worse than the
+# baseline by more than its BENCHMARK.json bound, when `queue_mib`
+# differs at all, or when a line is missing from either side.
 #
 #   ci/sim_gate.sh run > ci/sim_baseline.txt       # re-record the baseline
 #   ci/sim_gate.sh run > sim-current.txt
@@ -16,12 +19,14 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 
 case "${1:-}" in
 run)
-    for seed in 1 2 3; do
+    sim_lines() {
         cargo run --quiet --release --offline --locked --manifest-path "$root/perfbench/Cargo.toml" \
-            -- --workload all --quick --seed "$seed" \
-            | grep -E '^[a-z_]+ (sim_[a-z0-9_]+|queue_mib) ' \
-            | sed "s/^/seed$seed /"
+            -- "$@" | grep -E '^[a-z_]+ (sim_[a-z0-9_]+|queue_mib) '
+    }
+    for seed in 1 2 3; do
+        sim_lines --workload all --quick --seed "$seed" | sed "s/^/seed$seed /"
     done
+    sim_lines --workload astar_grid --seed 1 --seconds 1 | sed "s/^/full1 /"
     ;;
 compare)
     baseline=${2:?usage: sim_gate.sh compare BASELINE CURRENT}

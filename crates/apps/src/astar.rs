@@ -14,20 +14,15 @@
 //! the paper's Manhattan distance (in units of 1 ≤ half a straight
 //! step), which keeps it admissible under 8-direction movement.
 
+use crate::watchdog::{Idle, Watchdog};
 use pq_api::{BatchPriorityQueue, Entry};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 use workloads::Grid;
 
 /// Cost of a straight move (N/S/E/W).
 pub const STRAIGHT_COST: u64 = 2;
 /// Cost of a diagonal move.
 pub const DIAGONAL_COST: u64 = 3;
-
-/// Wall-clock time with open entries outstanding but no pop anywhere
-/// after which a worker gives up: a queue that holds keys it never
-/// returns fails loudly instead of hanging the search.
-const WATCHDOG: Duration = Duration::from_secs(10);
 
 /// An open-list entry: a cell reached with cost `g`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,6 +60,7 @@ where
     let incumbent = AtomicU64::new(u64::MAX);
     let outstanding = AtomicI64::new(1);
     let expanded = AtomicU64::new(0);
+    let watchdog = Watchdog::new("A*");
 
     let (sx, sy) = grid.start();
     best_g[grid.idx(sx, sy)].store(0, Ordering::Release);
@@ -78,30 +74,19 @@ where
                 let k = q.batch_capacity();
                 let mut out: Vec<Entry<u64, AstarNode>> = Vec::with_capacity(k);
                 let mut children: Vec<Entry<u64, AstarNode>> = Vec::with_capacity(8 * k);
-                // When this worker went idle, and the global pop count then.
-                let mut idle: Option<(Instant, u64)> = None;
+                let mut idle = Idle::default();
                 loop {
                     out.clear();
                     let got = q.delete_min_batch(&mut out, k);
                     if got == 0 {
                         let left = outstanding.load(Ordering::Acquire);
-                        if left <= 0 {
-                            return;
-                        }
                         let popped = expanded.load(Ordering::Relaxed);
-                        match idle {
-                            Some((since, seen)) if seen == popped => assert!(
-                                since.elapsed() < WATCHDOG,
-                                "A* stalled: {left} entries outstanding, queue len {}, \
-                                 no pop for {WATCHDOG:?}",
-                                q.len()
-                            ),
-                            _ => idle = Some((Instant::now(), popped)),
+                        if left <= 0 || watchdog.stalled(&mut idle, left, popped, || q.len()) {
+                            return;
                         }
                         std::thread::yield_now();
                         continue;
                     }
-                    idle = None;
                     children.clear();
                     for e in &out {
                         let node = e.value;
@@ -162,6 +147,7 @@ where
             });
         }
     });
+    watchdog.check();
 
     let g = incumbent.load(Ordering::Acquire);
     AstarResult {

@@ -10,6 +10,7 @@
 //! exploration finds the optimum — so the driver is safe for relaxed
 //! queues (SprayList) too; strict queues just prune more.
 
+use crate::watchdog::{Idle, Watchdog};
 use pq_api::{BatchPriorityQueue, Entry};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use workloads::KnapsackInstance;
@@ -62,6 +63,7 @@ where
     let incumbent = AtomicU64::new(0);
     let outstanding = AtomicI64::new(1);
     let expanded = AtomicU64::new(0);
+    let watchdog = Watchdog::new("knapsack");
     let root = KsNode { level: 0, profit: 0, weight: 0 };
     let root_bound = inst.upper_bound(0, 0, 0);
     q.insert_batch(&[Entry::new(bound_to_key(root_bound), root)]);
@@ -72,6 +74,7 @@ where
                 let k = q.batch_capacity();
                 let mut out: Vec<Entry<u64, KsNode>> = Vec::with_capacity(k);
                 let mut children: Vec<Entry<u64, KsNode>> = Vec::with_capacity(2 * k);
+                let mut idle = Idle::default();
                 loop {
                     if let Some(b) = budget {
                         if expanded.load(Ordering::Relaxed) >= b {
@@ -81,7 +84,9 @@ where
                     out.clear();
                     let got = q.delete_min_batch(&mut out, k);
                     if got == 0 {
-                        if outstanding.load(Ordering::Acquire) <= 0 {
+                        let left = outstanding.load(Ordering::Acquire);
+                        let popped = expanded.load(Ordering::Relaxed);
+                        if left <= 0 || watchdog.stalled(&mut idle, left, popped, || q.len()) {
                             return;
                         }
                         std::thread::yield_now();
@@ -140,6 +145,7 @@ where
             });
         }
     });
+    watchdog.check();
 
     KsResult {
         best_profit: incumbent.load(Ordering::Acquire),

@@ -17,6 +17,7 @@
 pub mod astar;
 pub mod knapsack;
 pub mod sssp;
+mod watchdog;
 
 pub use astar::{solve_astar, solve_astar_sequential, AstarNode, AstarResult};
 pub use knapsack::{

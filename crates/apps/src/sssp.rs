@@ -9,6 +9,7 @@
 //! drains; with non-negative weights the distance array then equals the
 //! sequential Dijkstra's.
 
+use crate::watchdog::{Idle, Watchdog};
 use pq_api::{BatchPriorityQueue, Entry};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use workloads::Graph;
@@ -40,6 +41,7 @@ where
     best[source].store(0, Ordering::Release);
     let outstanding = AtomicI64::new(1);
     let expanded = AtomicU64::new(0);
+    let watchdog = Watchdog::new("SSSP");
     q.insert_batch(&[Entry::new(0, SsspNode { vertex: source as u32, dist: 0 })]);
 
     std::thread::scope(|s| {
@@ -48,11 +50,14 @@ where
                 let k = q.batch_capacity();
                 let mut out: Vec<Entry<u64, SsspNode>> = Vec::with_capacity(k);
                 let mut children: Vec<Entry<u64, SsspNode>> = Vec::with_capacity(4 * k);
+                let mut idle = Idle::default();
                 loop {
                     out.clear();
                     let got = q.delete_min_batch(&mut out, k);
                     if got == 0 {
-                        if outstanding.load(Ordering::Acquire) <= 0 {
+                        let left = outstanding.load(Ordering::Acquire);
+                        let popped = expanded.load(Ordering::Relaxed);
+                        if left <= 0 || watchdog.stalled(&mut idle, left, popped, || q.len()) {
                             return;
                         }
                         std::thread::yield_now();
@@ -101,6 +106,7 @@ where
             });
         }
     });
+    watchdog.check();
 
     SsspResult {
         dist: best.iter().map(|a| a.load(Ordering::Acquire)).collect(),

@@ -311,8 +311,17 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
         }
         let got_a = self.q.platform.try_lock(self.w, a);
         let got_b = b.filter(|&b| self.q.platform.try_lock_uncharged(self.w, b));
+        self.took([got_a.then_some(a), got_b])?;
+        Ok((got_a, got_b.is_some()))
+    }
+
+    /// Track the words a CAS took and fire their post-acquire points; a
+    /// CAS that took a word on a poisoned queue releases every held
+    /// lock instead. Always inlined: as a call it added 3–5% to the
+    /// host time of an insert-only queue build (EXPERIMENTS E19).
+    #[inline(always)]
+    fn took(&mut self, got: [Option<usize>; 2]) -> Result<(), QueueError> {
         // Track every word taken before any injection point can unwind.
-        let got = [got_a.then_some(a), got_b];
         for lock in got.into_iter().flatten() {
             self.track(lock);
         }
@@ -323,7 +332,23 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
             self.release_all();
             return Err(QueueError::Poisoned);
         }
-        Ok((got_a, got_b.is_some()))
+        Ok(())
+    }
+
+    /// Release `held` and CAS `lock`'s word in the same atomic round
+    /// trip: the CAS rides the charged release. A word found locked
+    /// takes the charged lock path after the release, so that wait
+    /// holds nothing.
+    fn release_then_take(&mut self, held: usize, lock: usize) -> Result<Word, QueueError> {
+        self.unlock(held);
+        self.inject(InjectionPoint::PreLockAcquire);
+        let got = self.q.platform.try_lock_uncharged(self.w, lock);
+        self.took([got.then_some(lock), None])?;
+        if got {
+            return Ok(Word::Cas);
+        }
+        self.lock_or_poison(lock)?;
+        Ok(Word::Locked)
     }
 
     /// Lock `a` and, if given, `b`: one [`Crit::cas`] of both words,
@@ -1029,6 +1054,15 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 }
             }
             self.unlock_path(c, held, ctx);
+            if held != ROOT {
+                // `tar`'s state rides in the round trip that released
+                // `held`: a delete may have marked `tar` while this
+                // block waited for `cur` (DESIGN §2).
+                c.touch(tar, false);
+                if self.storage.state(tar) == NodeState::Marked {
+                    return self.answer_at_lock(c, cur, tar, &buf[..k], ctx);
+                }
+            }
             held = cur;
             c.load(k);
             c.charge(PrimitiveCost::SortSplit { na: k, nb: k });
@@ -1070,47 +1104,75 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             self.storage.set_state(tar, NodeState::Avail);
             self.record_protocol(ProtocolKind::TargetFilled, tar);
         } else {
-            // MARKED: a DELETEMIN is spinning on the root (holding the
-            // root lock); refill the root for it (§4.3).
-            debug_assert_eq!(self.storage.state(tar), NodeState::Marked);
-            #[cfg(any(test, feature = "mutations"))]
-            let early_avail =
-                self.opts.mutation == crate::options::Mutation::MarkedHandoffEarlyAvail;
-            #[cfg(not(any(test, feature = "mutations")))]
-            let early_avail = false;
-            if early_avail {
-                // DELIBERATE BUG (schedule-explorer self-test, see
-                // `Mutation::MarkedHandoffEarlyAvail`): publish AVAIL
-                // before the stolen keys land. A deleter scheduled into
-                // the charge below reads a stale root.
-                c.touch(ROOT, true);
-                self.storage.set_state(ROOT, NodeState::Avail);
-                c.changed(ROOT);
-                c.store([(ROOT, k)]);
-                unsafe {
-                    self.storage.node_mut(ROOT).copy_from_slice(&buf[..k]);
-                    self.storage.meta_mut().root_len = k;
-                }
-            } else {
-                // SAFETY: collaboration-phase ownership of the root
-                // entries and root_len (see storage module docs) — the
-                // deleter will not touch them until it observes AVAIL.
-                unsafe {
-                    self.storage.node_mut(ROOT).copy_from_slice(&buf[..k]);
-                    self.storage.meta_mut().root_len = k;
-                }
-                c.changed(ROOT);
-                c.store([(ROOT, k)]);
-                c.touch(ROOT, true);
-                self.storage.set_state(ROOT, NodeState::Avail);
-            }
-            c.touch(tar, true);
-            self.storage.set_state(tar, NodeState::Empty);
-            OpStats::bump(&self.stats.collaborations);
-            self.record_protocol(ProtocolKind::CollabRefill, tar);
+            self.answer_marked(c, tar, &buf[..k]);
         }
         c.unlock(tar);
         Ok(())
+    }
+
+    /// Answer a MARKED `tar` seen at the grant of path node `cur`:
+    /// `cur` is untouched, so it leaves, and `tar`'s word is taken, in
+    /// one round trip; then the batch refills the root. Cold: a delete
+    /// must have marked `tar` during this block's wait for `cur`.
+    #[cold]
+    fn answer_at_lock(
+        &self,
+        c: &mut Crit<'_, K, V, P>,
+        cur: usize,
+        tar: usize,
+        batch: &[Entry<K, V>],
+        ctx: &mut OpCtx<K>,
+    ) -> Result<(), QueueError> {
+        let word = match c.release_then_take(cur, tar) {
+            Ok(word) => word,
+            Err(e) => return self.insert_tail(ctx, e),
+        };
+        self.answer_marked(c, tar, batch);
+        c.release_word(tar, word);
+        Ok(())
+    }
+
+    /// Answer a MARKED `tar` (§4.3): a DELETEMIN spins on the root,
+    /// holding the root lock, until this insert's `batch` refills the
+    /// root. The caller holds `tar`'s word, whether it reached `tar` or
+    /// saw the marking at its next path lock.
+    fn answer_marked(&self, c: &mut Crit<'_, K, V, P>, tar: usize, batch: &[Entry<K, V>]) {
+        debug_assert_eq!(self.storage.state(tar), NodeState::Marked);
+        let k = batch.len();
+        #[cfg(any(test, feature = "mutations"))]
+        let early_avail = self.opts.mutation == crate::options::Mutation::MarkedHandoffEarlyAvail;
+        #[cfg(not(any(test, feature = "mutations")))]
+        let early_avail = false;
+        if early_avail {
+            // DELIBERATE BUG (schedule-explorer self-test, see
+            // `Mutation::MarkedHandoffEarlyAvail`): publish AVAIL before
+            // the stolen keys land. A deleter scheduled into the charge
+            // below reads a stale root.
+            c.touch(ROOT, true);
+            self.storage.set_state(ROOT, NodeState::Avail);
+            c.changed(ROOT);
+            c.store([(ROOT, k)]);
+            unsafe {
+                self.storage.node_mut(ROOT).copy_from_slice(batch);
+                self.storage.meta_mut().root_len = k;
+            }
+        } else {
+            // SAFETY: collaboration-phase ownership of the root entries
+            // and root_len (see storage module docs) — the deleter will
+            // not touch them until it observes AVAIL.
+            unsafe {
+                self.storage.node_mut(ROOT).copy_from_slice(batch);
+                self.storage.meta_mut().root_len = k;
+            }
+            c.changed(ROOT);
+            c.store([(ROOT, k)]);
+            c.touch(ROOT, true);
+            self.storage.set_state(ROOT, NodeState::Avail);
+        }
+        c.touch(tar, true);
+        self.storage.set_state(tar, NodeState::Empty);
+        OpStats::bump(&self.stats.collaborations);
+        self.record_protocol(ProtocolKind::CollabRefill, tar);
     }
 
     // ------------------------------------------------------------------
@@ -1400,7 +1462,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         // loaded. The loop yields `root_on_chip`, false only when a
         // collaborating inserter stored the new root itself.
         let mut pending = root_len + buf_len;
-        let mut root_on_chip = loop {
+        let root_on_chip = loop {
             let word = c.take_word(tar)?;
             if word == Word::Locked {
                 // The lock path reads the state with an atomic of its own.
@@ -1449,30 +1511,38 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
         };
 
-        // Re-establish root ≤ buffer (Alg. 2 line 13). The split needs
-        // the root on-chip, so a root the inserter stored is loaded now;
-        // the rewritten buffer is stored with level 0's root.
-        let mut buf_dirty = 0;
-        if buf_len > 0 {
-            if !root_on_chip {
-                c.load(k);
-                root_on_chip = true;
-            }
-            c.charge(PrimitiveCost::SortSplit { na: k, nb: buf_len });
-            // SAFETY: root lock held covers both the root and buffer.
-            unsafe {
-                let root = self.storage.node_mut(ROOT);
-                let pb = self.storage.node_mut(PBUFFER);
-                split::sort_split_entries(root, k, pb, buf_len, k, scratch);
-            }
-            c.changed(ROOT);
-            c.changed(PBUFFER);
-            buf_dirty = buf_len;
+        // Re-establish root ≤ buffer (Alg. 2 line 13) once the root is
+        // on-chip: now, or, for a root the inserter stored, right after
+        // level 0 loads it with the children. The rewritten buffer is
+        // stored with level 0's root.
+        if buf_len > 0 && root_on_chip {
+            self.split_root_buffer(c, buf_len, scratch);
         }
 
         OpStats::bump(&self.stats.delete_heapifies);
-        self.delete_heapify(c, out, start, remained, root_on_chip, buf_dirty, scratch, ctx)?;
+        self.delete_heapify(c, out, start, remained, root_on_chip, buf_len, scratch, ctx)?;
         Ok(out.len() - start)
+    }
+
+    /// SORT_SPLIT the refilled root's k keys with the pBuffer's
+    /// `buf_len`, both on-chip, so the root keeps the k smallest (Alg. 2
+    /// line 13). Caller holds the root lock.
+    fn split_root_buffer(
+        &self,
+        c: &mut Crit<'_, K, V, P>,
+        buf_len: usize,
+        scratch: &mut Vec<Entry<K, V>>,
+    ) {
+        let k = self.opts.node_capacity;
+        c.charge(PrimitiveCost::SortSplit { na: k, nb: buf_len });
+        // SAFETY: root lock held covers both the root and buffer.
+        unsafe {
+            let root = self.storage.node_mut(ROOT);
+            let pb = self.storage.node_mut(PBUFFER);
+            split::sort_split_entries(root, k, pb, buf_len, k, scratch);
+        }
+        c.changed(ROOT);
+        c.changed(PBUFFER);
     }
 
     /// Hint-prefetch the cache lines of node `node` that the next
@@ -1537,8 +1607,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// store, just before `cur`'s release, and `x` is released in
     /// `cur`'s release round trip. The winner `y` stays on-chip as the
     /// next level's `cur`. `root_on_chip` says the caller left a
-    /// changed, not yet stored root in shared memory; `buf_dirty`
-    /// pBuffer keys the refill split rewrote are stored with it.
+    /// changed, not yet stored root in shared memory, already split
+    /// with the `buf_len` pBuffer keys (on-chip); otherwise the root
+    /// arrives in level 0's load and that split follows it. Either way
+    /// the rewritten pBuffer keys are stored with the root.
     // The merge scratch arrives split off the op's arena, so it can't
     // ride in as one `&mut OpScratch` alongside `out` (which is also
     // arena-owned).
@@ -1550,7 +1622,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         start: usize,
         remained: usize,
         root_on_chip: bool,
-        buf_dirty: usize,
+        buf_len: usize,
         scratch: &mut Vec<Entry<K, V>>,
         ctx: &mut OpCtx<K>,
     ) -> Result<(), QueueError> {
@@ -1560,7 +1632,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         // `cur`'s keys are on-chip, changed and not yet stored.
         let mut cur_on_chip = root_on_chip;
         // The pBuffer keys stored with `cur` (at the root only).
-        let mut extra = (buf_dirty > 0).then_some((PBUFFER, buf_dirty));
+        let mut extra = (buf_len > 0).then_some((PBUFFER, buf_len));
         loop {
             c.inject(InjectionPoint::MidDeleteHeapify);
             let l = crate::tree::left(cur);
@@ -1590,6 +1662,13 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             let r_has = r_in && self.storage.state(r) == NodeState::Avail;
             let child_keys = (usize::from(l_has) + usize::from(r_has)) * k;
             c.load(if cur_on_chip { 0 } else { k } + child_keys);
+            if !cur_on_chip && extra.is_some() {
+                // Level 0 of a collaborating delete: the root the
+                // inserter stored just arrived; split it with the
+                // pBuffer.
+                self.split_root_buffer(c, buf_len, scratch);
+                cur_on_chip = true;
+            }
 
             // SAFETY: we hold cur (and child) locks; AVAIL non-root
             // nodes are full and sorted.

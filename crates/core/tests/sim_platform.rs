@@ -465,6 +465,125 @@ fn collaborating_delete_loads_the_inserted_root() {
     assert_eq!(level0, expected, "level 0 of a collaborating delete");
 }
 
+/// A collaborating DELETEMIN whose pBuffer holds keys loads the root
+/// the inserter stored together with level 0's children, after the
+/// pair CAS, and splits it with the pBuffer once it is on-chip: one
+/// transfer under the root lock where the root's own load (and the
+/// split) used to come before the CAS.
+#[test]
+fn collaborating_delete_loads_the_inserted_root_with_the_children() {
+    const BUF: usize = 300;
+    let (cfg, opts) = pinned_cfg(2);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let preload = |ctx: &mut gpu_sim::BlockCtx, t: &Traced| {
+        collab_preload(ctx, t);
+        if ctx.block_id() == 0 {
+            t.2.insert(ctx.worker(), &keys(10 * K, BUF)); // pBuffer: 300 keys
+        }
+    };
+    let (_, (sched, base, q)) = gpu_sim::launch_phased(
+        cfg,
+        |sched| traced_queue(sched, &cfg, opts),
+        &[&preload, &collab_race],
+    );
+    assert_eq!(q.check_invariants(), 3 * K + BUF);
+    assert_eq!(q.stats().snapshot().collaborations, 1, "the delete must collaborate");
+    let trace = sched.take_trace();
+    let root = base + 1;
+    let deleter = trace.iter().rev().find(|e| e.kind == TraceKind::LockReleased(root)).unwrap();
+    let of = |kind: TraceKind| times(&trace, Some(deleter.agent), kind);
+
+    // Level 0 after the wait, from the CAS that took nodes 2 and 3:
+    // one load of the inserted root with both children, the pBuffer
+    // split, two SORT_SPLITs, store the root, the pBuffer and the
+    // loser, release the root: 1857 cycles. (A delete that loads the
+    // root and splits it before the CAS spends 1634 here.)
+    let level0 = deleter.vtime - of(TraceKind::LockAcquired(base + 2))[0];
+    let expected = c(PrimitiveCost::GlobalRead { n: 3 * K })
+        + c(PrimitiveCost::SortSplit { na: K, nb: BUF })
+        + 2 * c(PrimitiveCost::SortSplit { na: K, nb: K })
+        + c(PrimitiveCost::GlobalWrite { n: 2 * K + BUF })
+        + a;
+    assert_eq!(expected, 1857);
+    assert_eq!(level0, expected, "level 0 of a collaborating delete with pBuffer keys");
+}
+
+/// A delete that marks the TARGET while the inserter waits for a path
+/// lock below its first one is answered at that lock. Once granted,
+/// the inserter reads `tar`'s state in the round trip that releases
+/// the node above, releases the untouched node and takes `tar`'s word
+/// in one more, and stores its batch as the root: the delete's spin
+/// ends one poll after that store.
+#[test]
+fn a_marked_target_is_answered_at_the_next_path_lock() {
+    let (cfg, opts) = pinned_cfg(3);
+    let c = |p: PrimitiveCost| cyc(&cfg, p);
+    let a = cfg.cost.c_atomic;
+    let preload = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &Traced| {
+        if ctx.block_id() == 0 {
+            // Root = [0, k); nodes 2..=7 the next six ranges.
+            for b in 0..7 {
+                q.insert(ctx.worker(), &keys(b * K, K));
+            }
+        }
+    };
+    let race = |ctx: &mut gpu_sim::BlockCtx, (_, _, q): &Traced| match ctx.block_id() {
+        // TARGET node 8, via nodes 2 and 4.
+        0 => q.insert(ctx.worker(), &keys(7 * K, K)),
+        1 => {
+            // Start once the inserter waits for node 4: the refill then
+            // finds node 8 TARGET and marks it.
+            ctx.advance(BLOCKER_HOLD);
+            let mut out = Vec::new();
+            assert_eq!(q.delete_min(ctx.worker(), &mut out, K), K);
+            assert!(out.iter().map(|e| e.key).eq(0..K as u32), "wrong result set");
+        }
+        _ => {
+            // Hold node 4, the inserter's second path node.
+            q.platform().lock(ctx.worker(), 4);
+            ctx.advance(4 * BLOCKER_HOLD);
+            q.platform().unlock(ctx.worker(), 4);
+        }
+    };
+    let (_, (sched, base, q)) =
+        gpu_sim::launch_phased(cfg, |sched| traced_queue(sched, &cfg, opts), &[&preload, &race]);
+    assert_eq!(q.check_invariants(), 7 * K);
+    assert_eq!(q.stats().snapshot().collaborations, 1, "the delete must collaborate");
+    if let Some(v) = check_history(&q.take_history()) {
+        panic!("history violation at seq {}: {}", v.seq, v.detail);
+    }
+    let trace = sched.take_trace();
+    let (n2, n4, tar) = (base + 2, base + 4, base + 8);
+    let last = |agent: usize, kind: TraceKind| *times(&trace, Some(agent), kind).last().unwrap();
+
+    // The inserter is granted node 4 when the blocker's release is
+    // handed over, after the delete marked node 8.
+    let grant = last(0, TraceKind::LockAcquired(n4));
+    assert_eq!(grant, last(2, TraceKind::LockReleased(n4)) + HANDOFF);
+    let queued = last(0, TraceKind::LockWait(n4));
+    let marked = times(&trace, Some(1), TraceKind::LockReleased(tar))[1];
+    assert!(queued < marked && marked < grant, "the delete marks node 8 during the wait");
+
+    // Release node 2 (reading node 8's state), release node 4 and take
+    // node 8's word, store the batch as the root: 864 cycles after the
+    // grant. (An inserter that first runs node 4's level and then locks
+    // node 8 hands the root over 2165 cycles after the grant.)
+    assert_eq!(last(0, TraceKind::LockReleased(n2)), grant + a);
+    assert_eq!(last(0, TraceKind::LockReleased(n4)), grant + 2 * a);
+    assert_eq!(last(0, TraceKind::LockAcquired(tar)), grant + 2 * a);
+    let answered = grant + 2 * a + c(PrimitiveCost::GlobalWrite { n: K });
+    assert_eq!(answered - grant, 864);
+    assert_eq!(last(0, TraceKind::LockReleased(tar)), answered, "the root is handed over");
+
+    // The delete polls the root every `c_spin` from its marking; the
+    // store lands on a poll, which reads first, so the spin ends one
+    // quantum later, and level 0's pair CAS follows.
+    let spin = cfg.cost.c_spin;
+    assert_eq!((answered - marked) % spin, 0, "the store lands on a poll");
+    assert_eq!(last(1, TraceKind::LockAcquired(n2)), answered + spin + a, "the spin's end");
+}
+
 /// Node storage is reserved, not written: a node's slots are first
 /// written by its TARGET fill. Node 4's first reservation ends in the
 /// collaboration above, so it is never written; the next overflowing

@@ -1,7 +1,8 @@
 //! Schedule-exploration CLI.
 //!
 //! ```text
-//! explore explore [--key-steal | --path-race | --gen SEED] [--front shard|combine]
+//! explore explore [--key-steal | --path-race | --collab-deep | --gen SEED]
+//!                 [--front shard|combine]
 //!                 [--k K] [--blocks B] [--ops N] [--mutate NAME]
 //!                 [--budget P] [--max-runs R] [--no-sleep-sets]
 //!                 [--random N] [--out FILE]
@@ -18,8 +19,9 @@
 //! re-introduces a named protocol bug (`marked-early-avail`,
 //! `sweep-discards-on-trip`, `combiner-drops-foreign`,
 //! `path-wait-holds-target`). `--path-race` drives a delete racing an
-//! insert for node 4's lock word instead of the key-steal workload. Exit
-//! status: 0 clean, 1 counterexample found, 2 usage/parse error.
+//! insert for node 4's lock word instead of the key-steal workload, and
+//! `--collab-deep` a delete stealing node 8 with keys in the pBuffer.
+//! Exit status: 0 clean, 1 counterexample found, 2 usage/parse error.
 
 use bgpq_explore::{
     explore, install_quiet_panic_hook, parse_mutation, random_walks, replay, shrink, summary_line,
@@ -30,7 +32,7 @@ use std::time::Instant;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  explore explore [--key-steal | --path-race | --gen SEED] [--front shard|combine]\n                  [--k K] [--blocks B] [--ops N] [--mutate NAME]\n                  [--budget P] [--max-runs R] [--no-sleep-sets] [--random N] [--out FILE]\n  explore replay FILE [--expect-violation]\n  explore shrink FILE [--out FILE]"
+        "usage:\n  explore explore [--key-steal | --path-race | --collab-deep | --gen SEED]\n                  [--front shard|combine] [--k K] [--blocks B] [--ops N] [--mutate NAME]\n                  [--budget P] [--max-runs R] [--no-sleep-sets] [--random N] [--out FILE]\n  explore replay FILE [--expect-violation]\n  explore shrink FILE [--out FILE]"
     );
     ExitCode::from(2)
 }
@@ -67,6 +69,8 @@ fn build_spec(args: &Args) -> Result<WorkloadSpec, String> {
                 WorkloadSpec::generated(seed, blocks, k, ops)
             } else if args.has("--path-race") {
                 WorkloadSpec::path_race_mix(k)
+            } else if args.has("--collab-deep") {
+                WorkloadSpec::collab_deep_mix(k)
             } else {
                 WorkloadSpec::key_steal_mix(k)
             }

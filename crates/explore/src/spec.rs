@@ -159,6 +159,39 @@ impl WorkloadSpec {
         }
     }
 
+    /// The key-stealing window one level deeper, with pBuffer keys,
+    /// scaled to `k`.
+    ///
+    /// Block 0 performs seven full INSERTs (the root and nodes 2–7), a
+    /// partial one of `k/2` larger keys that the pBuffer absorbs, and
+    /// an eighth full INSERT whose TARGET is node 8, reached through
+    /// nodes 2 and 4. Block 1 deletes `k/2` keys and `k` more, the
+    /// second refilling the root from node 8. A refill that runs while
+    /// the eighth insert waits for or holds node 4 marks node 8 before
+    /// the inserter looks at it, so the inserter answers at its second
+    /// path lock; the delete then splits the handed-over root with the
+    /// pBuffer after level 0's load. (The key-steal mix reaches
+    /// neither: node 4 has no second path lock, and its full batches
+    /// leave the pBuffer empty.)
+    pub fn collab_deep_mix(k: usize) -> Self {
+        assert!(k >= 2, "collab-deep mix needs k >= 2");
+        let run =
+            |from: usize, n: usize| WorkOp::Insert((from..from + n).map(|x| x as u32).collect());
+        let mut inserts: Vec<WorkOp> = (0..7).map(|b| run(b * k, k)).collect();
+        inserts.push(run(8 * k, k / 2));
+        inserts.push(run(7 * k, k));
+        Self {
+            k,
+            max_nodes: 16,
+            use_collaboration: true,
+            mutation: Mutation::None,
+            scripts: vec![inserts, vec![WorkOp::DeleteMin(k.div_ceil(2)), WorkOp::DeleteMin(k)]],
+            faults: Vec::new(),
+            front: FrontSpec::Single,
+            fault_shard: None,
+        }
+    }
+
     /// The canonical sharded-router workload: three shards behind the
     /// `bgpq-shard` router with the circuit breaker and salvage
     /// re-admission armed, and shard 2 rigged to crash its first
@@ -554,6 +587,17 @@ mod tests {
         }
         .to_string();
         assert!(text.contains("mutation path-wait-holds-target"));
+        assert_eq!(SchedFile::parse(&text).expect("parses").to_string(), text);
+    }
+
+    #[test]
+    fn collab_deep_mix_shape() {
+        let spec = WorkloadSpec::collab_deep_mix(4);
+        assert_eq!(spec.blocks(), 2);
+        assert_eq!(spec.keys_inserted(), 8 * 4 + 2);
+        assert_eq!(spec.scripts[0][7], WorkOp::Insert(vec![32, 33]));
+        assert_eq!(spec.scripts[1], vec![WorkOp::DeleteMin(2), WorkOp::DeleteMin(4)]);
+        let text = SchedFile { spec, overrides: vec![(9, 1)] }.to_string();
         assert_eq!(SchedFile::parse(&text).expect("parses").to_string(), text);
     }
 

@@ -108,6 +108,52 @@ fn mutation_needs_more_than_one_preemption() {
     assert!(report.counterexample.is_none());
 }
 
+/// The same bug one level deeper: in the collab-deep mix the delete
+/// steals node 8 with keys in the pBuffer, so the inserter can answer
+/// the marking at its second path lock. Budget 1 stays clean; budget 2
+/// catches the early AVAIL as a short delete, shrinks it, and replays
+/// it, and the fixed protocol passes the same schedule.
+#[test]
+fn marked_handoff_mutation_is_caught_in_the_deep_steal() {
+    let spec = WorkloadSpec::collab_deep_mix(4).with_mutation(Mutation::MarkedHandoffEarlyAvail);
+    let cfg =
+        |budget| ExploreConfig { preemption_budget: budget, max_runs: 0, ..Default::default() };
+    let early = explore(&spec, &cfg(1));
+    assert!(early.exhausted && early.counterexample.is_none(), "{:?}", early.counterexample);
+
+    let ce = explore(&spec, &cfg(2)).counterexample.expect("the injected protocol bug is caught");
+    assert!(
+        matches!(ce.violation, bgpq_explore::Violation::History(_)),
+        "expected a linearizability violation, got {:?}",
+        ce.violation
+    );
+    let (min, _replays) = shrink(&spec, &ce);
+    assert!(min.overrides.len() <= 2, "shrinks to two overrides, got {}", min.overrides.len());
+
+    let text = SchedFile { spec: spec.clone(), overrides: min.overrides.clone() }.to_string();
+    let parsed = SchedFile::parse(&text).expect("artifact parses back");
+    let a = replay(&parsed.spec, &parsed.overrides);
+    let b = replay(&parsed.spec, &parsed.overrides);
+    assert_eq!(a.violation, Some(min.violation.clone()), "replay reproduces the violation");
+    assert_eq!(a.decisions, b.decisions, "replay is bit-for-bit deterministic");
+
+    let fixed = replay(&WorkloadSpec::collab_deep_mix(4), &min.overrides);
+    assert_eq!(fixed.violation, None, "{:?}", fixed.violation);
+}
+
+/// The full preemption-bound-2 tree of the collab-deep mix (~3.5k
+/// schedules); ignored in the default run, executed by CI's
+/// explore-smoke and crash-drills jobs.
+#[test]
+#[ignore = "exhaustive budget-2 tree; run by CI explore-smoke"]
+fn exhaustive_budget_two_collab_deep_mix_is_clean() {
+    let spec = WorkloadSpec::collab_deep_mix(4);
+    let report =
+        explore(&spec, &ExploreConfig { preemption_budget: 2, max_runs: 0, ..Default::default() });
+    assert!(report.exhausted);
+    assert!(report.counterexample.is_none(), "{:?}", report.counterexample);
+}
+
 /// The lock-order tripwire: `PathWaitHoldsTarget` makes an overflowing
 /// insert wait for its first path node (node 2) while it still holds
 /// the word of its TARGET node (node 4), which a delete holding node 2

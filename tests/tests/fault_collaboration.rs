@@ -8,6 +8,10 @@
 //!   delicate point — after the insert linearized but before the target
 //!   deposit — and the delete that catches the in-flight node completes
 //!   by delegation, witnessed by the `MarkedSpin` injection point.
+//! * One level deeper (TARGET node 8), a delete that marks the node
+//!   while the inserter is stalled just after its second path lock is
+//!   answered at that lock; a panic inside the answer poisons the
+//!   queue and frees the spinning delete with `Poisoned`.
 //! * Across fuzzed simulator schedules the collaboration path is not a
 //!   rare fluke: seeds collectively force it hundreds of times, all
 //!   linearizable.
@@ -26,10 +30,21 @@ use std::time::{Duration, Instant};
 /// hit 3 holding the root and hit 4 holding only node 2 — by then the
 /// insert has linearized and the root lock is free.
 fn preloaded(k: usize, plan: Arc<FaultPlan>, watchdog: Duration) -> CpuBgpq<u32, u32> {
+    preloaded_with(k, 3, plan, watchdog)
+}
+
+/// A k-capacity queue preloaded with `batches` full batches of keys
+/// `100·b + i` (b = 1..=batches).
+fn preloaded_with(
+    k: usize,
+    batches: u32,
+    plan: Arc<FaultPlan>,
+    watchdog: Duration,
+) -> CpuBgpq<u32, u32> {
     let opts = BgpqOptions { node_capacity: k, max_nodes: 64, ..Default::default() };
     let platform = CpuPlatform::new(opts.max_nodes + 1).with_watchdog(watchdog).with_faults(plan);
     let q = CpuBgpq::on_platform(platform, opts).with_history();
-    for b in 0..3u32 {
+    for b in 0..batches {
         let batch: Vec<Entry<u32, u32>> =
             (0..k as u32).map(|i| Entry::new((b + 1) * 100 + i, 0)).collect();
         q.try_insert_batch(&batch).unwrap();
@@ -92,6 +107,129 @@ fn stall_after_linearization_delegates_refill_to_inserter() {
         panic!("history violation at seq {}: {}", v.seq, v.detail);
     }
     q.inner().check_invariants();
+}
+
+/// Seven full batches (the root and nodes 2–7): the next full-batch
+/// insert reserves node 8 and heapifies through nodes 2 and 4, its
+/// second path lock.
+fn preloaded_deep(k: usize, plan: Arc<FaultPlan>) -> CpuBgpq<u32, u32> {
+    preloaded_with(k, 7, plan, Duration::from_secs(2))
+}
+
+/// The `PostLockAcquire` hit at which the node-8 insert is granted
+/// node 4: the preload's hits, then the insert's root lock, its CAS of
+/// node 8 with node 2, and node 4's lock.
+fn deep_grant_hit(k: usize) -> u64 {
+    // A plan counts hits only once it has a rule: give it one that
+    // never fires.
+    let never = FaultAction::Delay { units: 0 };
+    let plan = Arc::new(FaultPlan::new().with_rule(InjectionPoint::SalvageWalk, u64::MAX, never));
+    preloaded_deep(k, plan.clone());
+    plan.hits(InjectionPoint::PostLockAcquire) + 4
+}
+
+/// The delete's `PostLockAcquire` hits while the inserter stalls: the
+/// root, then node 8's word twice (one CAS finds it TARGET, a second
+/// marks it once the results are loaded).
+const DELETE_MARKING_HITS: u64 = 3;
+
+/// Run the node-8 insert, stalled at `grant` (just after it was
+/// granted node 4, holding nodes 2 and 4), and a count-2 delete that
+/// refills from node 8 and so marks it. Returns the delete's result
+/// and the inserter's outcome.
+fn deep_steal(
+    q: &CpuBgpq<u32, u32>,
+    plan: &FaultPlan,
+    grant: u64,
+) -> (Result<Vec<u32>, QueueError>, std::thread::Result<()>) {
+    std::thread::scope(|s| {
+        let inserter = s.spawn(|| {
+            q.try_insert_batch(&[Entry::new(800, 0), Entry::new(801, 0)]).unwrap();
+        });
+        let t0 = Instant::now();
+        while plan.hits(InjectionPoint::PostLockAcquire) < grant {
+            assert!(t0.elapsed() < Duration::from_secs(5), "inserter never reached the stall");
+            std::thread::yield_now();
+        }
+        let mut out = Vec::new();
+        let got = q.try_delete_min_batch(&mut out, 2).map(|_| out.iter().map(|e| e.key).collect());
+        (got, inserter.join())
+    })
+}
+
+#[test]
+fn marking_during_the_path_wait_is_answered_at_the_next_lock() {
+    // k = 2: the delete drains the root and refills from node 8, which
+    // the stalled insert holds in TARGET. The resumed inserter sees the
+    // marking as it releases node 2 and hands its batch to the root
+    // without running node 4's level or reaching node 8.
+    let grant = deep_grant_hit(2);
+    let plan = Arc::new(
+        FaultPlan::new()
+            .with_rule(
+                InjectionPoint::PostLockAcquire,
+                grant,
+                FaultAction::Stall { units: 250_000 },
+            )
+            .with_rule(InjectionPoint::MarkedSpin, 1, FaultAction::Delay { units: 1 }),
+    );
+    let q = preloaded_deep(2, plan.clone());
+    let (got, inserter) = deep_steal(&q, &plan, grant);
+    assert_eq!(got.expect("delegated delete must succeed"), vec![100, 101]);
+    inserter.unwrap();
+    // The preload fired `MidInsertHeapify` 10 times and the insert twice
+    // before the stall (holding the root, then node 2), and never again:
+    // it answered at node 4's lock, not at node 8.
+    assert_eq!(plan.hits(InjectionPoint::MidInsertHeapify), 10 + 2);
+
+    let snap = q.inner().stats().snapshot();
+    assert_eq!(snap.collaborations, 1, "delete must have delegated via TARGET/MARKED");
+    assert!(plan.hits(InjectionPoint::MarkedSpin) >= 1, "the delete spun on the root");
+    assert_eq!(snap.poison_events, 0);
+    q.inner().check_invariants();
+    let mut rest = Vec::new();
+    while q.try_delete_min_batch(&mut rest, 2).unwrap() > 0 {}
+    let mut keys: Vec<u32> = rest.iter().map(|e| e.key).collect();
+    keys.sort_unstable();
+    let want: Vec<u32> = (2..=8).flat_map(|b| [b * 100, b * 100 + 1]).collect();
+    assert_eq!(keys, want, "every other key is still there");
+    if let Some(v) = check_history(&q.inner().take_history()) {
+        panic!("history violation at seq {}: {}", v.seq, v.detail);
+    }
+    q.inner().check_invariants();
+}
+
+#[test]
+fn panic_inside_the_next_lock_answer_poisons_and_frees_the_spinning_delete() {
+    // As above, but the inserter panics as it takes node 8's word for
+    // the answer: the queue is poisoned, and the delete spinning on the
+    // root returns `Poisoned` instead of waiting for a refill that will
+    // never come.
+    let grant = deep_grant_hit(2);
+    let plan = Arc::new(
+        FaultPlan::new()
+            .with_rule(
+                InjectionPoint::PostLockAcquire,
+                grant,
+                FaultAction::Stall { units: 250_000 },
+            )
+            .with_rule(
+                InjectionPoint::PostLockAcquire,
+                grant + DELETE_MARKING_HITS + 1,
+                FaultAction::Panic,
+            ),
+    );
+    let q = preloaded_deep(2, plan.clone());
+    let t0 = Instant::now();
+    let (got, inserter) = deep_steal(&q, &plan, grant);
+    assert!(matches!(got, Err(QueueError::Poisoned)), "spinning delete must fail, got {got:?}");
+    assert!(t0.elapsed() < Duration::from_secs(2), "the delete must not wedge");
+    let msg = inserter.expect_err("the inserter panicked inside the answer");
+    let msg = msg.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+    assert!(msg.contains("injected fault: panic at PostLockAcquire"), "{msg}");
+    assert_eq!(plan.fired_count(), 2);
+    assert!(q.inner().is_poisoned());
+    assert_eq!(q.inner().stats().snapshot().collaborations, 0, "the answer never completed");
 }
 
 proptest! {
