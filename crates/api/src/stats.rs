@@ -64,8 +64,8 @@ pub struct OpStats {
     /// sibling) failed.
     pub shard_quarantines: AtomicU64,
     /// Salvage passes that rebuilt this queue from poisoned node
-    /// storage (see the `bgpq-recover` crate): the queue was reset to
-    /// a fresh empty state after its surviving keys were walked out.
+    /// storage (`Bgpq::salvage_reset` in `bgpq`): the queue was reset
+    /// to a fresh empty state after its surviving keys were walked out.
     pub salvages: AtomicU64,
     /// Insertion-buffer flushes by a buffered front: a worker's staged
     /// inserts were pushed to the backend as batches.

@@ -86,7 +86,7 @@ fn salvage_phase(n: usize, k: usize) -> (f64, f64) {
             }
             let mut out = Vec::with_capacity(n);
             let t0 = Instant::now();
-            let report = bgpq_recover::salvage(&mut q, &mut out);
+            let report = q.salvage(&mut out);
             let secs = t0.elapsed().as_secs_f64();
             assert_eq!(report.keys_recovered, n, "healthy salvage must recover everything");
             assert_eq!(report.keys_lost, 0);
@@ -133,8 +133,7 @@ fn mttr_trial(preload_per_shard: usize, k: usize, seed: u64) -> MttrTrial {
         trial_ops: 8,
         max_generations: 8,
     });
-    let q: ShardedBgpq<u32, u32, CpuPlatform> =
-        ShardedBgpq::with_platforms_recovering(platforms, opts, bgpq_recover::salvage_heap);
+    let q: ShardedBgpq<u32, u32, CpuPlatform> = ShardedBgpq::with_platforms(platforms, opts);
 
     // Preload the survivor shards only; shard 0 is filled by the crash
     // loop below so the armed heapify panic cannot fire during setup.

@@ -52,7 +52,7 @@
 //! submission while unavailable is let through as a **probe**: it runs
 //! the full protocol against the backend, and if the backend serves it
 //! (it was salvaged and re-admitted underneath, e.g. by `bgpq-shard`'s
-//! circuit breaker or a `bgpq-recover` rebuild), the front clears the
+//! circuit breaker or a `CpuBgpq::salvage` rebuild), the front clears the
 //! trip and resumes normal service. `LockTimeout` is distributed to
 //! the affected round only (the front stays live), and a `Full` insert
 //! round falls back to per-request submission so the requests that

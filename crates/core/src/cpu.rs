@@ -1,6 +1,6 @@
 //! Host-side convenience wrapper: BGPQ on real threads.
 
-use crate::heap::Bgpq;
+use crate::heap::{Bgpq, SalvageReport};
 use crate::options::BgpqOptions;
 use bgpq_runtime::{with_thread_worker, CpuPlatform, Platform};
 use pq_api::{BatchPriorityQueue, Entry, KeyType, QueueError, TryBatchPriorityQueue, ValueType};
@@ -55,6 +55,18 @@ impl<K: KeyType, V: ValueType> CpuBgpq<K, V> {
         count: usize,
     ) -> Result<usize, QueueError> {
         with_thread_worker(|w| self.inner.try_delete_min(w, out, count))
+    }
+
+    /// Salvage: release abandoned lock words, walk every settled key
+    /// out of node storage into `out`, and reset the queue to a fresh,
+    /// un-poisoned, empty state (see [`Bgpq::salvage_reset`]).
+    ///
+    /// `&mut self` is the quiescence contract: no other thread can be
+    /// inside the queue or call into it while salvage runs. Callers
+    /// that share the queue (the shard router's breaker) call
+    /// [`Bgpq::salvage_reset`] and provide exclusivity by protocol.
+    pub fn salvage(&mut self, out: &mut Vec<Entry<K, V>>) -> SalvageReport {
+        with_thread_worker(|w| self.inner.salvage_reset(w, out))
     }
 }
 
@@ -125,5 +137,38 @@ mod tests {
             out.iter().map(|e| (e.key, e.value)).collect::<Vec<_>>(),
             vec![(1, 11), (2, 22), (3, 33)]
         );
+    }
+
+    #[test]
+    fn salvage_returns_exact_multiset_and_resets() {
+        let mut q: CpuBgpq<u32, u32> =
+            CpuBgpq::new(BgpqOptions { node_capacity: 8, max_nodes: 64, ..Default::default() });
+        let keys: Vec<u32> = (0..100).rev().collect();
+        for chunk in keys.chunks(5) {
+            q.insert_batch(&chunk.iter().map(|&k| Entry::new(k, k * 2)).collect::<Vec<_>>());
+        }
+        let mut out = Vec::new();
+        let report = q.salvage(&mut out);
+        assert!(report.conserves());
+        assert_eq!(report.keys_recovered, 100);
+        assert_eq!(report.keys_lost, 0);
+        assert!(!report.was_poisoned);
+        let mut got: Vec<u32> = out.iter().map(|e| e.key).collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
+        assert!(out.iter().all(|e| e.value == e.key * 2), "values ride along");
+        assert_eq!(q.len(), 0);
+        q.inner().check_invariants();
+    }
+
+    #[test]
+    fn empty_queue_salvages_to_an_empty_report() {
+        let mut q: CpuBgpq<u32, u32> =
+            CpuBgpq::new(BgpqOptions { node_capacity: 4, max_nodes: 16, ..Default::default() });
+        let mut out = Vec::new();
+        let report = q.salvage(&mut out);
+        assert_eq!(report, SalvageReport { was_poisoned: false, ..Default::default() });
+        assert!(out.is_empty());
+        q.inner().check_invariants();
     }
 }

@@ -1871,9 +1871,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// [`Bgpq::check_invariants`], but stronger in practice: every
     /// worker that ever operated on this queue must have returned or
     /// unwound, and none may call in while salvage runs. Lock words
-    /// abandoned by crashed workers are *not* touched here (a generic
-    /// platform cannot force-release them); CPU recovery resets them
-    /// first via `CpuPlatform::force_reset_locks`.
+    /// abandoned by crashed workers are released first, through
+    /// [`Platform::force_reset_locks`] (a no-op on the simulator, whose
+    /// scheduler already handed them off).
     ///
     /// The walk trusts node *states*, which every mutation path keeps
     /// accurate between injection points:
@@ -1899,6 +1899,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// Works on healthy queues too (drain-and-reset), where
     /// `keys_lost == 0` at quiescence.
     pub fn salvage_reset(&self, w: &mut P::Worker, out: &mut Vec<Entry<K, V>>) -> SalvageReport {
+        // Locks first: a crashed worker's abandoned locks would wedge
+        // any later operation on the reset queue.
+        self.platform.force_reset_locks();
         // The walk reads, and the reset rewrites, the entire queue:
         // conflicts with every operation on it.
         self.platform.touch_domain(w, true);

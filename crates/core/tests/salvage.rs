@@ -1,7 +1,7 @@
 //! Core-level salvage semantics: `Bgpq::salvage_reset` walks settled
 //! keys out of node storage and resets the queue, on healthy and
-//! poisoned instances alike. End-to-end recovery (lock force-reset,
-//! report accounting, rebuild) lives in `bgpq-recover`.
+//! poisoned instances alike, after force-resetting the lock words a
+//! crashed worker abandoned.
 
 use bgpq::{Bgpq, BgpqOptions, CpuBgpq};
 use bgpq_runtime::{CpuPlatform, CpuWorker, FaultAction, FaultPlan, InjectionPoint};
@@ -87,9 +87,8 @@ fn poisoned_queue_salvages_and_serves_again() {
     assert!(q.inner().is_poisoned());
     assert_eq!(q.try_insert_batch(&[Entry::new(1, 1)]), Err(QueueError::Poisoned));
 
-    // Salvage: locks first (the crashed worker may have held some),
-    // then walk + reset.
-    q.inner().platform().force_reset_locks();
+    // Salvage releases the locks the crashed worker may have held,
+    // then walks and resets.
     let mut out = Vec::new();
     let mut w = CpuWorker::new();
     let outcome = q.inner().salvage_reset(&mut w, &mut out);
@@ -156,7 +155,6 @@ fn salvage_skips_inflight_target_nodes_and_reports_them() {
     }
     assert!(lost_batch, "fault plan must kill one insert");
     assert!(q2.is_poisoned());
-    q2.platform().force_reset_locks();
     let mut out = Vec::new();
     let outcome = q2.salvage_reset(&mut w, &mut out);
     assert!(outcome.nodes_skipped_target >= 1, "the reserved TARGET node is visible: {outcome:?}");

@@ -104,6 +104,149 @@ fn payload_str(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
+/// The subject one launch drives: `spec.front` over its heap(s).
+enum Subject {
+    /// One shared queue, direct calls; records its own linearization
+    /// history.
+    Single(Bgpq<u32, u32, SimPlatform>),
+    /// A `bgpq-shard` router with the circuit breaker and salvage
+    /// re-admission armed. Inserts use the agent id as routing
+    /// affinity; the delete sample is the full shard set, so routing is
+    /// deterministic given the schedule.
+    Sharded(ShardedBgpq<u32, u32, SimPlatform>),
+    /// A `bgpq-combine` front over one backing heap. Script ops are
+    /// split into single-op submissions (the front's unit of work); the
+    /// backing heap keeps its own linearization history, so this front
+    /// is checked both at heap level and by front-level accounting.
+    Combined(Bgpq<u32, u32, SimPlatform>, Box<CombineShared<u32, u32>>),
+}
+
+impl Subject {
+    /// Build `spec.front` on fresh simulator platforms. On the sharded
+    /// front the fault plan is attached to `spec.fault_shard`'s
+    /// platform only, when set.
+    fn build(spec: &WorkloadSpec, sched: &Arc<Scheduler>, cfg: GpuConfig) -> Self {
+        let opts = BgpqOptions {
+            node_capacity: spec.k,
+            max_nodes: spec.max_nodes,
+            use_collaboration: spec.use_collaboration,
+            mutation: spec.mutation,
+            ..Default::default()
+        };
+        let plan = (!spec.faults.is_empty()).then(|| Arc::new(FaultPlan::from_rules(&spec.faults)));
+        let platform = |armed: bool| {
+            let p = SimPlatform::new(sched, opts.max_nodes + 1, cfg.cost, cfg.block_dim);
+            match &plan {
+                Some(plan) if armed => p.with_faults(Arc::clone(plan)),
+                _ => p,
+            }
+        };
+        match spec.front {
+            FrontSpec::Single => {
+                Subject::Single(Bgpq::with_platform(platform(true), opts).with_history())
+            }
+            FrontSpec::Sharded { shards } => {
+                let platforms = (0..shards)
+                    .map(|i| platform(spec.fault_shard.is_none_or(|fs| fs == i)))
+                    .collect();
+                let sopts =
+                    ShardedOptions::new(shards, shards, opts).with_recovery(RecoveryOptions {
+                        base_backoff_ops: 2,
+                        max_backoff_ops: 8,
+                        trial_ops: 1,
+                        max_generations: 2,
+                    });
+                Subject::Sharded(ShardedBgpq::with_platforms(platforms, sopts))
+            }
+            FrontSpec::Combined => {
+                let q = Bgpq::with_platform(platform(true), opts).with_history();
+                let copts = CombinerOptions { rings: spec.blocks(), mutation: spec.mutation };
+                let front = Box::new(CombineShared::new(q.node_capacity(), copts));
+                Subject::Combined(q, front)
+            }
+        }
+    }
+
+    /// Run one script op as `agent`; an `Err` fail-stops its script.
+    /// The fronts log an op only once it is acknowledged.
+    fn run(
+        &self,
+        w: &mut SimWorker,
+        agent: usize,
+        rng: &mut u64,
+        op: &WorkOp,
+        log: &FrontLog,
+    ) -> Result<(), QueueError> {
+        let entries = |keys: &[u32]| keys.iter().map(|&x| Entry::new(x, x)).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        match (self, op) {
+            (Subject::Single(q), WorkOp::Insert(keys)) => q.try_insert(w, &entries(keys)),
+            (Subject::Single(q), WorkOp::DeleteMin(n)) => {
+                q.try_delete_min(w, &mut out, *n).map(|_| ())
+            }
+            (Subject::Sharded(q), WorkOp::Insert(keys)) => {
+                q.try_insert(w, agent, &entries(keys))?;
+                log.record(HistoryOp::Insert { keys: keys.clone() });
+                Ok(())
+            }
+            (Subject::Sharded(q), WorkOp::DeleteMin(n)) => {
+                q.try_delete_min(w, rng, &mut out, *n)?;
+                let keys = out.iter().map(|e| e.key).collect();
+                log.record(HistoryOp::DeleteMin { requested: *n, keys });
+                Ok(())
+            }
+            (Subject::Combined(q, front), WorkOp::Insert(keys)) => {
+                let mut backend = ExploreBackend { q, w, lane: agent };
+                for &k in keys {
+                    front.submit(&mut backend, Op::Insert(Entry::new(k, k)))?;
+                    log.record(HistoryOp::Insert { keys: vec![k] });
+                }
+                Ok(())
+            }
+            (Subject::Combined(q, front), WorkOp::DeleteMin(n)) => {
+                let mut backend = ExploreBackend { q, w, lane: agent };
+                for _ in 0..*n {
+                    let got = front.submit(&mut backend, Op::DeleteMin)?;
+                    let keys = got.iter().map(|e| e.key).collect();
+                    log.record(HistoryOp::DeleteMin { requested: 1, keys });
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// The heap whose linearization history the heap oracles judge
+    /// (the sharded front's shards record none).
+    fn heap(&self) -> Option<&Bgpq<u32, u32, SimPlatform>> {
+        match self {
+            Subject::Single(q) | Subject::Combined(q, _) => Some(q),
+            Subject::Sharded(_) => None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Subject::Single(q) | Subject::Combined(q, _) => q.len(),
+            Subject::Sharded(q) => q.len(),
+        }
+    }
+
+    fn is_poisoned(&self) -> bool {
+        match self {
+            Subject::Single(q) => q.is_poisoned(),
+            Subject::Sharded(q) => (0..q.num_shards()).any(|i| q.shard(i).is_poisoned()),
+            Subject::Combined(q, front) => q.is_poisoned() || front.is_poisoned(),
+        }
+    }
+
+    fn check_invariants(&self) {
+        match self {
+            Subject::Single(q) | Subject::Combined(q, _) => q.check_invariants(),
+            Subject::Sharded(q) => q.check_invariants(),
+        };
+    }
+}
+
 /// Run `spec` under `ctrl` on the simulator and check every oracle.
 ///
 /// The launch geometry is one agent per script. Operation errors
@@ -111,66 +254,50 @@ fn payload_str(payload: &(dyn std::any::Any + Send)) -> &str {
 /// block's script — the oracles then judge the truncated history, which
 /// is exactly what they would see after a real crash.
 pub fn run_schedule(spec: &WorkloadSpec, ctrl: Arc<dyn ScheduleController>) -> RunOutcome {
-    match spec.front {
-        FrontSpec::Single => run_single(spec, ctrl),
-        FrontSpec::Sharded { shards } => run_sharded(spec, ctrl, shards),
-        FrontSpec::Combined => run_combined(spec, ctrl),
-    }
-}
-
-fn run_single(spec: &WorkloadSpec, ctrl: Arc<dyn ScheduleController>) -> RunOutcome {
-    type Q = Arc<Bgpq<u32, u32, SimPlatform>>;
     let cfg = GpuConfig::new(spec.blocks(), 32);
-    let opts = BgpqOptions {
-        node_capacity: spec.k,
-        max_nodes: spec.max_nodes,
-        use_collaboration: spec.use_collaboration,
-        mutation: spec.mutation,
-        ..Default::default()
-    };
-    let stash: Mutex<Option<(Q, Arc<Scheduler>)>> = Mutex::new(None);
+    let log = FrontLog::new();
+    let stash: Mutex<Option<(Arc<Subject>, Arc<Scheduler>)>> = Mutex::new(None);
     let result = catch_unwind(AssertUnwindSafe(|| {
         launch(
             cfg,
             |sched| {
                 sched.set_controller(Arc::clone(&ctrl));
-                let mut plat = SimPlatform::new(sched, opts.max_nodes + 1, cfg.cost, cfg.block_dim);
-                if !spec.faults.is_empty() {
-                    plat = plat.with_faults(Arc::new(FaultPlan::from_rules(&spec.faults)));
-                }
-                let q: Q = Arc::new(Bgpq::with_platform(plat, opts).with_history());
-                *stash.lock().unwrap() = Some((Arc::clone(&q), Arc::clone(sched)));
-                q
+                let subject = Arc::new(Subject::build(spec, sched, cfg));
+                *stash.lock().unwrap() = Some((Arc::clone(&subject), Arc::clone(sched)));
+                subject
             },
-            |ctx, q: &Q| {
-                let mut out: Vec<Entry<u32, u32>> = Vec::new();
-                for op in &spec.scripts[ctx.block_id()] {
-                    let r = match op {
-                        WorkOp::Insert(keys) => {
-                            let items: Vec<Entry<u32, u32>> =
-                                keys.iter().map(|&x| Entry::new(x, x)).collect();
-                            q.try_insert(ctx.worker(), &items).map(|()| 0)
-                        }
-                        WorkOp::DeleteMin(n) => {
-                            out.clear();
-                            q.try_delete_min(ctx.worker(), &mut out, *n)
-                        }
-                    };
-                    if r.is_err() {
+            |ctx, subject: &Arc<Subject>| {
+                let agent = ctx.block_id();
+                // Deterministic per-agent sampling state for the sharded
+                // front (its full sample makes routing hint-driven anyway).
+                let mut rng = (agent as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                for op in &spec.scripts[agent] {
+                    if subject.run(ctx.worker(), agent, &mut rng, op, &log).is_err() {
                         return;
                     }
                 }
             },
         );
     }));
-    let (q, sched) = stash.lock().unwrap().take().expect("setup closure always runs");
+    let (subject, sched) = stash.lock().unwrap().take().expect("setup closure always runs");
     let decisions = sched.take_decisions();
-    let events = q.take_history();
-    let protocol = q.take_protocol();
-    let poisoned = q.is_poisoned();
+    let (heap_events, protocol) = match subject.heap() {
+        Some(q) => (Some(q.take_history()), q.take_protocol()),
+        None => (None, Vec::new()),
+    };
+    let front_events = (!matches!(*subject, Subject::Single(_))).then(|| log.take());
+    let poisoned = subject.is_poisoned();
     let panic = result.err().map(|p| payload_str(p.as_ref()).to_string());
-    let complete = panic.is_none() && !poisoned;
-    let violation = classify(spec, &q, &events, &protocol, panic.as_deref(), complete);
+    let violation = classify(
+        spec,
+        &subject,
+        heap_events.as_deref(),
+        &protocol,
+        front_events.as_deref(),
+        panic.as_deref(),
+        poisoned,
+    );
+    let events = heap_events.or(front_events).unwrap_or_default();
     RunOutcome { decisions, events, protocol, poisoned, panic, violation }
 }
 
@@ -235,8 +362,8 @@ fn check_front_conservation(events: &[HistoryEvent<u32>]) -> Option<String> {
     None
 }
 
-/// Acknowledged balance of a front log: inserted minus delivered keys.
-fn front_balance(events: &[HistoryEvent<u32>]) -> i64 {
+/// Net keys of a log: inserted minus delivered.
+fn balance(events: &[HistoryEvent<u32>]) -> i64 {
     events
         .iter()
         .map(|e| match &e.op {
@@ -244,143 +371,6 @@ fn front_balance(events: &[HistoryEvent<u32>]) -> i64 {
             HistoryOp::DeleteMin { keys, .. } => -(keys.len() as i64),
         })
         .sum()
-}
-
-/// Run the scripts against a `bgpq-shard` router (circuit breaker +
-/// salvage re-admission armed). Inserts use the agent id as routing
-/// affinity; the delete sample is the full shard set, so routing is
-/// deterministic given the schedule. The fault plan is attached only to
-/// `spec.fault_shard`'s platform when set.
-fn run_sharded(
-    spec: &WorkloadSpec,
-    ctrl: Arc<dyn ScheduleController>,
-    shards: usize,
-) -> RunOutcome {
-    type Q = Arc<ShardedBgpq<u32, u32, SimPlatform>>;
-    let cfg = GpuConfig::new(spec.blocks(), 32);
-    let qopts = BgpqOptions {
-        node_capacity: spec.k,
-        max_nodes: spec.max_nodes,
-        use_collaboration: spec.use_collaboration,
-        mutation: spec.mutation,
-        ..Default::default()
-    };
-    let sopts = ShardedOptions::new(shards, shards, qopts).with_recovery(RecoveryOptions {
-        base_backoff_ops: 2,
-        max_backoff_ops: 8,
-        trial_ops: 1,
-        max_generations: 2,
-    });
-    let log = FrontLog::new();
-    let stash: Mutex<Option<(Q, Arc<Scheduler>)>> = Mutex::new(None);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        launch(
-            cfg,
-            |sched| {
-                sched.set_controller(Arc::clone(&ctrl));
-                let plan = (!spec.faults.is_empty())
-                    .then(|| Arc::new(FaultPlan::from_rules(&spec.faults)));
-                let platforms: Vec<SimPlatform> = (0..shards)
-                    .map(|i| {
-                        let p =
-                            SimPlatform::new(sched, qopts.max_nodes + 1, cfg.cost, cfg.block_dim);
-                        match (&plan, spec.fault_shard) {
-                            (Some(plan), None) => p.with_faults(Arc::clone(plan)),
-                            (Some(plan), Some(fs)) if fs == i => p.with_faults(Arc::clone(plan)),
-                            _ => p,
-                        }
-                    })
-                    .collect();
-                // The CPU salvager also force-resets lock words; a dead
-                // sim agent's locks were already handed off at its
-                // fail-stop, so the bare storage walk is the whole job.
-                let salvager = Bgpq::salvage_reset;
-                let q: Q =
-                    Arc::new(ShardedBgpq::with_platforms_recovering(platforms, sopts, salvager));
-                *stash.lock().unwrap() = Some((Arc::clone(&q), Arc::clone(sched)));
-                q
-            },
-            |ctx, q: &Q| {
-                let agent = ctx.block_id();
-                // Deterministic per-agent sampling state (the full
-                // sample makes routing hint-driven anyway).
-                let mut rng = (agent as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                let mut out: Vec<Entry<u32, u32>> = Vec::new();
-                for op in &spec.scripts[agent] {
-                    match op {
-                        WorkOp::Insert(keys) => {
-                            let items: Vec<Entry<u32, u32>> =
-                                keys.iter().map(|&x| Entry::new(x, x)).collect();
-                            match q.try_insert(ctx.worker(), agent, &items) {
-                                Ok(()) => log.record(HistoryOp::Insert { keys: keys.clone() }),
-                                Err(_) => return,
-                            }
-                        }
-                        WorkOp::DeleteMin(n) => {
-                            out.clear();
-                            match q.try_delete_min(ctx.worker(), &mut rng, &mut out, *n) {
-                                Ok(_) => log.record(HistoryOp::DeleteMin {
-                                    requested: *n,
-                                    keys: out.iter().map(|e| e.key).collect(),
-                                }),
-                                Err(_) => return,
-                            }
-                        }
-                    }
-                }
-            },
-        );
-    }));
-    let (q, sched) = stash.lock().unwrap().take().expect("setup closure always runs");
-    let decisions = sched.take_decisions();
-    let events = log.take();
-    let poisoned = (0..shards).any(|i| q.shard(i).is_poisoned());
-    let panic = result.err().map(|p| payload_str(p.as_ref()).to_string());
-    let violation = classify_sharded(spec, &q, &events, panic.as_deref(), poisoned);
-    RunOutcome { decisions, events, protocol: Vec::new(), poisoned, panic, violation }
-}
-
-fn classify_sharded(
-    spec: &WorkloadSpec,
-    q: &ShardedBgpq<u32, u32, SimPlatform>,
-    events: &[HistoryEvent<u32>],
-    panic: Option<&str>,
-    poisoned: bool,
-) -> Option<Violation> {
-    if let Some(msg) = panic {
-        if msg.contains("deadlock") {
-            return Some(Violation::Deadlock(msg.to_string()));
-        }
-        let planned_crash = spec.faults.iter().any(|r| matches!(r.action, FaultAction::Panic));
-        let crash_shaped = msg.contains("injected fault") || msg.contains("aborting agent");
-        if !(planned_crash && crash_shaped) {
-            return Some(Violation::UnexpectedPanic(msg.to_string()));
-        }
-    }
-    if let Some(msg) = check_front_conservation(events) {
-        return Some(Violation::FrontAccounting(msg));
-    }
-    // Strict accounting holds even across the *planned* crash: a
-    // sharded spec that injects a crash must construct it so the dying
-    // agent holds no keys (e.g. panic on first lock acquisition — see
-    // `WorkloadSpec::sharded_mix`), making every acknowledged key's
-    // whereabouts exact in every schedule.
-    let balance = front_balance(events);
-    if q.len() as i64 != balance {
-        return Some(Violation::FrontAccounting(format!(
-            "quiescent len {} != acknowledged balance {balance} \
-             (acked-inserted minus acked-delivered)",
-            q.len()
-        )));
-    }
-    if panic.is_none() && !poisoned {
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-            q.check_invariants();
-        })) {
-            return Some(Violation::Invariant(payload_str(p.as_ref()).to_string()));
-        }
-    }
-    None
 }
 
 /// Combining backend for an explored agent: batched calls to the shared
@@ -425,152 +415,18 @@ impl CombineBackend<u32, u32> for ExploreBackend<'_> {
     }
 }
 
-/// Run the scripts through a `bgpq-combine` front over one backing
-/// heap. Script ops are split into single-op submissions (the front's
-/// unit of work); the backing heap keeps its own linearization history,
-/// so this branch checks both heap-level linearizability *and*
-/// front-level accounting.
-fn run_combined(spec: &WorkloadSpec, ctrl: Arc<dyn ScheduleController>) -> RunOutcome {
-    type St = (Arc<Bgpq<u32, u32, SimPlatform>>, CombineShared<u32, u32>);
-    type Q = Arc<St>;
-    let cfg = GpuConfig::new(spec.blocks(), 32);
-    let opts = BgpqOptions {
-        node_capacity: spec.k,
-        max_nodes: spec.max_nodes,
-        use_collaboration: spec.use_collaboration,
-        mutation: spec.mutation,
-        ..Default::default()
-    };
-    let log = FrontLog::new();
-    let stash: Mutex<Option<(Q, Arc<Scheduler>)>> = Mutex::new(None);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        launch(
-            cfg,
-            |sched| {
-                sched.set_controller(Arc::clone(&ctrl));
-                let mut plat = SimPlatform::new(sched, opts.max_nodes + 1, cfg.cost, cfg.block_dim);
-                if !spec.faults.is_empty() {
-                    plat = plat.with_faults(Arc::new(FaultPlan::from_rules(&spec.faults)));
-                }
-                let q = Arc::new(Bgpq::with_platform(plat, opts).with_history());
-                let front = CombineShared::new(
-                    q.node_capacity(),
-                    CombinerOptions { rings: spec.blocks(), mutation: spec.mutation },
-                );
-                let st: Q = Arc::new((q, front));
-                *stash.lock().unwrap() = Some((Arc::clone(&st), Arc::clone(sched)));
-                st
-            },
-            |ctx, st: &Q| {
-                let agent = ctx.block_id();
-                let mut backend = ExploreBackend { q: &st.0, w: ctx.worker(), lane: agent };
-                for op in &spec.scripts[agent] {
-                    match op {
-                        WorkOp::Insert(keys) => {
-                            for &k in keys {
-                                match st.1.submit(&mut backend, Op::Insert(Entry::new(k, k))) {
-                                    Ok(_) => log.record(HistoryOp::Insert { keys: vec![k] }),
-                                    Err(_) => return,
-                                }
-                            }
-                        }
-                        WorkOp::DeleteMin(n) => {
-                            for _ in 0..*n {
-                                match st.1.submit(&mut backend, Op::DeleteMin) {
-                                    Ok(got) => log.record(HistoryOp::DeleteMin {
-                                        requested: 1,
-                                        keys: got.iter().map(|e| e.key).collect(),
-                                    }),
-                                    Err(_) => return,
-                                }
-                            }
-                        }
-                    }
-                }
-            },
-        );
-    }));
-    let (st, sched) = stash.lock().unwrap().take().expect("setup closure always runs");
-    let decisions = sched.take_decisions();
-    let events = st.0.take_history();
-    let protocol = st.0.take_protocol();
-    let front_events = log.take();
-    let poisoned = st.0.is_poisoned() || st.1.is_poisoned();
-    let panic = result.err().map(|p| payload_str(p.as_ref()).to_string());
-    let complete = panic.is_none() && !poisoned;
-    let violation = classify_combined(
-        spec,
-        &st.0,
-        &events,
-        &front_events,
-        &protocol,
-        panic.as_deref(),
-        complete,
-    );
-    RunOutcome { decisions, events, protocol, poisoned, panic, violation }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn classify_combined(
-    spec: &WorkloadSpec,
-    q: &Bgpq<u32, u32, SimPlatform>,
-    heap_events: &[HistoryEvent<u32>],
-    front_events: &[HistoryEvent<u32>],
-    protocol: &[ProtocolEvent],
-    panic: Option<&str>,
-    complete: bool,
-) -> Option<Violation> {
-    if let Some(msg) = panic {
-        if msg.contains("deadlock") {
-            return Some(Violation::Deadlock(msg.to_string()));
-        }
-        let planned_crash = spec.faults.iter().any(|r| matches!(r.action, FaultAction::Panic));
-        let crash_shaped = msg.contains("injected fault") || msg.contains("aborting agent");
-        if !(planned_crash && crash_shaped) {
-            return Some(Violation::UnexpectedPanic(msg.to_string()));
-        }
-    }
-    if let Some(v) = check_history(heap_events) {
-        return Some(Violation::History(format!("seq {}: {}", v.seq, v.detail)));
-    }
-    if let Some(msg) = check_conservation(heap_events) {
-        return Some(Violation::Conservation(msg));
-    }
-    if let Some(msg) = check_front_conservation(front_events) {
-        return Some(Violation::FrontAccounting(msg));
-    }
-    if let Some(msg) = check_collaboration(protocol, complete) {
-        return Some(Violation::Collaboration(msg));
-    }
-    if complete {
-        // Strict front accounting: the heap must hold exactly what the
-        // front acknowledged accepting minus what it acknowledged
-        // delivering. An acked-but-never-executed request (the tenure
-        // handoff bug) leaves the heap short; front-level recording is
-        // the only oracle that can see it, because the heap's own
-        // history never contains the dropped operation at all.
-        let balance = front_balance(front_events);
-        if q.len() as i64 != balance {
-            return Some(Violation::FrontAccounting(format!(
-                "quiescent len {} != acknowledged balance {balance} \
-                 (acked-inserted minus acked-delivered)",
-                q.len()
-            )));
-        }
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| q.check_invariants())) {
-            return Some(Violation::Invariant(payload_str(p.as_ref()).to_string()));
-        }
-    }
-    None
-}
-
+/// Judge one run; the first failure wins. Panic triage comes first,
+/// then the heap oracles when a heap history exists, front
+/// conservation when a front log exists, and last the quiescent length
+/// and invariant checks.
 fn classify(
     spec: &WorkloadSpec,
-    q: &Bgpq<u32, u32, SimPlatform>,
-    events: &[HistoryEvent<u32>],
+    subject: &Subject,
+    heap_events: Option<&[HistoryEvent<u32>]>,
     protocol: &[ProtocolEvent],
+    front_events: Option<&[HistoryEvent<u32>]>,
     panic: Option<&str>,
-    complete: bool,
+    poisoned: bool,
 ) -> Option<Violation> {
     if let Some(msg) = panic {
         if msg.contains("deadlock") {
@@ -582,30 +438,53 @@ fn classify(
             return Some(Violation::UnexpectedPanic(msg.to_string()));
         }
     }
-    if let Some(v) = check_history(events) {
-        return Some(Violation::History(format!("seq {}: {}", v.seq, v.detail)));
+    let complete = panic.is_none() && !poisoned;
+    if let Some(events) = heap_events {
+        if let Some(v) = check_history(events) {
+            return Some(Violation::History(format!("seq {}: {}", v.seq, v.detail)));
+        }
+        if let Some(msg) = check_conservation(events) {
+            return Some(Violation::Conservation(msg));
+        }
+        if let Some(msg) = check_collaboration(protocol, complete) {
+            return Some(Violation::Collaboration(msg));
+        }
     }
-    if let Some(msg) = check_conservation(events) {
-        return Some(Violation::Conservation(msg));
+    if let Some(msg) = front_events.and_then(check_front_conservation) {
+        return Some(Violation::FrontAccounting(msg));
     }
-    if let Some(msg) = check_collaboration(protocol, complete) {
-        return Some(Violation::Collaboration(msg));
+    // The sharded front's strict accounting holds even across its
+    // *planned* crash: a sharded spec that injects a crash must
+    // construct it so the dying agent holds no keys (e.g. panic on first
+    // lock acquisition — see `WorkloadSpec::sharded_mix`), making every
+    // acknowledged key's whereabouts exact in every schedule.
+    if complete || matches!(subject, Subject::Sharded(_)) {
+        let len = subject.len() as i64;
+        if let Some(events) = front_events {
+            // The subject must hold exactly what the front acknowledged
+            // accepting minus what it acknowledged delivering. An
+            // acked-but-never-executed request (the combiner's tenure
+            // handoff bug) leaves it short; only the front log can see
+            // that, because the heap's own history never contains the
+            // dropped operation at all.
+            let balance = balance(events);
+            if len != balance {
+                return Some(Violation::FrontAccounting(format!(
+                    "quiescent len {len} != acknowledged balance {balance} \
+                     (acked-inserted minus acked-delivered)"
+                )));
+            }
+        } else if let Some(events) = heap_events {
+            let model_len = balance(events);
+            if len != model_len {
+                return Some(Violation::Invariant(format!(
+                    "quiescent len {len} != linearized model len {model_len}"
+                )));
+            }
+        }
     }
     if complete {
-        let model_len: i64 = events
-            .iter()
-            .map(|e| match &e.op {
-                HistoryOp::Insert { keys } => keys.len() as i64,
-                HistoryOp::DeleteMin { keys, .. } => -(keys.len() as i64),
-            })
-            .sum();
-        if q.len() as i64 != model_len {
-            return Some(Violation::Invariant(format!(
-                "quiescent len {} != linearized model len {model_len}",
-                q.len()
-            )));
-        }
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| q.check_invariants())) {
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| subject.check_invariants())) {
             return Some(Violation::Invariant(payload_str(p.as_ref()).to_string()));
         }
     }

@@ -132,30 +132,6 @@ impl CpuPlatform {
         self.watchdog
     }
 
-    /// Force every lock in the table back to the released state,
-    /// clearing the watchdog's holder tokens.
-    ///
-    /// **Recovery only.** A poisoned queue can leave locks held by
-    /// workers that panicked past their RAII release (e.g. a stalled
-    /// thread killed by its driver) — nothing will ever unlock them.
-    /// Salvage (`bgpq-recover`) calls this *after* establishing
-    /// quiescence: the caller must guarantee no worker is inside or
-    /// will enter a critical section on this platform, otherwise a
-    /// still-running holder's mutual exclusion is silently destroyed.
-    /// Sound here because the vendored `parking_lot` raw mutex is a
-    /// plain atomic flag with no owner bookkeeping or parked waiters —
-    /// releasing from a non-owner thread is well-defined.
-    pub fn force_reset_locks(&self) {
-        for (lock, holder) in self.locks.iter().zip(self.holders.iter()) {
-            // Acquire if free so the unlock below is always paired;
-            // if held (by a dead worker, per the contract) the unlock
-            // alone performs the forced release.
-            let _ = lock.try_lock();
-            unsafe { lock.unlock() };
-            holder.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Diagnostic dump for a watchdog report: the contended lock's
     /// holder token plus every currently held lock (capped at 16).
     fn dump_lock_table(&self, waiting_for: usize, timeout: Duration) -> String {
@@ -283,6 +259,27 @@ impl Platform for CpuPlatform {
             } else {
                 std::thread::sleep(Duration::from_micros(50));
             }
+        }
+    }
+
+    /// Also clears the watchdog's holder tokens. A poisoned queue can
+    /// leave locks held by workers that died past their RAII release
+    /// (e.g. a stalled thread that was abandoned), and nothing else
+    /// will ever unlock them.
+    fn force_reset_locks(&self) {
+        for (lock, holder) in self.locks.iter().zip(self.holders.iter()) {
+            // Acquire if free so the unlock below is always paired;
+            // if held (by a dead worker, per the contract) the unlock
+            // alone performs the forced release.
+            let _ = lock.try_lock();
+            // SAFETY: the lock is held, by the `try_lock` above or by a
+            // dead worker, and the caller's quiescence contract rules
+            // out a live holder. The vendored `parking_lot` raw mutex is
+            // a plain atomic flag with no owner bookkeeping or parked
+            // waiters, so a release from a non-owner thread is
+            // well-defined.
+            unsafe { lock.unlock() };
+            holder.store(0, Ordering::Relaxed);
         }
     }
 }

@@ -129,4 +129,15 @@ pub trait Platform: Send + Sync {
         self.lock(w, lock);
         Ok(())
     }
+
+    /// Force every lock in the table back to the released state.
+    ///
+    /// **Recovery only.** Salvage calls this before its walk, after the
+    /// caller established quiescence: no worker may be inside, or about
+    /// to enter, a critical section on this platform, or a live
+    /// holder's mutual exclusion is silently destroyed. The default does
+    /// nothing, charges nothing and tags nothing: on the simulator the
+    /// scheduler hands a dead agent's locks off at its fail-stop, and
+    /// the RAII lock guard releases the rest on unwind.
+    fn force_reset_locks(&self) {}
 }

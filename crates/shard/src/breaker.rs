@@ -4,18 +4,16 @@
 //! **Open**: it is excluded from routing, sampling and sweeps, and the
 //! survivors absorb its traffic. Without recovery configured that is
 //! permanent — the original fail-stop behaviour. With
-//! [`ShardedOptions::recovery`](crate::ShardedOptions::recovery) set
-//! (and a salvager installed, see
-//! [`ShardedBgpq::with_platforms_recovering`]), the breaker follows the
-//! classic state machine:
+//! [`ShardedOptions::recovery`](crate::ShardedOptions::recovery) set,
+//! the breaker follows the classic state machine on every platform:
 //!
 //! * **Open** — after an exponential, jittered backoff (measured in
 //!   router operations, so it is deterministic per schedule and needs
 //!   no clock), the next operation to notice the expired deadline
 //!   probes the shard: it waits for in-flight operations to drain,
-//!   salvages the crashed heap through the installed salvager
-//!   (`bgpq-recover` on the CPU platform), and rebuilds it from its own
-//!   recovered keys (spilling to survivors if the home shard refuses).
+//!   salvages the crashed heap ([`Bgpq::salvage_reset`](bgpq::Bgpq::salvage_reset)),
+//!   and rebuilds it from its own recovered keys (spilling to survivors
+//!   if the home shard refuses).
 //! * **Half-open** — the rebuilt shard serves trial traffic. Each
 //!   successful operation burns one trial token; a failure re-opens the
 //!   breaker with a doubled backoff.
@@ -28,7 +26,6 @@
 //! loss is never silent.
 
 use crate::router::ShardedBgpq;
-use bgpq::{Bgpq, SalvageReport};
 use bgpq_runtime::Platform;
 use pq_api::{Entry, KeyType, OpStats, ValueType};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -79,14 +76,6 @@ const HALF_OPEN: u8 = 2;
 /// straggler operations to drain before giving up and rescheduling.
 const QUIESCE_SPINS: u32 = 100_000;
 
-/// Platform capability hook: salvage one crashed heap (reset abandoned
-/// locks, walk settled keys into the vec, reset to empty) and report
-/// the accounting. On the CPU platform this is
-/// [`bgpq_recover::salvage_heap`]; platforms without a safe
-/// force-unlock simply install none and keep permanent quarantine.
-pub type Salvager<K, V, P> =
-    fn(&Bgpq<K, V, P>, &mut <P as Platform>::Worker, &mut Vec<Entry<K, V>>) -> SalvageReport;
-
 /// One shard's breaker: state machine plus the bookkeeping recovery
 /// needs (probe deadline, attempt generation, trial budget, and an
 /// in-flight count so salvage can wait out stragglers that passed the
@@ -108,12 +97,10 @@ struct Breaker {
 }
 
 /// Every shard's breaker plus the recovery policy and its op clock.
-pub(crate) struct Breakers<K: KeyType, V: ValueType, P: Platform> {
+pub(crate) struct Breakers {
     shards: Box<[Breaker]>,
     /// Recovery policy; `None` keeps quarantine permanent.
     recovery: Option<RecoveryOptions>,
-    /// Platform salvage capability; `None` keeps quarantine permanent.
-    salvager: Option<Salvager<K, V, P>>,
     /// Router operation counter: the clock that backoff deadlines are
     /// measured against. Ticks only when recovery is configured.
     ops: AtomicU64,
@@ -122,16 +109,11 @@ pub(crate) struct Breakers<K: KeyType, V: ValueType, P: Platform> {
     open: AtomicU64,
 }
 
-impl<K: KeyType, V: ValueType, P: Platform> Breakers<K, V, P> {
-    pub(crate) fn new(
-        shards: usize,
-        recovery: Option<RecoveryOptions>,
-        salvager: Option<Salvager<K, V, P>>,
-    ) -> Self {
+impl Breakers {
+    pub(crate) fn new(shards: usize, recovery: Option<RecoveryOptions>) -> Self {
         Self {
             shards: (0..shards).map(|_| Breaker::default()).collect(),
             recovery,
-            salvager,
             ops: AtomicU64::new(0),
             open: AtomicU64::new(0),
         }
@@ -229,9 +211,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// the top of every routing operation; free when recovery is off,
     /// one relaxed increment plus one load when no breaker is open.
     pub(crate) fn tick(&self, w: &mut P::Worker) {
-        let (Some(rec), Some(salvager)) = (self.breakers.recovery, self.breakers.salvager) else {
-            return;
-        };
+        let Some(rec) = self.breakers.recovery else { return };
         // The op clock is written by every operation: with recovery
         // armed, front traffic is genuinely order-sensitive (which op
         // crosses a probe deadline first matters).
@@ -252,7 +232,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
                 continue; // another operation is already probing
             }
             if b.state.load(Ordering::Acquire) == OPEN {
-                self.probe_shard(i, w, salvager, &rec, now);
+                self.probe_shard(i, w, &rec, now);
             }
             b.recovering.store(false, Ordering::Release);
         }
@@ -262,18 +242,11 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// move the shard to half-open. Runs under the breaker's
     /// `recovering` lock with the breaker Open, so no routing path can
     /// enter the shard concurrently.
-    fn probe_shard(
-        &self,
-        i: usize,
-        w: &mut P::Worker,
-        salvager: Salvager<K, V, P>,
-        rec: &RecoveryOptions,
-        now: u64,
-    ) {
+    fn probe_shard(&self, i: usize, w: &mut P::Worker, rec: &RecoveryOptions, now: u64) {
         self.quality.record_probe();
         // The whole probe mutates front state (quiesce reads, breaker
         // transition to half-open); the salvage itself tags the shard's
-        // own lock domain through the salvager.
+        // own lock domain.
         self.touch_front(w, true);
         let b = &self.breakers.shards[i];
 
@@ -294,7 +267,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         }
 
         let mut recovered: Vec<Entry<K, V>> = Vec::new();
-        let report = salvager(&self.shards[i], w, &mut recovered);
+        let report = self.shards[i].salvage_reset(w, &mut recovered);
         self.quality.record_salvage(report.keys_recovered as u64, report.keys_lost as u64);
 
         // Rebuild the shard from its own keys; spill chunks the freshly

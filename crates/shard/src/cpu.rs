@@ -61,16 +61,7 @@ impl<K: KeyType, V: ValueType> CpuShardedBgpq<K, V> {
         opts.validate();
         let platforms: Vec<CpuPlatform> =
             (0..opts.shards).map(|_| CpuPlatform::new(opts.queue.max_nodes + 1)).collect();
-        // The CPU platform can safely force-reset abandoned lock words,
-        // so when recovery is requested the breaker gets the real
-        // salvager; without it `recovery` would silently mean
-        // "permanent quarantine after all".
-        let inner = if opts.recovery.is_some() {
-            ShardedBgpq::with_platforms_recovering(platforms, opts, bgpq_recover::salvage_heap)
-        } else {
-            ShardedBgpq::with_platforms(platforms, opts)
-        };
-        Self { inner }
+        Self { inner: ShardedBgpq::with_platforms(platforms, opts) }
     }
 
     /// The underlying generic router (quality stats, per-shard access).

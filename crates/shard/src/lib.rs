@@ -48,4 +48,4 @@ pub mod router;
 pub use cpu::{worker_id, CpuShardedBgpq};
 pub use pq_api::BufferPolicy;
 pub use quality::{QualitySnapshot, QualityStats};
-pub use router::{BreakerState, RecoveryOptions, Salvager, ShardedBgpq, ShardedOptions};
+pub use router::{BreakerState, RecoveryOptions, ShardedBgpq, ShardedOptions};

@@ -46,7 +46,7 @@ use bgpq::{Bgpq, BgpqOptions};
 use bgpq_runtime::Platform;
 use pq_api::{BufferPolicy, Entry, KeyType, OpStats, QueueError, ValueType};
 
-pub use crate::breaker::{BreakerState, RecoveryOptions, Salvager};
+pub use crate::breaker::{BreakerState, RecoveryOptions};
 
 /// Configuration of a [`ShardedBgpq`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,9 +62,7 @@ pub struct ShardedOptions {
     pub queue: BgpqOptions,
     /// Circuit-breaker recovery for crashed shards. `None` (the
     /// default) keeps quarantine permanent; `Some` enables salvage,
-    /// rebuild and re-admission — provided the front also installs a
-    /// salvager (the CPU front does automatically; see
-    /// [`ShardedBgpq::with_platforms_recovering`]).
+    /// rebuild and re-admission on every platform.
     pub recovery: Option<RecoveryOptions>,
     /// Buffered operating mode (per-worker insert/delete buffers with
     /// sticky shard selection — see the module docs). `None` (the
@@ -164,7 +162,7 @@ pub struct ShardedBgpq<K: KeyType, V: ValueType, P: Platform> {
     pub(crate) quality: QualityStats,
     /// Per-shard circuit breakers: a shard that poisoned itself or hit
     /// a lock timeout is excluded from routing, sampling and sweeps.
-    pub(crate) breakers: Breakers<K, V, P>,
+    pub(crate) breakers: Breakers,
     /// The buffered front's slots and counters (inert when unbuffered).
     pub(crate) buffers: Buffers<K, V>,
     /// Verification self-test mutation (see [`bgpq::Mutation`]), copied
@@ -180,35 +178,18 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// lock table). `platforms.len()` must equal `opts.shards`, and
     /// each platform needs at least `opts.queue.max_nodes + 1` locks.
     ///
-    /// No salvager is installed, so even with [`ShardedOptions::recovery`]
-    /// set quarantine stays permanent; use
-    /// [`ShardedBgpq::with_platforms_recovering`] (or the CPU front,
-    /// which wires it up automatically) for self-healing.
+    /// With [`ShardedOptions::recovery`] set, opened breakers are
+    /// probed after backoff, crashed shards salvaged
+    /// ([`Bgpq::salvage_reset`]), rebuilt from their own recovered keys,
+    /// and re-admitted via half-open trial traffic.
     pub fn with_platforms(platforms: Vec<P>, opts: ShardedOptions) -> Self {
-        Self::build(platforms, opts, None)
-    }
-
-    /// [`ShardedBgpq::with_platforms`] plus a platform salvage hook:
-    /// when `opts.recovery` is set, opened breakers are probed after
-    /// backoff, crashed shards salvaged through `salvager`, rebuilt
-    /// from their own recovered keys, and re-admitted via half-open
-    /// trial traffic.
-    pub fn with_platforms_recovering(
-        platforms: Vec<P>,
-        opts: ShardedOptions,
-        salvager: Salvager<K, V, P>,
-    ) -> Self {
-        Self::build(platforms, opts, Some(salvager))
-    }
-
-    fn build(platforms: Vec<P>, opts: ShardedOptions, salvager: Option<Salvager<K, V, P>>) -> Self {
         opts.validate();
         assert_eq!(platforms.len(), opts.shards, "one platform per shard");
         Self {
             shards: platforms.into_iter().map(|p| Bgpq::with_platform(p, opts.queue)).collect(),
             sample: opts.sample.clamp(1, opts.shards),
             quality: QualityStats::new(),
-            breakers: Breakers::new(opts.shards, opts.recovery, salvager),
+            breakers: Breakers::new(opts.shards, opts.recovery),
             buffers: Buffers::new(opts.buffer),
             #[cfg(any(test, feature = "mutations"))]
             mutation: opts.queue.mutation,
@@ -792,10 +773,9 @@ mod tests {
                 }
             })
             .collect();
-        let q: ShardedBgpq<u32, u32, CpuPlatform> = ShardedBgpq::with_platforms_recovering(
+        let q: ShardedBgpq<u32, u32, CpuPlatform> = ShardedBgpq::with_platforms(
             platforms,
             ShardedOptions::new(3, 2, queue).with_recovery(rec),
-            bgpq_recover::salvage_heap,
         );
         let mut w = CpuWorker::new();
 
@@ -873,14 +853,11 @@ mod tests {
 
     #[test]
     fn recovery_disabled_keeps_quarantine_permanent() {
-        // Even with RecoveryOptions set, a router built without a
-        // salvager (plain `with_platforms`) must never probe.
+        // With `recovery: None`, a router must never probe.
         let queue = BgpqOptions { node_capacity: 4, max_nodes: 64, ..Default::default() };
         let platforms = (0..2).map(|_| CpuPlatform::new(queue.max_nodes + 1)).collect();
-        let q: ShardedBgpq<u32, u32, CpuPlatform> = ShardedBgpq::with_platforms(
-            platforms,
-            ShardedOptions::new(2, 1, queue).with_recovery(RecoveryOptions::default()),
-        );
+        let q: ShardedBgpq<u32, u32, CpuPlatform> =
+            ShardedBgpq::with_platforms(platforms, ShardedOptions::new(2, 1, queue));
         let mut w = CpuWorker::new();
         q.quarantine(0);
         for i in 0..200u32 {
@@ -888,7 +865,7 @@ mod tests {
             // that hundreds of ticks never probe the open breaker.
             let _ = q.try_insert(&mut w, 1, &[Entry::new(i, 0)]);
         }
-        assert_eq!(q.breaker_state(0), BreakerState::Open, "no salvager, no re-admission");
+        assert_eq!(q.breaker_state(0), BreakerState::Open, "no recovery, no re-admission");
         assert_eq!(q.quality().probes, 0);
         assert_eq!(q.quality().salvages, 0);
     }

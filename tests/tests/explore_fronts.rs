@@ -38,6 +38,8 @@ fn run(spec: &WorkloadSpec, budget: usize, sleep_sets: bool) -> ExploreReport {
 fn sleep_sets_match_unreduced_verdicts_on_single_queue_specs() {
     let specs = [
         ("key-steal k=2", WorkloadSpec::key_steal_mix(2)),
+        ("path-race k=4", WorkloadSpec::path_race_mix(4)),
+        ("collab-deep k=4", WorkloadSpec::collab_deep_mix(4)),
         ("generated(11)", WorkloadSpec::generated(11, 2, 4, 4)),
     ];
     for (name, spec) in specs {

@@ -120,10 +120,7 @@ fn preloaded_deep(k: usize, plan: Arc<FaultPlan>) -> CpuBgpq<u32, u32> {
 /// node 4: the preload's hits, then the insert's root lock, its CAS of
 /// node 8 with node 2, and node 4's lock.
 fn deep_grant_hit(k: usize) -> u64 {
-    // A plan counts hits only once it has a rule: give it one that
-    // never fires.
-    let never = FaultAction::Delay { units: 0 };
-    let plan = Arc::new(FaultPlan::new().with_rule(InjectionPoint::SalvageWalk, u64::MAX, never));
+    let plan = Arc::new(FaultPlan::new());
     preloaded_deep(k, plan.clone());
     plan.hits(InjectionPoint::PostLockAcquire) + 4
 }

@@ -3,7 +3,7 @@
 //! and a chaos soak that proves the sharded front self-heals.
 //!
 //! These extend the crash drills (`crash_drills.rs`) past fail-stop:
-//! after the queue poisons, `bgpq-recover` must walk every settled key
+//! after the queue poisons, salvage must walk every settled key
 //! back out, account for every key it cannot find, and hand back a
 //! serving queue. The assertions lean on the documented loss-accounting
 //! contract:
@@ -134,7 +134,7 @@ fn cpu_salvage_drill(point: InjectionPoint, nth: u64) {
     let was_poisoned = q.inner().is_poisoned();
 
     let mut recovered = Vec::new();
-    let report = bgpq_recover::salvage(&mut q, &mut recovered);
+    let report = q.salvage(&mut recovered);
 
     assert!(report.conserves(), "{point:?}: recovered + lost != expected: {report:?}");
     assert_eq!(report.was_poisoned, was_poisoned, "{point:?}");
@@ -198,7 +198,7 @@ fn salvage_survives_a_crashed_salvage() {
     let mut partial = Vec::new();
     let crashed = catch_unwind(AssertUnwindSafe(|| {
         let mut w = bgpq_runtime::CpuWorker::new();
-        bgpq_recover::salvage_shared(&q, &mut w, &mut partial)
+        q.inner().salvage_reset(&mut w, &mut partial)
     }));
     assert!(crashed.is_err(), "the third walked node must panic the salvage");
     assert!(plan.fired_count() >= 1);
@@ -206,7 +206,7 @@ fn salvage_survives_a_crashed_salvage() {
     // Partial output must be discarded — the entries are still in
     // storage. A clean re-run recovers everything exactly once.
     let mut recovered = Vec::new();
-    let report = bgpq_recover::salvage(&mut q, &mut recovered);
+    let report = q.salvage(&mut recovered);
     assert!(report.conserves());
     assert_eq!(report.keys_recovered, 40);
     assert_eq!(report.keys_lost, 0);
@@ -220,8 +220,8 @@ type SimQueue = Arc<Bgpq<u32, u32, SimPlatform>>;
 
 /// One simulator salvage drill: the crash-drill traffic with a panic at
 /// a virtual-time-exact step; afterwards the queue and scheduler are
-/// pulled out of the wreckage and `salvage_reset` runs generically (no
-/// lock force-reset exists on the sim platform — `Crit`'s unwind
+/// pulled out of the wreckage and `salvage_reset` runs generically (the
+/// sim platform's lock force-reset does nothing — `Crit`'s unwind
 /// release means none is needed).
 fn sim_salvage_drill(point: InjectionPoint, nth: u64) {
     let cfg = GpuConfig::new(6, 32).with_fuzz_seed(7);
@@ -365,7 +365,7 @@ mod conservation {
             }
 
             let mut recovered = Vec::new();
-            let report = bgpq_recover::salvage(&mut q, &mut recovered);
+            let report = q.salvage(&mut recovered);
 
             prop_assert!(report.conserves());
             prop_assert_eq!(report.keys_lost, 0, "healthy quiescent salvage loses nothing");
@@ -440,8 +440,7 @@ fn chaos_soak_self_heals_without_silent_loss() {
         trial_ops: 4,
         max_generations: 8,
     });
-    let q: ShardedBgpq<u32, u32, CpuPlatform> =
-        ShardedBgpq::with_platforms_recovering(platforms, opts, bgpq_recover::salvage_heap);
+    let q: ShardedBgpq<u32, u32, CpuPlatform> = ShardedBgpq::with_platforms(platforms, opts);
 
     // Ground truth, recorded only for operations that returned Ok: keys
     // the queue definitely accepted and keys it definitely gave back.
