@@ -14,9 +14,9 @@
 //! the paper's Manhattan distance (in units of 1 ≤ half a straight
 //! step), which keeps it admissible under 8-direction movement.
 
-use crate::watchdog::{Idle, Watchdog};
+use crate::search::{self, Search};
 use pq_api::{BatchPriorityQueue, Entry};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use workloads::Grid;
 
 /// Cost of a straight move (N/S/E/W).
@@ -51,109 +51,83 @@ fn step_cost(dx: usize, dy: usize) -> u64 {
     }
 }
 
+/// A*'s expansion: per-cell best `g` values and the incumbent goal
+/// cost, shared by every worker of one search.
+pub struct AstarSearch<'g> {
+    grid: &'g Grid,
+    best_g: Vec<AtomicU64>,
+    incumbent: AtomicU64,
+}
+
+impl<'g> AstarSearch<'g> {
+    /// A search of `grid` that has reached only the start, at cost 0.
+    pub fn new(grid: &'g Grid) -> Self {
+        let best_g: Vec<AtomicU64> = (0..grid.cells()).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let (sx, sy) = grid.start();
+        best_g[grid.idx(sx, sy)].store(0, Ordering::Release);
+        Self { grid, best_g, incumbent: AtomicU64::new(u64::MAX) }
+    }
+
+    /// The cheapest goal cost found so far (`u64::MAX` before any).
+    pub fn incumbent(&self) -> u64 {
+        self.incumbent.load(Ordering::Acquire)
+    }
+}
+
+impl Search for AstarSearch<'_> {
+    type Node = AstarNode;
+    const NAME: &'static str = "A*";
+
+    fn root(&self) -> Entry<u64, AstarNode> {
+        let (sx, sy) = self.grid.start();
+        let h0 = self.grid.manhattan_to_goal(sx, sy);
+        Entry::new(h0, AstarNode { x: sx as u32, y: sy as u32, g: 0 })
+    }
+
+    fn expand(&self, popped: &[Entry<u64, AstarNode>], children: &mut Vec<Entry<u64, AstarNode>>) {
+        let (grid, best_g, incumbent) = (self.grid, &self.best_g, &self.incumbent);
+        let goal = grid.goal();
+        for e in popped {
+            let node = e.value;
+            let (x, y) = (node.x as usize, node.y as usize);
+            let cell = grid.idx(x, y);
+            // Stale? A better route to this cell was found.
+            if node.g > best_g[cell].load(Ordering::Acquire) {
+                continue;
+            }
+            // Bounded? f cannot beat the incumbent path.
+            let f = node.g + grid.manhattan_to_goal(x, y);
+            if f >= incumbent.load(Ordering::Acquire) {
+                continue;
+            }
+            if (x, y) == goal {
+                incumbent.fetch_min(node.g, Ordering::AcqRel);
+                continue;
+            }
+            for (nx, ny) in grid.neighbors(x, y) {
+                let ng = node.g + step_cost(x.abs_diff(nx), y.abs_diff(ny));
+                // Publish if better.
+                if search::improve(&best_g[grid.idx(nx, ny)], ng) {
+                    let nf = ng + grid.manhattan_to_goal(nx, ny);
+                    if nf < incumbent.load(Ordering::Acquire) {
+                        children
+                            .push(Entry::new(nf, AstarNode { x: nx as u32, y: ny as u32, g: ng }));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Solve `grid` with `threads` workers sharing queue `q`.
 pub fn solve_astar<Q>(grid: &Grid, q: &Q, threads: usize) -> AstarResult
 where
     Q: BatchPriorityQueue<u64, AstarNode> + ?Sized,
 {
-    let best_g: Vec<AtomicU64> = (0..grid.cells()).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let incumbent = AtomicU64::new(u64::MAX);
-    let outstanding = AtomicI64::new(1);
-    let expanded = AtomicU64::new(0);
-    let watchdog = Watchdog::new("A*");
-
-    let (sx, sy) = grid.start();
-    best_g[grid.idx(sx, sy)].store(0, Ordering::Release);
-    let h0 = grid.manhattan_to_goal(sx, sy);
-    q.insert_batch(&[Entry::new(h0, AstarNode { x: sx as u32, y: sy as u32, g: 0 })]);
-    let goal = grid.goal();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
-            s.spawn(|| {
-                let k = q.batch_capacity();
-                let mut out: Vec<Entry<u64, AstarNode>> = Vec::with_capacity(k);
-                let mut children: Vec<Entry<u64, AstarNode>> = Vec::with_capacity(8 * k);
-                let mut idle = Idle::default();
-                loop {
-                    out.clear();
-                    let got = q.delete_min_batch(&mut out, k);
-                    if got == 0 {
-                        let left = outstanding.load(Ordering::Acquire);
-                        let popped = expanded.load(Ordering::Relaxed);
-                        if left <= 0 || watchdog.stalled(&mut idle, left, popped, || q.len()) {
-                            return;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    children.clear();
-                    for e in &out {
-                        let node = e.value;
-                        let (x, y) = (node.x as usize, node.y as usize);
-                        let cell = grid.idx(x, y);
-                        // Stale? A better route to this cell was found.
-                        if node.g > best_g[cell].load(Ordering::Acquire) {
-                            continue;
-                        }
-                        // Bounded? f cannot beat the incumbent path.
-                        let f = node.g + grid.manhattan_to_goal(x, y);
-                        if f >= incumbent.load(Ordering::Acquire) {
-                            continue;
-                        }
-                        if (x, y) == goal {
-                            incumbent.fetch_min(node.g, Ordering::AcqRel);
-                            continue;
-                        }
-                        for (nx, ny) in grid.neighbors(x, y) {
-                            let ng = node.g + step_cost(x.abs_diff(nx), y.abs_diff(ny));
-                            let ncell = grid.idx(nx, ny);
-                            // Publish if better (CAS loop).
-                            let mut cur = best_g[ncell].load(Ordering::Acquire);
-                            loop {
-                                if ng >= cur {
-                                    break;
-                                }
-                                match best_g[ncell].compare_exchange_weak(
-                                    cur,
-                                    ng,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                ) {
-                                    Ok(_) => {
-                                        let nf = ng + grid.manhattan_to_goal(nx, ny);
-                                        if nf < incumbent.load(Ordering::Acquire) {
-                                            children.push(Entry::new(
-                                                nf,
-                                                AstarNode { x: nx as u32, y: ny as u32, g: ng },
-                                            ));
-                                        }
-                                        break;
-                                    }
-                                    Err(now) => cur = now,
-                                }
-                            }
-                        }
-                    }
-                    expanded.fetch_add(got as u64, Ordering::Relaxed);
-                    if !children.is_empty() {
-                        outstanding.fetch_add(children.len() as i64, Ordering::AcqRel);
-                        for chunk in children.chunks(k) {
-                            q.insert_batch(chunk);
-                        }
-                    }
-                    outstanding.fetch_sub(got as i64, Ordering::AcqRel);
-                }
-            });
-        }
-    });
-    watchdog.check();
-
-    let g = incumbent.load(Ordering::Acquire);
-    AstarResult {
-        cost: (g != u64::MAX).then_some(g),
-        nodes_expanded: expanded.load(Ordering::Relaxed),
-    }
+    let search = AstarSearch::new(grid);
+    let nodes_expanded = search::solve(&search, q, threads, None);
+    let g = search.incumbent();
+    AstarResult { cost: (g != u64::MAX).then_some(g), nodes_expanded }
 }
 
 /// Sequential reference A* with the same costs and heuristic.

@@ -10,9 +10,9 @@
 //! exploration finds the optimum — so the driver is safe for relaxed
 //! queues (SprayList) too; strict queues just prune more.
 
-use crate::watchdog::{Idle, Watchdog};
+use crate::search::{self, Search};
 use pq_api::{BatchPriorityQueue, Entry};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use workloads::KnapsackInstance;
 
 /// A search-tree node: items `0..level` are decided, accumulating
@@ -38,6 +38,72 @@ pub struct KsResult {
     pub nodes_expanded: u64,
 }
 
+/// Knapsack's expansion: the instance and the incumbent profit, shared
+/// by every worker of one search.
+pub struct KnapsackSearch<'i> {
+    inst: &'i KnapsackInstance,
+    incumbent: AtomicU64,
+}
+
+impl<'i> KnapsackSearch<'i> {
+    /// A search of `inst` with no feasible solution found yet.
+    pub fn new(inst: &'i KnapsackInstance) -> Self {
+        Self { inst, incumbent: AtomicU64::new(0) }
+    }
+
+    /// The best profit found so far.
+    pub fn best_profit(&self) -> u64 {
+        self.incumbent.load(Ordering::Acquire)
+    }
+}
+
+impl Search for KnapsackSearch<'_> {
+    type Node = KsNode;
+    const NAME: &'static str = "knapsack";
+
+    fn root(&self) -> Entry<u64, KsNode> {
+        let root_bound = self.inst.upper_bound(0, 0, 0);
+        Entry::new(bound_to_key(root_bound), KsNode { level: 0, profit: 0, weight: 0 })
+    }
+
+    fn expand(&self, popped: &[Entry<u64, KsNode>], children: &mut Vec<Entry<u64, KsNode>>) {
+        let inst = self.inst;
+        let mut best = self.incumbent.load(Ordering::Relaxed);
+        for e in popped {
+            let node = e.value;
+            let bound = u64::MAX - e.key;
+            // Pruned (cannot beat the incumbent), or no item left.
+            if bound <= best || (node.level as usize) >= inst.items() {
+                continue;
+            }
+            let i = node.level as usize;
+            let (p, w) = (inst.profits[i], inst.weights[i]);
+            // Branch 1: take item i (if it fits).
+            if node.weight + w <= inst.capacity {
+                let taken = KsNode {
+                    level: node.level + 1,
+                    profit: node.profit + p,
+                    weight: node.weight + w,
+                };
+                // A feasible partial solution is a candidate.
+                best = best.max(taken.profit);
+                let b = inst.upper_bound(i + 1, taken.profit, taken.weight);
+                if b > best {
+                    children.push(Entry::new(bound_to_key(b), taken));
+                }
+            }
+            // Branch 2: skip item i.
+            let skipped =
+                KsNode { level: node.level + 1, profit: node.profit, weight: node.weight };
+            let b = inst.upper_bound(i + 1, skipped.profit, skipped.weight);
+            if b > best {
+                children.push(Entry::new(bound_to_key(b), skipped));
+            }
+        }
+        self.incumbent.fetch_max(best, Ordering::AcqRel);
+    }
+}
+
 /// Solve `inst` with `threads` workers sharing queue `q`.
 pub fn solve_knapsack<Q>(inst: &KnapsackInstance, q: &Q, threads: usize) -> KsResult
 where
@@ -60,97 +126,9 @@ pub fn solve_knapsack_budgeted<Q>(
 where
     Q: BatchPriorityQueue<u64, KsNode> + ?Sized,
 {
-    let incumbent = AtomicU64::new(0);
-    let outstanding = AtomicI64::new(1);
-    let expanded = AtomicU64::new(0);
-    let watchdog = Watchdog::new("knapsack");
-    let root = KsNode { level: 0, profit: 0, weight: 0 };
-    let root_bound = inst.upper_bound(0, 0, 0);
-    q.insert_batch(&[Entry::new(bound_to_key(root_bound), root)]);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
-            s.spawn(|| {
-                let k = q.batch_capacity();
-                let mut out: Vec<Entry<u64, KsNode>> = Vec::with_capacity(k);
-                let mut children: Vec<Entry<u64, KsNode>> = Vec::with_capacity(2 * k);
-                let mut idle = Idle::default();
-                loop {
-                    if let Some(b) = budget {
-                        if expanded.load(Ordering::Relaxed) >= b {
-                            return;
-                        }
-                    }
-                    out.clear();
-                    let got = q.delete_min_batch(&mut out, k);
-                    if got == 0 {
-                        let left = outstanding.load(Ordering::Acquire);
-                        let popped = expanded.load(Ordering::Relaxed);
-                        if left <= 0 || watchdog.stalled(&mut idle, left, popped, || q.len()) {
-                            return;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    children.clear();
-                    let mut best = incumbent.load(Ordering::Relaxed);
-                    for e in &out {
-                        let node = e.value;
-                        let bound = u64::MAX - e.key;
-                        if bound <= best {
-                            continue; // pruned: cannot beat the incumbent
-                        }
-                        if (node.level as usize) >= inst.items() {
-                            continue;
-                        }
-                        let i = node.level as usize;
-                        let (p, w) = (inst.profits[i], inst.weights[i]);
-                        // Branch 1: take item i (if it fits).
-                        if node.weight + w <= inst.capacity {
-                            let taken = KsNode {
-                                level: node.level + 1,
-                                profit: node.profit + p,
-                                weight: node.weight + w,
-                            };
-                            // A feasible partial solution is a candidate.
-                            best = best.max(taken.profit);
-                            let b = inst.upper_bound(i + 1, taken.profit, taken.weight);
-                            if b > best {
-                                children.push(Entry::new(bound_to_key(b), taken));
-                            }
-                        }
-                        // Branch 2: skip item i.
-                        let skipped = KsNode {
-                            level: node.level + 1,
-                            profit: node.profit,
-                            weight: node.weight,
-                        };
-                        let b = inst.upper_bound(i + 1, skipped.profit, skipped.weight);
-                        if b > best {
-                            children.push(Entry::new(bound_to_key(b), skipped));
-                        }
-                    }
-                    incumbent.fetch_max(best, Ordering::AcqRel);
-                    expanded.fetch_add(got as u64, Ordering::Relaxed);
-                    // Publish children before retiring the parents so
-                    // `outstanding == 0` implies a drained search.
-                    if !children.is_empty() {
-                        outstanding.fetch_add(children.len() as i64, Ordering::AcqRel);
-                        for chunk in children.chunks(k) {
-                            q.insert_batch(chunk);
-                        }
-                    }
-                    outstanding.fetch_sub(got as i64, Ordering::AcqRel);
-                }
-            });
-        }
-    });
-    watchdog.check();
-
-    KsResult {
-        best_profit: incumbent.load(Ordering::Acquire),
-        nodes_expanded: expanded.load(Ordering::Relaxed),
-    }
+    let search = KnapsackSearch::new(inst);
+    let nodes_expanded = search::solve(&search, q, threads, budget);
+    KsResult { best_profit: search.best_profit(), nodes_expanded }
 }
 
 /// Sequential best-first reference solver (same algorithm, std heap).

@@ -1,7 +1,8 @@
 //! # bgpq-apps — the paper's real-world applications (§6.5)
 //!
-//! Both applications are generic over any [`pq_api::BatchPriorityQueue`],
-//! so one driver runs BGPQ and every CPU baseline:
+//! Three best-first searches, generic over any
+//! [`pq_api::BatchPriorityQueue`], so one driver runs BGPQ and every
+//! CPU baseline:
 //!
 //! * [`knapsack`] — branch-and-bound 0/1 knapsack: "all visited nodes in
 //!   the search tree are stored in the priority queue … its two branches
@@ -10,12 +11,18 @@
 //!   retrieves a full node from the priority queue for load balancing."
 //! * [`astar`] — A* route planning on 2-D obstacle grids with
 //!   8-direction movement and the Manhattan heuristic.
+//! * [`sssp`] — single-source shortest paths (parallel Dijkstra).
 //!
-//! Each module ships a sequential reference solver used by the tests to
+//! All three run the one loop of [`search`], on CPU threads here and on
+//! simulated thread blocks in the bench crate's GPU kernels.
+//!
+//! Each module ships a sequential reference solver (SSSP's is
+//! `workloads::Graph::dijkstra_reference`) used by the tests to
 //! validate the parallel results exactly.
 
 pub mod astar;
 pub mod knapsack;
+pub mod search;
 pub mod sssp;
 mod watchdog;
 

@@ -9,9 +9,9 @@
 //! drains; with non-negative weights the distance array then equals the
 //! sequential Dijkstra's.
 
-use crate::watchdog::{Idle, Watchdog};
+use crate::search::{self, Search};
 use pq_api::{BatchPriorityQueue, Entry};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use workloads::Graph;
 
 /// An open-list label: vertex reached at tentative distance `dist`.
@@ -30,87 +30,52 @@ pub struct SsspResult {
     pub nodes_expanded: u64,
 }
 
+/// SSSP's expansion: the source and the per-vertex best distances.
+struct SsspSearch<'g> {
+    graph: &'g Graph,
+    source: usize,
+    best: Vec<AtomicU64>,
+}
+
+impl Search for SsspSearch<'_> {
+    type Node = SsspNode;
+    const NAME: &'static str = "SSSP";
+
+    fn root(&self) -> Entry<u64, SsspNode> {
+        Entry::new(0, SsspNode { vertex: self.source as u32, dist: 0 })
+    }
+
+    fn expand(&self, popped: &[Entry<u64, SsspNode>], children: &mut Vec<Entry<u64, SsspNode>>) {
+        let (graph, best) = (self.graph, &self.best);
+        for e in popped {
+            let node = e.value;
+            let v = node.vertex as usize;
+            if node.dist > best[v].load(Ordering::Acquire) {
+                continue; // stale label
+            }
+            for &(t, w) in graph.neighbors(v) {
+                let nd = node.dist + w as u64;
+                if search::improve(&best[t as usize], nd) {
+                    children.push(Entry::new(nd, SsspNode { vertex: t, dist: nd }));
+                }
+            }
+        }
+    }
+}
+
 /// Compute shortest paths from `source` with `threads` workers sharing
 /// queue `q`.
 pub fn solve_sssp<Q>(graph: &Graph, source: usize, q: &Q, threads: usize) -> SsspResult
 where
     Q: BatchPriorityQueue<u64, SsspNode> + ?Sized,
 {
-    let n = graph.vertices();
-    let best: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
+    let best: Vec<AtomicU64> = (0..graph.vertices()).map(|_| AtomicU64::new(u64::MAX)).collect();
     best[source].store(0, Ordering::Release);
-    let outstanding = AtomicI64::new(1);
-    let expanded = AtomicU64::new(0);
-    let watchdog = Watchdog::new("SSSP");
-    q.insert_batch(&[Entry::new(0, SsspNode { vertex: source as u32, dist: 0 })]);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
-            s.spawn(|| {
-                let k = q.batch_capacity();
-                let mut out: Vec<Entry<u64, SsspNode>> = Vec::with_capacity(k);
-                let mut children: Vec<Entry<u64, SsspNode>> = Vec::with_capacity(4 * k);
-                let mut idle = Idle::default();
-                loop {
-                    out.clear();
-                    let got = q.delete_min_batch(&mut out, k);
-                    if got == 0 {
-                        let left = outstanding.load(Ordering::Acquire);
-                        let popped = expanded.load(Ordering::Relaxed);
-                        if left <= 0 || watchdog.stalled(&mut idle, left, popped, || q.len()) {
-                            return;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    children.clear();
-                    for e in &out {
-                        let node = e.value;
-                        let v = node.vertex as usize;
-                        if node.dist > best[v].load(Ordering::Acquire) {
-                            continue; // stale label
-                        }
-                        for &(t, w) in graph.neighbors(v) {
-                            let nd = node.dist + w as u64;
-                            let tv = t as usize;
-                            let mut cur = best[tv].load(Ordering::Acquire);
-                            loop {
-                                if nd >= cur {
-                                    break;
-                                }
-                                match best[tv].compare_exchange_weak(
-                                    cur,
-                                    nd,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                ) {
-                                    Ok(_) => {
-                                        children
-                                            .push(Entry::new(nd, SsspNode { vertex: t, dist: nd }));
-                                        break;
-                                    }
-                                    Err(now) => cur = now,
-                                }
-                            }
-                        }
-                    }
-                    expanded.fetch_add(got as u64, Ordering::Relaxed);
-                    if !children.is_empty() {
-                        outstanding.fetch_add(children.len() as i64, Ordering::AcqRel);
-                        for chunk in children.chunks(k) {
-                            q.insert_batch(chunk);
-                        }
-                    }
-                    outstanding.fetch_sub(got as i64, Ordering::AcqRel);
-                }
-            });
-        }
-    });
-    watchdog.check();
-
+    let search = SsspSearch { graph, source, best };
+    let nodes_expanded = search::solve(&search, q, threads, None);
     SsspResult {
-        dist: best.iter().map(|a| a.load(Ordering::Acquire)).collect(),
-        nodes_expanded: expanded.load(Ordering::Relaxed),
+        dist: search.best.iter().map(|a| a.load(Ordering::Acquire)).collect(),
+        nodes_expanded,
     }
 }
 

@@ -1,15 +1,15 @@
-//! The no-pop watchdog every parallel solver shares.
+//! The no-pop watchdog of the shared search loop.
 //!
-//! A solver's workers stop when its count of outstanding open entries
+//! A search's workers stop when its count of outstanding open entries
 //! reaches zero. A queue that holds keys it never returns, or loses
 //! them, keeps that count above zero forever, and the workers would
 //! poll an empty queue without end. Instead, a worker whose pop comes
-//! back empty asks [`Watchdog::stalled`]; once no worker anywhere has
-//! popped for [`TIMEOUT`], every worker stops, and
-//! [`Watchdog::check`] panics on the solver's own thread with the
-//! solver's stall message.
+//! back empty asks [`Shared::stalled`]; once no worker anywhere has
+//! popped for [`TIMEOUT`], every worker stops, and [`Shared::finish`]
+//! panics on the solver's own thread with the solver's stall message.
 
-use std::sync::OnceLock;
+use crate::search::Shared;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Wall-clock time with open entries outstanding but no pop anywhere
@@ -21,62 +21,37 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 #[cfg(test)]
 const TIMEOUT: Duration = Duration::from_secs(2);
 
-/// One solve's watchdog, shared by its workers.
-pub(crate) struct Watchdog {
-    solver: &'static str,
-    stall: OnceLock<String>,
-}
-
-/// One worker's idle state: when it last saw the pop count move, and
-/// the count then.
-#[derive(Default)]
-pub(crate) struct Idle(Option<(Instant, u64)>);
-
-impl Watchdog {
-    /// A watchdog whose stall message names `solver`.
-    pub(crate) fn new(solver: &'static str) -> Self {
-        Self { solver, stall: OnceLock::new() }
-    }
-
-    /// A worker's pop came back empty with `left` entries outstanding
-    /// and `popped` popped by all workers so far. Returns whether the
-    /// worker should stop: no pop anywhere for [`TIMEOUT`], seen by
-    /// this worker or another.
+impl Shared {
+    /// A worker of `solver` popped nothing, `left` entries outstanding;
+    /// `idle` is when it last saw the pop count move, and that count.
+    /// Stop once any worker has seen no pop anywhere for [`TIMEOUT`].
     pub(crate) fn stalled(
         &self,
-        idle: &mut Idle,
+        solver: &str,
+        idle: &mut Option<(Instant, u64)>,
         left: i64,
-        popped: u64,
         queue_len: impl FnOnce() -> usize,
     ) -> bool {
         if self.stall.get().is_some() {
             return true;
         }
-        match idle.0 {
+        let popped = self.expanded.load(Ordering::Relaxed);
+        match *idle {
             Some((since, seen)) if seen == popped => {
                 if since.elapsed() < TIMEOUT {
                     return false;
                 }
                 let msg = format!(
-                    "{} stalled: {left} entries outstanding, queue len {}, no pop for {TIMEOUT:?}",
-                    self.solver,
+                    "{solver} stalled: {left} entries outstanding, queue len {}, no pop for {TIMEOUT:?}",
                     queue_len()
                 );
                 let _ = self.stall.set(msg);
                 true
             }
             _ => {
-                idle.0 = Some((Instant::now(), popped));
+                *idle = Some((Instant::now(), popped));
                 false
             }
-        }
-    }
-
-    /// Once the workers have joined: panic with the stall message if
-    /// the solve stalled.
-    pub(crate) fn check(self) {
-        if let Some(msg) = self.stall.into_inner() {
-            panic!("{msg}");
         }
     }
 }

@@ -12,7 +12,7 @@ use bgpq::{BgpqOptions, CpuBgpq};
 use bgpq_shard::{CpuShardedBgpq, ShardedOptions};
 use cbpq::CbpqPq;
 use pq_api::{BatchPriorityQueue, Entry, ItemwiseBatch, KeyType, ValueType};
-use skiplist_pq::{LindenJonssonPq, LotanShavitPq, SprayListPq};
+use skiplist_pq::{LindenJonssonPq, SprayListPq};
 use std::time::Instant;
 
 /// The queue designs of Table 2 (CPU side), plus BGPQ-on-CPU.
@@ -28,9 +28,6 @@ pub enum QueueKind {
     Spray,
     /// Chunk-based PQ.
     Cbpq,
-    /// Lotan-Shavit/Sundell-Tsigas skiplist (eager physical deletes;
-    /// Table 1's STSL design point, not part of Table 2).
-    Stsl,
     /// BGPQ running on the CPU platform.
     BgpqCpu,
     /// Sharded BGPQ front (4 shards, c = 2 sampling) on the CPU
@@ -65,7 +62,6 @@ impl QueueKind {
             QueueKind::Tbb => "TBB",
             QueueKind::FineHeap => "FineHeap",
             QueueKind::Ljsl => "LJSL",
-            QueueKind::Stsl => "STSL",
             QueueKind::Spray => "SprayList",
             QueueKind::Cbpq => "CBPQ",
             QueueKind::BgpqCpu => "BGPQ-cpu",
@@ -89,7 +85,6 @@ pub fn build_queue<K: KeyType, V: ValueType>(
             Box::new(ItemwiseBatch::new(FineHeapPq::new(capacity_hint.max(1024)), batch))
         }
         QueueKind::Ljsl => Box::new(ItemwiseBatch::new(LindenJonssonPq::new(32), batch)),
-        QueueKind::Stsl => Box::new(ItemwiseBatch::new(LotanShavitPq::new(), batch)),
         QueueKind::Spray => Box::new(ItemwiseBatch::new(SprayListPq::new(threads_hint, 64), batch)),
         QueueKind::Cbpq => Box::new(ItemwiseBatch::new(CbpqPq::new(928), batch)),
         QueueKind::BgpqCpu => Box::new(CpuBgpq::new(BgpqOptions::with_capacity_for(

@@ -2,23 +2,20 @@
 //! §6.5's actual setup: "A thread block in BGPQ always retrieves a full
 //! node from the priority queue for load balancing purposes."
 //!
-//! Each thread block loops: pop a batch of search nodes, process them
-//! data-parallel (one thread per node; the per-node work is charged to
-//! the virtual clock), push surviving children as batches. Termination
-//! uses the same outstanding-work counter as the CPU drivers, with
-//! virtual-time backoff while the queue is momentarily empty.
+//! Each thread block runs the CPU solvers' loop and expansions
+//! ([`apps::search`]), one thread per popped node, charging that work to
+//! the virtual clock; an empty pop backs off in virtual time.
 //!
 //! The search itself is performed for real — results are validated
 //! against the sequential references by the integration tests.
 
-use apps::knapsack::bound_to_key;
-use apps::{AstarNode, KsNode};
+use apps::search::{Search, SearchWorker, Shared};
+use apps::{astar::AstarSearch, knapsack::KnapsackSearch};
 use bgpq::{Bgpq, BgpqOptions};
 use bgpq_runtime::SimPlatform;
 use gpu_sim::{launch, BlockCtx, GpuConfig};
-use pq_api::Entry;
+use pq_api::{Entry, ValueType};
 use primitives::PrimitiveCost;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use workloads::{Grid, KnapsackInstance};
 
 /// Result of a simulated-GPU application run.
@@ -32,6 +29,74 @@ pub struct SimAppResult {
     pub expanded: u64,
 }
 
+/// One thread block's worker; its hooks charge the search's own work.
+struct Block<'a, V: ValueType> {
+    ctx: &'a mut BlockCtx,
+    q: &'a Bgpq<u64, V, SimPlatform>,
+    /// Virtual work for one thread to expand one node.
+    node_ops: u64,
+    /// The cost of publishing an expansion with this many children.
+    publish: fn(usize) -> PrimitiveCost,
+}
+
+impl<V: ValueType> SearchWorker<V> for Block<'_, V> {
+    fn pop(&mut self, out: &mut Vec<Entry<u64, V>>, count: usize) -> usize {
+        self.q.delete_min(self.ctx.worker(), out, count)
+    }
+
+    fn push(&mut self, batch: &[Entry<u64, V>]) {
+        self.q.insert(self.ctx.worker(), batch);
+    }
+
+    fn queue_len(&self) -> usize {
+        self.q.len()
+    }
+
+    fn back_off(&mut self) {
+        self.ctx.advance(self.ctx.cost_model().c_spin);
+    }
+
+    /// Data-parallel node evaluation.
+    fn after_pop(&mut self, got: usize) {
+        let rounds = (got as u64).div_ceil(u64::from(self.ctx.block_dim()));
+        self.ctx.charge(PrimitiveCost::Compute { ops: rounds * self.node_ops });
+    }
+
+    fn after_expand(&mut self, children: usize) {
+        self.ctx.charge((self.publish)(children));
+    }
+}
+
+/// Run `search` in a simulated kernel over a BGPQ of node capacity `k`
+/// with room for `items` entries; returns (simulated ms, nodes expanded).
+fn run<S: Search>(
+    gpu: GpuConfig,
+    k: usize,
+    items: usize,
+    search: &S,
+    budget: Option<u64>,
+    node_ops: u64,
+    publish: fn(usize) -> PrimitiveCost,
+) -> (f64, u64) {
+    let opts = BgpqOptions::with_capacity_for(k, items);
+    let shared = Shared::new(budget);
+    let (report, _q) = launch(
+        gpu,
+        |sched| {
+            let p = SimPlatform::new(sched, opts.max_nodes + 1, gpu.cost, gpu.block_dim);
+            Bgpq::with_platform(p, opts)
+        },
+        |ctx: &mut BlockCtx, q: &Bgpq<u64, S::Node, SimPlatform>| {
+            // Block 0 seeds the root node.
+            if ctx.block_id() == 0 {
+                q.insert(ctx.worker(), &[search.root()]);
+            }
+            shared.run(search, Block { ctx, q, node_ops, publish }, k);
+        },
+    );
+    (gpu.cost.cycles_to_ms(report.makespan_cycles), shared.finish())
+}
+
 /// Branch-and-bound 0/1 knapsack on BGPQ inside a simulated kernel.
 pub fn knapsack_sim(
     gpu: GpuConfig,
@@ -39,216 +104,26 @@ pub fn knapsack_sim(
     inst: &KnapsackInstance,
     budget: Option<u64>,
 ) -> SimAppResult {
-    type Q = Bgpq<u64, KsNode, SimPlatform>;
-    let opts = BgpqOptions::with_capacity_for(
-        k,
-        budget.map(|b| 4 * b as usize).unwrap_or(1 << 22).max(16 * k),
-    );
-    let incumbent = AtomicU64::new(0);
-    let outstanding = AtomicI64::new(1);
-    let expanded = AtomicU64::new(0);
+    let items = budget.map(|b| 4 * b as usize).unwrap_or(1 << 22).max(16 * k);
+    let search = KnapsackSearch::new(inst);
     // Per-node bound evaluation: the Dantzig loop scans density-sorted
     // items; one thread evaluates one node, so a block pays
     // ceil(batch/block_dim) rounds of roughly items/2 steps.
     let node_ops = (inst.items() as u64) / 2 + 24;
-
-    let (report, q) = launch(
-        gpu,
-        |sched| {
-            let p = SimPlatform::new(sched, opts.max_nodes + 1, gpu.cost, gpu.block_dim);
-            let q: Q = Bgpq::with_platform(p, opts);
-            q
-        },
-        |ctx: &mut BlockCtx, q: &Q| {
-            // Block 0 seeds the root node.
-            if ctx.block_id() == 0 {
-                let root_bound = inst.upper_bound(0, 0, 0);
-                q.insert(ctx.worker(), &[Entry::new(bound_to_key(root_bound), KsNode::default())]);
-            }
-            let mut out: Vec<Entry<u64, KsNode>> = Vec::with_capacity(k);
-            let mut children: Vec<Entry<u64, KsNode>> = Vec::with_capacity(2 * k);
-            loop {
-                if let Some(b) = budget {
-                    if expanded.load(Ordering::Relaxed) >= b {
-                        return;
-                    }
-                }
-                out.clear();
-                let got = q.delete_min(ctx.worker(), &mut out, k);
-                if got == 0 {
-                    if outstanding.load(Ordering::Acquire) <= 0 {
-                        return;
-                    }
-                    ctx.advance(ctx.cost_model().c_spin);
-                    continue;
-                }
-                // Data-parallel node evaluation.
-                ctx.charge(PrimitiveCost::Compute {
-                    ops: (got as u64).div_ceil(u64::from(ctx.block_dim())) * node_ops,
-                });
-                children.clear();
-                let mut best = incumbent.load(Ordering::Relaxed);
-                for e in &out {
-                    let node = e.value;
-                    let bound = u64::MAX - e.key;
-                    if bound <= best || (node.level as usize) >= inst.items() {
-                        continue;
-                    }
-                    let i = node.level as usize;
-                    let (p, w) = (inst.profits[i], inst.weights[i]);
-                    if node.weight + w <= inst.capacity {
-                        let taken = KsNode {
-                            level: node.level + 1,
-                            profit: node.profit + p,
-                            weight: node.weight + w,
-                        };
-                        best = best.max(taken.profit);
-                        let b = inst.upper_bound(i + 1, taken.profit, taken.weight);
-                        if b > best {
-                            children.push(Entry::new(bound_to_key(b), taken));
-                        }
-                    }
-                    let skipped =
-                        KsNode { level: node.level + 1, profit: node.profit, weight: node.weight };
-                    let b = inst.upper_bound(i + 1, skipped.profit, skipped.weight);
-                    if b > best {
-                        children.push(Entry::new(bound_to_key(b), skipped));
-                    }
-                }
-                incumbent.fetch_max(best, Ordering::AcqRel);
-                ctx.charge(PrimitiveCost::Atomic);
-                expanded.fetch_add(got as u64, Ordering::Relaxed);
-                if !children.is_empty() {
-                    outstanding.fetch_add(children.len() as i64, Ordering::AcqRel);
-                    for chunk in children.chunks(k) {
-                        q.insert(ctx.worker(), chunk);
-                    }
-                }
-                outstanding.fetch_sub(got as i64, Ordering::AcqRel);
-            }
-        },
-    );
-    let _ = q;
-    SimAppResult {
-        sim_ms: gpu.cost.cycles_to_ms(report.makespan_cycles),
-        answer: incumbent.load(Ordering::Acquire),
-        expanded: expanded.load(Ordering::Relaxed),
-    }
+    let (sim_ms, expanded) =
+        run(gpu, k, items, &search, budget, node_ops, |_| PrimitiveCost::Atomic);
+    SimAppResult { sim_ms, answer: search.best_profit(), expanded }
 }
 
 /// A* route planning on BGPQ inside a simulated kernel.
 pub fn astar_sim(gpu: GpuConfig, k: usize, grid: &Grid) -> SimAppResult {
-    type Q = Bgpq<u64, AstarNode, SimPlatform>;
-    let opts = BgpqOptions::with_capacity_for(k, grid.cells() * 2 + 16 * k);
-    let best_g: Vec<AtomicU64> = (0..grid.cells()).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let incumbent = AtomicU64::new(u64::MAX);
-    let outstanding = AtomicI64::new(1);
-    let expanded = AtomicU64::new(0);
-    let (sx, sy) = grid.start();
-    best_g[grid.idx(sx, sy)].store(0, Ordering::Release);
-    let goal = grid.goal();
+    let search = AstarSearch::new(grid);
     // Per-node work: 8 neighbour probes + heuristic arithmetic.
-    let node_ops = 64u64;
-
-    let (report, q) = launch(
-        gpu,
-        |sched| {
-            let p = SimPlatform::new(sched, opts.max_nodes + 1, gpu.cost, gpu.block_dim);
-            let q: Q = Bgpq::with_platform(p, opts);
-            q
-        },
-        |ctx: &mut BlockCtx, q: &Q| {
-            if ctx.block_id() == 0 {
-                let h0 = grid.manhattan_to_goal(sx, sy);
-                q.insert(
-                    ctx.worker(),
-                    &[Entry::new(h0, AstarNode { x: sx as u32, y: sy as u32, g: 0 })],
-                );
-            }
-            let mut out: Vec<Entry<u64, AstarNode>> = Vec::with_capacity(k);
-            let mut children: Vec<Entry<u64, AstarNode>> = Vec::with_capacity(8 * k);
-            loop {
-                out.clear();
-                let got = q.delete_min(ctx.worker(), &mut out, k);
-                if got == 0 {
-                    if outstanding.load(Ordering::Acquire) <= 0 {
-                        return;
-                    }
-                    ctx.advance(ctx.cost_model().c_spin);
-                    continue;
-                }
-                ctx.charge(PrimitiveCost::Compute {
-                    ops: (got as u64).div_ceil(u64::from(ctx.block_dim())) * node_ops,
-                });
-                children.clear();
-                for e in &out {
-                    let node = e.value;
-                    let (x, y) = (node.x as usize, node.y as usize);
-                    if node.g > best_g[grid.idx(x, y)].load(Ordering::Acquire) {
-                        continue;
-                    }
-                    let f = node.g + grid.manhattan_to_goal(x, y);
-                    if f >= incumbent.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    if (x, y) == goal {
-                        incumbent.fetch_min(node.g, Ordering::AcqRel);
-                        continue;
-                    }
-                    for (nx, ny) in grid.neighbors(x, y) {
-                        let step = if nx != x && ny != y {
-                            apps::astar::DIAGONAL_COST
-                        } else {
-                            apps::astar::STRAIGHT_COST
-                        };
-                        let ng = node.g + step;
-                        let ncell = grid.idx(nx, ny);
-                        let mut cur = best_g[ncell].load(Ordering::Acquire);
-                        loop {
-                            if ng >= cur {
-                                break;
-                            }
-                            match best_g[ncell].compare_exchange_weak(
-                                cur,
-                                ng,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => {
-                                    let nf = ng + grid.manhattan_to_goal(nx, ny);
-                                    if nf < incumbent.load(Ordering::Acquire) {
-                                        children.push(Entry::new(
-                                            nf,
-                                            AstarNode { x: nx as u32, y: ny as u32, g: ng },
-                                        ));
-                                    }
-                                    break;
-                                }
-                                Err(now) => cur = now,
-                            }
-                        }
-                    }
-                }
-                // Relaxations are global atomics issued warp-wide.
-                ctx.charge(PrimitiveCost::GlobalWrite { n: children.len() });
-                expanded.fetch_add(got as u64, Ordering::Relaxed);
-                if !children.is_empty() {
-                    outstanding.fetch_add(children.len() as i64, Ordering::AcqRel);
-                    for chunk in children.chunks(k) {
-                        q.insert(ctx.worker(), chunk);
-                    }
-                }
-                outstanding.fetch_sub(got as i64, Ordering::AcqRel);
-            }
-        },
-    );
-    let _ = q;
-    let g = incumbent.load(Ordering::Acquire);
-    SimAppResult {
-        sim_ms: gpu.cost.cycles_to_ms(report.makespan_cycles),
-        answer: g,
-        expanded: expanded.load(Ordering::Relaxed),
-    }
+    // Relaxations are global atomics issued warp-wide.
+    let (sim_ms, expanded) = run(gpu, k, grid.cells() * 2 + 16 * k, &search, None, 64, |n| {
+        PrimitiveCost::GlobalWrite { n }
+    });
+    SimAppResult { sim_ms, answer: search.incumbent(), expanded }
 }
 
 #[cfg(test)]
@@ -270,6 +145,26 @@ mod tests {
         let seq = apps::solve_astar_sequential(&grid);
         let r = astar_sim(GpuConfig::new(4, 128), 16, &grid);
         assert_eq!(Some(r.answer), seq.cost);
+    }
+
+    /// Exact simulated results at table2's small configuration (16
+    /// blocks × 512 threads, k = 256): any change to where the kernels
+    /// charge device cost, or to the host reads between the charges,
+    /// moves these bits.
+    #[test]
+    fn kernels_reproduce_their_pinned_results() {
+        let gpu = GpuConfig::new(16, 512);
+        let pin = |r: SimAppResult| (r.sim_ms.to_bits(), r.answer, r.expanded);
+        let ks = |n, seed, budget| {
+            let inst = KnapsackInstance::generate(KnapsackSpec::new(n, Correlation::Weak, seed));
+            pin(knapsack_sim(gpu, 256, &inst, budget))
+        };
+        let astar =
+            |side, seed| pin(astar_sim(gpu, 256, &Grid::generate(GridSpec::new(side, 0.2, seed))));
+        assert_eq!(ks(24, 3, None), (0x3fc2_3497_b741_4a4d, 6281, 4617));
+        assert_eq!(ks(200, 7, Some(50_000)), (0x3ff0_d5cf_aacd_9e84, 9155, 51199));
+        assert_eq!(astar(32, 5), (0x3fcb_e97b_d3f3_5069, 95, 910));
+        assert_eq!(astar(128, 11), (0x3fee_632b_85de_75a9, 392, 14710));
     }
 
     #[test]

@@ -164,15 +164,8 @@ where
     F: Fn(&mut BlockCtx, &T) + Sync,
     T: Sync,
 {
-    let sched = Scheduler::new(config.num_blocks);
-    if let Some(seed) = config.fuzz_seed {
-        sched.set_tie_seed(seed);
-    }
-    let resident = config.resident_blocks().min(config.num_blocks).max(1);
-    let slot_base = sched.create_locks(resident);
-    let shared = setup(&sched);
-    run_wave(&sched, config, slot_base, &shared, &kernel);
-    (report_of(&sched, &config), shared)
+    let (mut reports, shared) = launch_phased(config, setup, &[&kernel]);
+    (reports.pop().expect("one phase, one report"), shared)
 }
 
 /// A phase kernel: one closure per relaunch in [`launch_phased`].

@@ -23,9 +23,7 @@
 
 pub mod linden;
 pub mod list;
-pub mod lotan;
 pub mod spray;
 
 pub use linden::LindenJonssonPq;
-pub use lotan::LotanShavitPq;
 pub use spray::SprayListPq;

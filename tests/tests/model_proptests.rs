@@ -8,7 +8,7 @@ use cbpq::CbpqPq;
 use pq_api::{BatchPriorityQueue, Entry, ItemwiseBatch};
 use proptest::prelude::*;
 use psync::SeqBatchHeap;
-use skiplist_pq::{LindenJonssonPq, LotanShavitPq};
+use skiplist_pq::LindenJonssonPq;
 use std::collections::BinaryHeap;
 
 #[derive(Debug, Clone)]
@@ -86,13 +86,6 @@ proptest! {
     #[test]
     fn ljsl_matches_model(ops in ops_strategy(8, 80)) {
         let q = ItemwiseBatch::new(LindenJonssonPq::<u32, u32>::new(4), 8);
-        drive(&q, &ops, 8)?;
-        q.inner().list().check_invariants();
-    }
-
-    #[test]
-    fn stsl_matches_model(ops in ops_strategy(8, 80)) {
-        let q = ItemwiseBatch::new(LotanShavitPq::<u32, u32>::new(), 8);
         drive(&q, &ops, 8)?;
         q.inner().list().check_invariants();
     }
