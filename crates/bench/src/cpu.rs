@@ -46,17 +46,6 @@ impl QueueKind {
         QueueKind::BgpqShard,
     ];
 
-    /// Queues the paper runs the application benchmarks on (CBPQ is
-    /// N/A there: its 30-bit keys cannot hold app payload priorities,
-    /// footnote 7).
-    pub const APPS: [QueueKind; 5] = [
-        QueueKind::Tbb,
-        QueueKind::Spray,
-        QueueKind::Ljsl,
-        QueueKind::FineHeap,
-        QueueKind::BgpqCpu,
-    ];
-
     pub fn label(self) -> &'static str {
         match self {
             QueueKind::Tbb => "TBB",

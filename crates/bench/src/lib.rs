@@ -1,20 +1,33 @@
 //! # bench — the evaluation harness (Table 2 + Figure 6 + ablations)
 //!
-//! Shared drivers used by the harness binaries (`table2`, `fig6`,
-//! `ablation`):
+//! One binary, `bench <section> [part] [--scale small|medium|full]`
+//! ([`cli`]), regenerates the paper's evaluation and the beyond-paper
+//! sweeps. Its sections are `fig6`, `table2`, `ablation`, `memory`,
+//! `shard_sweep`, `coalesce` and `recover`, one module each, over
+//! shared drivers:
 //!
 //! * [`sim`] — BGPQ and P-Sync on the virtual-time GPU simulator
 //!   (simulated milliseconds; this is the "GPU side" of every
-//!   comparison — see DESIGN.md §2 for the substitution rationale).
+//!   comparison — see DESIGN.md §2 for the substitution rationale);
+//! * [`sim_apps`] — knapsack and A* inside simulated kernels;
 //! * [`cpu`] — the CPU baselines driven by real OS threads and measured
-//!   in wall-clock time.
-//! * [`report`] — fixed-width table printing plus CSV output under
-//!   `bench_results/`.
+//!   in wall-clock time, each cell the median of its trials;
+//! * [`report`] — the one writer: tables, their CSV, and JSON headed by
+//!   the host facts, all under `bench_results/`.
 
+pub mod cli;
 pub mod cpu;
 pub mod report;
 pub mod sim;
 pub mod sim_apps;
+
+mod ablation;
+mod coalesce;
+mod fig6;
+mod memory;
+mod recover;
+mod shard_sweep;
+mod table2;
 
 /// Experiment scale presets so the full suite stays tractable on a
 /// laptop-class host while preserving the paper's sweep structure.
@@ -84,6 +97,69 @@ impl Scale {
             Scale::Full => 1 << 22,
         }
     }
+
+    /// Single-op insert+delete pairs per submitter in the coalesce and
+    /// shard_sweep front sweeps, (cpu, sim): the simulator interprets
+    /// every instruction, so its per-op wall cost is far higher, and
+    /// device-time ratios converge with far fewer ops than wall-clock
+    /// medians do.
+    pub(crate) fn single_op_pairs(self) -> (usize, usize) {
+        match self {
+            Scale::Small => (2_000, 200),
+            Scale::Medium => (10_000, 500),
+            Scale::Full => (40_000, 2_000),
+        }
+    }
+
+    /// Simulated thread blocks of the Fig. 6a/6b and ablation sweeps
+    /// (paper: 128).
+    pub(crate) fn sweep_blocks(self) -> usize {
+        match self {
+            Scale::Small => 8,
+            Scale::Medium => 32,
+            Scale::Full => 128,
+        }
+    }
+}
+
+/// Runs per wall-clock cell.
+pub(crate) const TRIALS: usize = 3;
+
+/// Runs of one wall-clock cell, sorted by the timing they are judged
+/// by: host load moves a single run, so every CPU cell reports the
+/// median run and the spread of its runs.
+pub(crate) struct Trials<T>(Vec<(f64, T)>);
+
+impl<T> Trials<T> {
+    /// Run `trial` `n` times, passing the run's index.
+    pub(crate) fn run(
+        n: usize,
+        mut trial: impl FnMut(usize) -> T,
+        key: impl Fn(&T) -> f64,
+    ) -> Self {
+        let mut runs: Vec<(f64, T)> = (0..n)
+            .map(|i| {
+                let t = trial(i);
+                (key(&t), t)
+            })
+            .collect();
+        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        Trials(runs)
+    }
+
+    pub(crate) fn median(&self) -> &T {
+        &self.0[self.0.len() / 2].1
+    }
+
+    /// The largest timing.
+    pub(crate) fn max(&self) -> f64 {
+        self.0[self.0.len() - 1].0
+    }
+
+    /// The largest timing over the smallest.
+    pub(crate) fn spread(&self) -> f64 {
+        self.max() / self.0[0].0
+    }
 }
 
 /// Pinned column layout of `bench_results/shard_sweep.csv`. Downstream
@@ -133,5 +209,14 @@ mod tests {
         assert_eq!(grid_cols[0], "mode", "mode column leads");
         assert_eq!(grid_cols[4], "kops/s", "throughput column is stable");
         assert_eq!(SHARD_SWEEP_COLUMNS[14..], ["flushes", "refills", "refill_occ", "sticky_reuse"]);
+    }
+
+    #[test]
+    fn trials_report_the_median_run_and_the_spread() {
+        let times = [4.0, 1.0, 2.0, 8.0, 3.0];
+        let t = Trials::run(5, |i| (i, times[i]), |r| r.1);
+        assert_eq!(*t.median(), (4, 3.0));
+        assert_eq!(t.max(), 8.0);
+        assert_eq!(t.spread(), 8.0);
     }
 }

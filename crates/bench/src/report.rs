@@ -1,5 +1,9 @@
-//! Table formatting and CSV output.
+//! The one results writer: fixed-width tables with their CSV, and JSON
+//! objects headed by the host facts. Every file lands under
+//! `bench_results/`.
 
+use crate::Scale;
+use std::fmt::Display;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -56,12 +60,16 @@ impl Table {
         out
     }
 
-    pub fn print(&self) {
+    /// Print the table and write `bench_results/<name>.csv`.
+    pub fn save(&self) -> std::io::Result<()> {
         println!("\n== {} ==", self.name);
         print!("{}", self.render());
+        let p = self.write_csv(&results_dir())?;
+        eprintln!("wrote {}", p.display());
+        Ok(())
     }
 
-    /// Write `bench_results/<name>.csv`.
+    /// Write `<dir>/<name>.csv`.
     pub fn write_csv(&self, dir: &Path) -> std::io::Result<PathBuf> {
         fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.csv", self.name));
@@ -71,6 +79,84 @@ impl Table {
             writeln!(f, "{}", row.join(","))?;
         }
         Ok(path)
+    }
+}
+
+/// Cores this process may run on: wall-clock cells of a one-core host
+/// time-slice their threads, so a JSON file says so in its header.
+pub(crate) fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A JSON object built a field at a time, rendered in field order: one
+/// field a line, nested objects inline, and arrays of objects one
+/// object a line.
+#[derive(Default)]
+pub(crate) struct Json(Vec<(String, String)>);
+
+impl Json {
+    /// The fields every results file starts with: the section, its
+    /// scale, the host's cores, and `cpu_wall_clock_advisory` on a
+    /// one-core host.
+    pub(crate) fn header(section: &str, scale: Scale) -> Self {
+        Self::header_on(section, scale, host_cores())
+    }
+
+    fn header_on(section: &str, scale: Scale, cores: usize) -> Self {
+        let json = Json::default()
+            .str("bench", section)
+            .str("scale", &format!("{scale:?}"))
+            .num("host_cores", cores);
+        if cores == 1 {
+            json.num("cpu_wall_clock_advisory", true)
+        } else {
+            json
+        }
+    }
+
+    /// A field whose value is written as it displays: a number or a
+    /// bool, formatted by the caller.
+    pub(crate) fn num(mut self, key: &str, value: impl Display) -> Self {
+        self.0.push((key.to_string(), value.to_string()));
+        self
+    }
+
+    /// A string field (the caller's text needs no escaping).
+    pub(crate) fn str(self, key: &str, value: &str) -> Self {
+        self.num(key, format!("\"{value}\""))
+    }
+
+    /// A nested object, written inline.
+    pub(crate) fn obj(self, key: &str, value: Json) -> Self {
+        let inline = value.inline();
+        self.num(key, inline)
+    }
+
+    /// An array of objects, one a line. Only a top-level field renders
+    /// with matching indentation.
+    pub(crate) fn rows(self, key: &str, rows: impl IntoIterator<Item = Json>) -> Self {
+        let rows: Vec<String> = rows.into_iter().map(|r| format!("    {}", r.inline())).collect();
+        self.num(key, format!("[\n{}\n  ]", rows.join(",\n")))
+    }
+
+    fn inline(&self) -> String {
+        let fields: Vec<String> = self.0.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    pub(crate) fn render(&self) -> String {
+        let fields: Vec<String> = self.0.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect();
+        format!("{{\n{}\n}}\n", fields.join(",\n"))
+    }
+
+    /// Write `bench_results/<name>.json`.
+    pub(crate) fn save(&self, name: &str) -> std::io::Result<()> {
+        let dir = results_dir();
+        fs::create_dir_all(&dir)?;
+        let path = dir.join(format!("{name}.json"));
+        fs::write(&path, self.render())?;
+        eprintln!("wrote {}", path.display());
+        Ok(())
     }
 }
 
@@ -93,7 +179,8 @@ pub fn speedup(baseline_ms: f64, bgpq_ms: f64) -> String {
     format!("{:.1}", baseline_ms / bgpq_ms)
 }
 
-/// Default output directory.
+/// Where every run writes: `bench_results/` under the working
+/// directory (gitignored).
 pub fn results_dir() -> PathBuf {
     PathBuf::from("bench_results")
 }
@@ -138,5 +225,34 @@ mod tests {
     fn arity_is_checked() {
         let mut t = Table::new("x", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
+    }
+
+    /// The header is a compatibility surface like the CSV columns:
+    /// readers of the committed `BENCH_*.json` find the host facts by
+    /// these names, before the section's own fields.
+    #[test]
+    fn json_header_is_pinned() {
+        let two = Json::header_on("coalesce", Scale::Medium, 2).num("k", 8);
+        assert_eq!(
+            two.render(),
+            "{\n  \"bench\": \"coalesce\",\n  \"scale\": \"Medium\",\n  \"host_cores\": 2,\n  \
+             \"k\": 8\n}\n"
+        );
+        let one = Json::header_on("recover", Scale::Small, 1);
+        assert_eq!(
+            one.inline(),
+            "{\"bench\": \"recover\", \"scale\": \"Small\", \"host_cores\": 1, \
+             \"cpu_wall_clock_advisory\": true}"
+        );
+    }
+
+    #[test]
+    fn json_nests_objects_inline_and_rows_one_a_line() {
+        let row = |n: u32| Json::default().num("n", n);
+        let j = Json::default().obj("o", row(1)).rows("r", [row(2), row(3)]);
+        assert_eq!(
+            j.render(),
+            "{\n  \"o\": {\"n\": 1},\n  \"r\": [\n    {\"n\": 2},\n    {\"n\": 3}\n  ]\n}\n"
+        );
     }
 }

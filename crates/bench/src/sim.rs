@@ -2,13 +2,24 @@
 
 use bgpq::{Bgpq, BgpqOptions};
 use bgpq_runtime::SimPlatform;
-use gpu_sim::{launch_phased, GpuConfig};
+use gpu_sim::{launch_phased, GpuConfig, Scheduler};
 use parking_lot::Mutex;
-use pq_api::Entry;
+use pq_api::{Entry, KeyType, ValueType};
 use psync::{PhaseKind, PsyncConfig, SeqBatchHeap};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 type SimQueue = Bgpq<u32, (), SimPlatform>;
+
+/// A BGPQ on the simulated device `gpu`: the setup of every kernel this
+/// crate launches.
+pub(crate) fn sim_bgpq<K: KeyType, V: ValueType>(
+    sched: &Arc<Scheduler>,
+    gpu: GpuConfig,
+    opts: BgpqOptions,
+) -> Bgpq<K, V, SimPlatform> {
+    Bgpq::with_platform(SimPlatform::new(sched, opts.max_nodes + 1, gpu.cost, gpu.block_dim), opts)
+}
 
 /// Timing of one insert-all-then-delete-all run, in simulated
 /// milliseconds at the device clock.
@@ -27,41 +38,11 @@ pub struct InsDelTiming {
     pub insert_heapifies: u64,
 }
 
-fn bgpq_opts(k: usize, items: usize, ablation: BgpqAblation) -> BgpqOptions {
-    let mut o = BgpqOptions::with_capacity_for(k, items + 2 * k);
-    o.use_partial_buffer = ablation.use_partial_buffer;
-    o.use_collaboration = ablation.use_collaboration;
-    o
-}
-
-/// Ablation toggles threaded through the sim drivers (E7).
-#[derive(Debug, Clone, Copy)]
-pub struct BgpqAblation {
-    pub use_partial_buffer: bool,
-    pub use_collaboration: bool,
-}
-
-impl Default for BgpqAblation {
-    fn default() -> Self {
-        Self { use_partial_buffer: true, use_collaboration: true }
-    }
-}
-
 /// Insert all `keys` (k-sized batches split across blocks), sync, then
 /// delete everything back. The phase split is exact: a simulated
 /// barrier separates the phases.
 pub fn bgpq_sim_insdel(gpu: GpuConfig, k: usize, keys: &[u32]) -> InsDelTiming {
-    bgpq_sim_insdel_ablated(gpu, k, keys, BgpqAblation::default())
-}
-
-/// [`bgpq_sim_insdel`] with ablation toggles.
-pub fn bgpq_sim_insdel_ablated(
-    gpu: GpuConfig,
-    k: usize,
-    keys: &[u32],
-    ablation: BgpqAblation,
-) -> InsDelTiming {
-    bgpq_sim_insdel_batched(gpu, k, k, keys, ablation)
+    bgpq_sim_insdel_batched(gpu, k, k, keys)
 }
 
 /// [`bgpq_sim_insdel`] with a separate insert/delete batch size
@@ -71,10 +52,9 @@ pub fn bgpq_sim_insdel_batched(
     k: usize,
     batch: usize,
     keys: &[u32],
-    ablation: BgpqAblation,
 ) -> InsDelTiming {
     assert!(batch >= 1 && batch <= k);
-    let opts = bgpq_opts(k, keys.len(), ablation);
+    let opts = BgpqOptions::with_capacity_for(k, keys.len() + 2 * k);
     let batches: Vec<&[u32]> = keys.chunks(batch).collect();
     let next_insert = AtomicUsize::new(0);
     let next_delete = AtomicUsize::new(0);
@@ -106,15 +86,8 @@ pub fn bgpq_sim_insdel_batched(
             q.delete_min(ctx.worker(), &mut out, batches[i].len().max(1));
         }
     };
-    let (reports, q) = launch_phased(
-        gpu,
-        |sched| {
-            let platform = SimPlatform::new(sched, opts.max_nodes + 1, gpu.cost, gpu.block_dim);
-            let q: SimQueue = Bgpq::with_platform(platform, opts);
-            q
-        },
-        &[&insert_phase, &delete_phase],
-    );
+    let (reports, q) =
+        launch_phased(gpu, |sched| sim_bgpq(sched, gpu, opts), &[&insert_phase, &delete_phase]);
     assert!(q.is_empty(), "insdel run must drain the queue");
     let stats = q.stats().snapshot();
     let ins_cycles = reports[0].makespan_cycles;
@@ -133,7 +106,7 @@ pub fn bgpq_sim_insdel_batched(
 /// Utilization experiment (Table 2 "Util." rows): preload `init` keys,
 /// then run `pairs` insert/delete pairs split across blocks.
 pub fn bgpq_sim_util(gpu: GpuConfig, k: usize, init: &[u32], pair_keys: &[u32]) -> f64 {
-    let opts = bgpq_opts(k, init.len() + pair_keys.len(), BgpqAblation::default());
+    let opts = BgpqOptions::with_capacity_for(k, init.len() + pair_keys.len() + 2 * k);
     let init_batches: Vec<&[u32]> = init.chunks(k).collect();
     let pair_batches: Vec<&[u32]> = pair_keys.chunks(k).collect();
     let next_init = AtomicUsize::new(0);
@@ -167,15 +140,8 @@ pub fn bgpq_sim_util(gpu: GpuConfig, k: usize, init: &[u32], pair_keys: &[u32]) 
             q.delete_min(ctx.worker(), &mut out, pair_batches[i].len().max(1));
         }
     };
-    let (reports, q) = launch_phased(
-        gpu,
-        |sched| {
-            let platform = SimPlatform::new(sched, opts.max_nodes + 1, gpu.cost, gpu.block_dim);
-            let q: SimQueue = Bgpq::with_platform(platform, opts);
-            q
-        },
-        &[&init_phase, &pair_phase],
-    );
+    let (reports, q): (_, SimQueue) =
+        launch_phased(gpu, |sched| sim_bgpq(sched, gpu, opts), &[&init_phase, &pair_phase]);
     debug_assert_eq!(q.len(), init.len());
     gpu.cost.cycles_to_ms(reports[1].makespan_cycles.saturating_sub(reports[0].makespan_cycles))
 }

@@ -9,6 +9,7 @@
 //! The search itself is performed for real — results are validated
 //! against the sequential references by the integration tests.
 
+use crate::sim::sim_bgpq;
 use apps::search::{Search, SearchWorker, Shared};
 use apps::{astar::AstarSearch, knapsack::KnapsackSearch};
 use bgpq::{Bgpq, BgpqOptions};
@@ -82,10 +83,7 @@ fn run<S: Search>(
     let shared = Shared::new(budget);
     let (report, _q) = launch(
         gpu,
-        |sched| {
-            let p = SimPlatform::new(sched, opts.max_nodes + 1, gpu.cost, gpu.block_dim);
-            Bgpq::with_platform(p, opts)
-        },
+        |sched| sim_bgpq(sched, gpu, opts),
         |ctx: &mut BlockCtx, q: &Bgpq<u64, S::Node, SimPlatform>| {
             // Block 0 seeds the root node.
             if ctx.block_id() == 0 {
