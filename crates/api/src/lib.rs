@@ -13,8 +13,8 @@
 //!   items and delete the **1..=k** smallest items per call (§3.2 of the
 //!   paper). Every [`PriorityQueue`] is trivially a [`BatchPriorityQueue`]
 //!   via [`ItemwiseBatch`].
-//! * [`OpStats`] — cheap atomic operation counters shared by all
-//!   implementations so the bench harness can report contention metrics.
+//! * [`OpStats`] — the one record of cheap atomic counters that every
+//!   layer (heap, router, fronts) keeps, each counter declared once.
 //! * [`QueueError`] — typed failures (`Full`, `Poisoned`, `LockTimeout`,
 //!   `Unavailable`) returned by the hardened `try_*` queue entry points.
 //! * [`BufferPolicy`] — the knobs of a buffered, sticky front

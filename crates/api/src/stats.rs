@@ -1,10 +1,15 @@
-//! Lightweight operation counters.
+//! Lightweight operation counters: one record for every layer.
 //!
-//! Every queue implementation exposes an [`OpStats`] so the bench harness
-//! can report *why* a design is fast or slow: how many heapify walks were
-//! avoided by the partial buffer, how often delete-min was served straight
-//! from the root cache, how often the TARGET/MARKED collaboration fired —
-//! the mechanisms §4.3 of the paper credits for BGPQ's performance.
+//! Every queue implementation and front exposes an [`OpStats`] so the
+//! bench harness can report *why* a design is fast or slow: how many
+//! heapify walks were avoided by the partial buffer, how often delete-min
+//! was served straight from the root cache, how often the TARGET/MARKED
+//! collaboration fired — the mechanisms §4.3 of the paper credits for
+//! BGPQ's performance — and, above the heap, how full the fronts' batches
+//! were and how far relaxed deletes landed from the true minimum. Each
+//! layer instance (a heap, a sharded router with its buffered front, a
+//! combining front) owns one record and counts its own events in it; the
+//! counters of events a layer never sees stay 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,70 +34,172 @@ pub fn occupancy_bucket(filled: usize, capacity: usize) -> usize {
     ((filled * OCCUPANCY_BUCKETS).div_ceil(capacity) - 1).min(OCCUPANCY_BUCKETS - 1)
 }
 
-/// Atomic counters. All increments are `Relaxed`: these are statistics,
-/// not synchronization.
-#[derive(Debug, Default)]
-pub struct OpStats {
+/// Declares [`OpStats`] and [`StatsSnapshot`] from one list of
+/// `name: rule` entries, where `rule` is the update [`OpStats::merge`]
+/// folds the counter with — [`OpStats::add`] for event counts,
+/// [`OpStats::raise`] for high-water marks — and the entry's doc
+/// comment documents both fields. Also generates `snapshot`, `merge`
+/// and `reset`, so a new counter is one entry.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident: $rule:ident,)*) => {
+        /// One layer's counter record (see the module docs). All updates
+        /// are `Relaxed`: these are statistics, not synchronization.
+        #[derive(Debug, Default)]
+        pub struct OpStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+            /// Batch-occupancy histogram: how full each issued batch was
+            /// relative to the capacity it could have used (see
+            /// [`occupancy_bucket`]). Every layer that issues batches —
+            /// the heap itself, the buffered front, the combiner —
+            /// records into the same shape so their reports merge.
+            pub batch_occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
+        }
+
+        /// Plain-data snapshot of [`OpStats`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// See [`OpStats::batch_occupancy`].
+            pub batch_occupancy: [u64; OCCUPANCY_BUCKETS],
+        }
+
+        impl OpStats {
+            /// Snapshot all counters (for printing / assertions).
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                StatsSnapshot {
+                    $($name: ld(&self.$name),)*
+                    batch_occupancy: std::array::from_fn(|i| ld(&self.batch_occupancy[i])),
+                }
+            }
+
+            /// Fold `other`'s counters into `self` — how a sharded
+            /// frontend aggregates its per-shard counters into one
+            /// report. Event counts add; the high-water marks
+            /// (`rank_error_max`, `peak_pending`) keep the larger.
+            /// `other` is left untouched; concurrent updates on either
+            /// side are safe (each counter is folded with one relaxed
+            /// read-modify-write).
+            pub fn merge(&self, other: &OpStats) {
+                $(OpStats::$rule(&self.$name, other.$name.load(Ordering::Relaxed));)*
+                for (dst, src) in self.batch_occupancy.iter().zip(&other.batch_occupancy) {
+                    OpStats::add(dst, src.load(Ordering::Relaxed));
+                }
+            }
+
+            /// Reset all counters to zero (between bench trials).
+            pub fn reset(&self) {
+                for c in [$(&self.$name),*].into_iter().chain(&self.batch_occupancy) {
+                    c.store(0, Ordering::Relaxed);
+                }
+            }
+
+            /// Every counter with its name and merge rule, in order.
+            #[cfg(test)]
+            fn counters(&self) -> Vec<(&'static str, &'static str, &AtomicU64)> {
+                vec![$((stringify!($name), stringify!($rule), &self.$name)),*]
+            }
+        }
+    };
+}
+
+counters! {
+    // Traffic: every layer counts the calls it served or issued.
     /// Completed INSERT operations.
-    pub inserts: AtomicU64,
+    inserts: add,
     /// Completed DELETEMIN operations.
-    pub delete_mins: AtomicU64,
+    delete_mins: add,
     /// Items moved by INSERTs (batch sizes summed).
-    pub items_inserted: AtomicU64,
+    items_inserted: add,
     /// Items returned by DELETEMINs.
-    pub items_deleted: AtomicU64,
+    items_deleted: add,
+    // The heap's §4.3 mechanisms and failure detection.
     /// INSERTs fully absorbed by root + partial buffer (no heapify).
-    pub inserts_buffered: AtomicU64,
+    inserts_buffered: add,
     /// Full insert-heapify walks (buffer overflow path).
-    pub insert_heapifies: AtomicU64,
+    insert_heapifies: add,
     /// DELETEMINs served entirely from the root node (no heapify).
-    pub deletes_from_root: AtomicU64,
+    deletes_from_root: add,
     /// Full delete-heapify walks (root refill path).
-    pub delete_heapifies: AtomicU64,
+    delete_heapifies: add,
     /// TARGET/MARKED collaborations: a delete stole an in-flight
     /// insertion's keys to refill the root.
-    pub collaborations: AtomicU64,
+    collaborations: add,
     /// Lock acquisitions abandoned by the platform watchdog.
-    pub lock_timeouts: AtomicU64,
+    lock_timeouts: add,
     /// Bounded waits (MARKED spin / TARGET wait) that escalated from
     /// cheap backoff to the platform's long backoff.
-    pub spin_escalations: AtomicU64,
+    spin_escalations: add,
     /// Transitions of a queue into the poisoned state (crashed or
     /// timed-out worker detected mid-operation).
-    pub poison_events: AtomicU64,
-    /// Shards quarantined by a sharded router after this queue (or a
-    /// sibling) failed.
-    pub shard_quarantines: AtomicU64,
-    /// Salvage passes that rebuilt this queue from poisoned node
-    /// storage (`Bgpq::salvage_reset` in `bgpq`): the queue was reset
-    /// to a fresh empty state after its surviving keys were walked out.
-    pub salvages: AtomicU64,
-    /// Insertion-buffer flushes by a buffered front: a worker's staged
-    /// inserts were pushed to the backend as batches.
-    pub buffer_flushes: AtomicU64,
+    poison_events: add,
+    // Recovery: a shard heap counts its own, the router all its shards'.
+    /// Shards taken out of rotation after a failure (poisoned heap or
+    /// lock timeout). Without recovery configured quarantine is
+    /// permanent; with it each re-quarantine counts again.
+    quarantines: add,
+    /// Salvage probes attempted on quarantined shards (each probe
+    /// either salvages or reschedules itself).
+    probes: add,
+    /// Salvage passes that rebuilt a queue from poisoned node storage
+    /// (`Bgpq::salvage_reset` in `bgpq`): its surviving keys were walked
+    /// out and it was reset to a fresh empty state.
+    salvages: add,
+    /// Shards fully re-admitted (half-open trial traffic succeeded and
+    /// the breaker closed).
+    readmissions: add,
+    /// Keys walked out of crashed shards by salvage passes.
+    keys_recovered: add,
+    /// Keys confirmed (or conservatively presumed) lost: in-flight
+    /// batches at crash time plus any rebuild residue that no live
+    /// shard would accept. Every key counted here appeared in a
+    /// `SalvageReport` — loss is never silent.
+    keys_lost: add,
+    // Router relaxation: rank error measures what sampling trades away.
+    /// Router deletes that returned at least one entry (the denominator
+    /// of [`StatsSnapshot::mean_rank_error`]).
+    deletes: add,
+    /// Sum over those deletes of the shard-level rank error: how many
+    /// *other* shards hinted a smaller minimum than the first key the
+    /// delete returned.
+    rank_error_sum: add,
+    /// Largest single-delete rank error.
+    rank_error_max: raise,
+    /// Deletes served by a shard other than the best-hinted sampled one
+    /// (the first choice raced empty and work was stolen).
+    steals: add,
+    /// Exact fallback sweeps over every shard (all sampled shards were
+    /// empty at the attempt).
+    full_sweeps: add,
+    // Buffered front.
+    /// Insertion-buffer flushes: a worker's staged inserts were pushed
+    /// to the backend as batches.
+    buffer_flushes: add,
     /// Items moved by insertion-buffer flushes (staged batch sizes
     /// summed; `buffer_flush_items / buffer_flushes` is the mean flush
     /// occupancy).
-    pub buffer_flush_items: AtomicU64,
-    /// Deletion-buffer refills by a buffered front: one wide delete-min
-    /// issued against a backend to restock a worker-local buffer.
-    pub buffer_refills: AtomicU64,
+    buffer_flush_items: add,
+    /// Deletion-buffer refills: one wide delete-min issued against a
+    /// backend to restock a worker-local buffer.
+    buffer_refills: add,
     /// Items fetched by deletion-buffer refills
     /// (`buffer_refill_items / buffer_refills` is the mean refill
     /// occupancy the acceptance gates compare against `k/2`).
-    pub buffer_refill_items: AtomicU64,
+    buffer_refill_items: add,
     /// Refills that reused the previously sampled shard instead of
     /// re-sampling (sticky selection hits).
-    pub sticky_reuses: AtomicU64,
+    sticky_reuses: add,
     /// Refills that ran a fresh `c`-of-`S` sample (sticky tenure
     /// expired, first refill, or the sticky shard went empty/dead).
-    pub sticky_resamples: AtomicU64,
-    /// Batch-occupancy histogram: how full each issued batch was
-    /// relative to the capacity it could have used (see
-    /// [`occupancy_bucket`]). Every front that issues batches — the
-    /// heap itself, the shard router, the coalescing combiner —
-    /// records into the same shape so their reports merge.
-    pub batch_occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
+    sticky_resamples: add,
+    /// Staged keys whose home shard was quarantined by flush time; the
+    /// flush re-routed them through the router's redistribution path
+    /// instead of dropping them.
+    buffer_reroutes: add,
+    // Combining front.
+    /// Most simultaneous armed requests any gather observed (an upper
+    /// bound on achievable batch occupancy).
+    peak_pending: raise,
 }
 
 impl OpStats {
@@ -110,164 +217,26 @@ impl OpStats {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raise a high-water mark to at least `n`.
+    #[inline]
+    pub fn raise(counter: &AtomicU64, n: u64) {
+        counter.fetch_max(n, Ordering::Relaxed);
+    }
+
     /// Record one issued batch that moved `filled` of a possible
     /// `capacity` items into the occupancy histogram.
     #[inline]
     pub fn record_batch_occupancy(&self, filled: usize, capacity: usize) {
         self.batch_occupancy[occupancy_bucket(filled, capacity)].fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Snapshot all counters (for printing / assertions).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            inserts: ld(&self.inserts),
-            delete_mins: ld(&self.delete_mins),
-            items_inserted: ld(&self.items_inserted),
-            items_deleted: ld(&self.items_deleted),
-            inserts_buffered: ld(&self.inserts_buffered),
-            insert_heapifies: ld(&self.insert_heapifies),
-            deletes_from_root: ld(&self.deletes_from_root),
-            delete_heapifies: ld(&self.delete_heapifies),
-            collaborations: ld(&self.collaborations),
-            lock_timeouts: ld(&self.lock_timeouts),
-            spin_escalations: ld(&self.spin_escalations),
-            poison_events: ld(&self.poison_events),
-            shard_quarantines: ld(&self.shard_quarantines),
-            salvages: ld(&self.salvages),
-            buffer_flushes: ld(&self.buffer_flushes),
-            buffer_flush_items: ld(&self.buffer_flush_items),
-            buffer_refills: ld(&self.buffer_refills),
-            buffer_refill_items: ld(&self.buffer_refill_items),
-            sticky_reuses: ld(&self.sticky_reuses),
-            sticky_resamples: ld(&self.sticky_resamples),
-            batch_occupancy: std::array::from_fn(|i| ld(&self.batch_occupancy[i])),
-        }
-    }
-
-    /// Fold `other`'s counters into `self` — how a sharded frontend
-    /// aggregates its per-shard counters into one report. `other` is
-    /// left untouched; concurrent increments on either side are safe
-    /// (each counter is summed with one relaxed read-modify-write).
-    pub fn merge(&self, other: &OpStats) {
-        let fold = |dst: &AtomicU64, src: &AtomicU64| {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        };
-        fold(&self.inserts, &other.inserts);
-        fold(&self.delete_mins, &other.delete_mins);
-        fold(&self.items_inserted, &other.items_inserted);
-        fold(&self.items_deleted, &other.items_deleted);
-        fold(&self.inserts_buffered, &other.inserts_buffered);
-        fold(&self.insert_heapifies, &other.insert_heapifies);
-        fold(&self.deletes_from_root, &other.deletes_from_root);
-        fold(&self.delete_heapifies, &other.delete_heapifies);
-        fold(&self.collaborations, &other.collaborations);
-        fold(&self.lock_timeouts, &other.lock_timeouts);
-        fold(&self.spin_escalations, &other.spin_escalations);
-        fold(&self.poison_events, &other.poison_events);
-        fold(&self.shard_quarantines, &other.shard_quarantines);
-        fold(&self.salvages, &other.salvages);
-        fold(&self.buffer_flushes, &other.buffer_flushes);
-        fold(&self.buffer_flush_items, &other.buffer_flush_items);
-        fold(&self.buffer_refills, &other.buffer_refills);
-        fold(&self.buffer_refill_items, &other.buffer_refill_items);
-        fold(&self.sticky_reuses, &other.sticky_reuses);
-        fold(&self.sticky_resamples, &other.sticky_resamples);
-        for (dst, src) in self.batch_occupancy.iter().zip(&other.batch_occupancy) {
-            fold(dst, src);
-        }
-    }
-
-    /// Reset all counters to zero (between bench trials).
-    pub fn reset(&self) {
-        let st = |c: &AtomicU64| c.store(0, Ordering::Relaxed);
-        st(&self.inserts);
-        st(&self.delete_mins);
-        st(&self.items_inserted);
-        st(&self.items_deleted);
-        st(&self.inserts_buffered);
-        st(&self.insert_heapifies);
-        st(&self.deletes_from_root);
-        st(&self.delete_heapifies);
-        st(&self.collaborations);
-        st(&self.lock_timeouts);
-        st(&self.spin_escalations);
-        st(&self.poison_events);
-        st(&self.shard_quarantines);
-        st(&self.salvages);
-        st(&self.buffer_flushes);
-        st(&self.buffer_flush_items);
-        st(&self.buffer_refills);
-        st(&self.buffer_refill_items);
-        st(&self.sticky_reuses);
-        st(&self.sticky_resamples);
-        for b in &self.batch_occupancy {
-            st(b);
-        }
-    }
 }
 
-/// Plain-data snapshot of [`OpStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    pub inserts: u64,
-    pub delete_mins: u64,
-    pub items_inserted: u64,
-    pub items_deleted: u64,
-    pub inserts_buffered: u64,
-    pub insert_heapifies: u64,
-    pub deletes_from_root: u64,
-    pub delete_heapifies: u64,
-    pub collaborations: u64,
-    pub lock_timeouts: u64,
-    pub spin_escalations: u64,
-    pub poison_events: u64,
-    pub shard_quarantines: u64,
-    pub salvages: u64,
-    pub buffer_flushes: u64,
-    pub buffer_flush_items: u64,
-    pub buffer_refills: u64,
-    pub buffer_refill_items: u64,
-    pub sticky_reuses: u64,
-    pub sticky_resamples: u64,
-    pub batch_occupancy: [u64; OCCUPANCY_BUCKETS],
-}
-
-impl std::ops::Add for StatsSnapshot {
-    type Output = StatsSnapshot;
-
-    fn add(self, rhs: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            inserts: self.inserts + rhs.inserts,
-            delete_mins: self.delete_mins + rhs.delete_mins,
-            items_inserted: self.items_inserted + rhs.items_inserted,
-            items_deleted: self.items_deleted + rhs.items_deleted,
-            inserts_buffered: self.inserts_buffered + rhs.inserts_buffered,
-            insert_heapifies: self.insert_heapifies + rhs.insert_heapifies,
-            deletes_from_root: self.deletes_from_root + rhs.deletes_from_root,
-            delete_heapifies: self.delete_heapifies + rhs.delete_heapifies,
-            collaborations: self.collaborations + rhs.collaborations,
-            lock_timeouts: self.lock_timeouts + rhs.lock_timeouts,
-            spin_escalations: self.spin_escalations + rhs.spin_escalations,
-            poison_events: self.poison_events + rhs.poison_events,
-            shard_quarantines: self.shard_quarantines + rhs.shard_quarantines,
-            salvages: self.salvages + rhs.salvages,
-            buffer_flushes: self.buffer_flushes + rhs.buffer_flushes,
-            buffer_flush_items: self.buffer_flush_items + rhs.buffer_flush_items,
-            buffer_refills: self.buffer_refills + rhs.buffer_refills,
-            buffer_refill_items: self.buffer_refill_items + rhs.buffer_refill_items,
-            sticky_reuses: self.sticky_reuses + rhs.sticky_reuses,
-            sticky_resamples: self.sticky_resamples + rhs.sticky_resamples,
-            batch_occupancy: std::array::from_fn(|i| {
-                self.batch_occupancy[i] + rhs.batch_occupancy[i]
-            }),
-        }
-    }
-}
-
-impl std::iter::Sum for StatsSnapshot {
-    fn sum<I: Iterator<Item = StatsSnapshot>>(iter: I) -> StatsSnapshot {
-        iter.fold(StatsSnapshot::default(), std::ops::Add::add)
+/// `n / d`, or 0.0 when nothing was counted.
+fn ratio(n: u64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
     }
 }
 
@@ -275,38 +244,30 @@ impl StatsSnapshot {
     /// Fraction of inserts that avoided a heapify — the partial-buffer
     /// batching win the paper describes in §4.3.
     pub fn insert_buffer_hit_rate(&self) -> f64 {
-        if self.inserts == 0 {
-            return 0.0;
-        }
-        self.inserts_buffered as f64 / self.inserts as f64
+        ratio(self.inserts_buffered, self.inserts)
     }
 
     /// Fraction of delete-mins served straight from the root.
     pub fn delete_root_hit_rate(&self) -> f64 {
-        if self.delete_mins == 0 {
-            return 0.0;
-        }
-        self.deletes_from_root as f64 / self.delete_mins as f64
+        ratio(self.deletes_from_root, self.delete_mins)
     }
 
     /// Mean items fetched per deletion-buffer refill (0.0 when no
     /// refill ran). The buffered-front acceptance gates compare this
     /// against `k/2`.
     pub fn mean_refill_occupancy(&self) -> f64 {
-        if self.buffer_refills == 0 {
-            return 0.0;
-        }
-        self.buffer_refill_items as f64 / self.buffer_refills as f64
+        ratio(self.buffer_refill_items, self.buffer_refills)
     }
 
     /// Fraction of shard-sourced refills that reused the sticky shard
     /// instead of running a fresh sample (0.0 when no refill ran).
     pub fn sticky_reuse_rate(&self) -> f64 {
-        let total = self.sticky_reuses + self.sticky_resamples;
-        if total == 0 {
-            return 0.0;
-        }
-        self.sticky_reuses as f64 / total as f64
+        ratio(self.sticky_reuses, self.sticky_reuses + self.sticky_resamples)
+    }
+
+    /// Average rank error per successful router delete.
+    pub fn mean_rank_error(&self) -> f64 {
+        ratio(self.rank_error_sum, self.deletes)
     }
 
     /// Total batches recorded into the occupancy histogram.
@@ -365,7 +326,7 @@ mod tests {
                 (&s.lock_timeouts, 37),
                 (&s.spin_escalations, 41),
                 (&s.poison_events, 43),
-                (&s.shard_quarantines, 47),
+                (&s.quarantines, 47),
                 (&s.salvages, 53),
                 (&s.buffer_flushes, 59),
                 (&s.buffer_flush_items, 61),
@@ -387,26 +348,61 @@ mod tests {
         let merged = a.snapshot();
         assert_eq!(merged.inserts, 22);
         assert_eq!(merged.lock_timeouts, 407);
-        // merge must agree with snapshot addition, and leave `other` alone.
-        let c = OpStats::new();
-        for (cnt, n) in fields(&c) {
-            OpStats::add(cnt, n);
-        }
-        assert_eq!(merged + c.snapshot(), {
-            let d = OpStats::new();
-            d.merge(&a);
-            d.merge(&c);
-            d.snapshot()
-        });
+        // merge must leave `other` alone.
         assert_eq!(b.snapshot().inserts, 20);
     }
 
+    /// Adds `f(i)` to the `i`-th declared counter of `s`.
+    fn fill(s: &OpStats, f: impl Fn(u64) -> u64) -> &OpStats {
+        for (i, (_, _, c)) in s.counters().into_iter().enumerate() {
+            OpStats::add(c, f(i as u64));
+        }
+        s
+    }
+
     #[test]
-    fn snapshot_sum_folds() {
-        let mk = |n: u64| StatsSnapshot { inserts: n, items_deleted: 2 * n, ..Default::default() };
-        let total: StatsSnapshot = [mk(1), mk(2), mk(3)].into_iter().sum();
-        assert_eq!(total.inserts, 6);
-        assert_eq!(total.items_deleted, 12);
+    fn merge_sums_counters_and_keeps_the_larger_high_water_mark() {
+        let a = OpStats::new();
+        fill(&a, |i| 3 + 2 * i);
+        // `other` above `self`, then below it: a sum, a max, a missed
+        // field and a fold that keeps either side all read differently.
+        a.merge(fill(&OpStats::new(), |i| 10 * (3 + 2 * i)));
+        a.merge(fill(&OpStats::new(), |_| 1));
+        for (i, (name, rule, c)) in a.counters().into_iter().enumerate() {
+            let x = 3 + 2 * i as u64;
+            let want = if rule == "raise" { 10 * x } else { 11 * x + 1 };
+            assert_eq!(c.load(Ordering::Relaxed), want, "{name} merges by {rule}");
+        }
+        let maxed: Vec<_> =
+            a.counters().into_iter().filter(|c| c.1 == "raise").map(|c| c.0).collect();
+        assert_eq!(maxed, ["rank_error_max", "peak_pending"]);
+        a.record_batch_occupancy(8, 8);
+        a.reset();
+        assert_eq!(a.snapshot(), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn recovery_counters_accumulate_and_reset() {
+        let s = OpStats::new();
+        OpStats::bump(&s.quarantines);
+        OpStats::bump(&s.probes);
+        OpStats::bump(&s.probes);
+        OpStats::bump(&s.salvages);
+        OpStats::add(&s.keys_recovered, 120);
+        OpStats::add(&s.keys_lost, 4);
+        OpStats::add(&s.keys_lost, 2);
+        OpStats::bump(&s.readmissions);
+        OpStats::add(&s.buffer_reroutes, 16);
+        let snap = s.snapshot();
+        assert_eq!(snap.quarantines, 1);
+        assert_eq!(snap.probes, 2);
+        assert_eq!(snap.salvages, 1);
+        assert_eq!(snap.readmissions, 1);
+        assert_eq!(snap.keys_recovered, 120);
+        assert_eq!(snap.keys_lost, 6, "salvage loss and rebuild residue fold together");
+        assert_eq!(snap.buffer_reroutes, 16);
+        s.reset();
+        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::{Scale, Trials};
 use bgpq::{BgpqOptions, CpuBgpq};
 use bgpq_runtime::{CpuPlatform, CpuWorker, FaultAction, FaultPlan, InjectionPoint};
 use bgpq_shard::{BreakerState, RecoveryOptions, ShardedBgpq, ShardedOptions};
-use pq_api::{BatchPriorityQueue, Entry};
+use pq_api::{BatchPriorityQueue, Entry, StatsSnapshot};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -74,9 +74,8 @@ fn salvage_phase(n: usize, k: usize) -> (f64, f64) {
 struct MttrTrial {
     mttr_ms: f64,
     ops_to_recover: u64,
-    keys_recovered: u64,
-    keys_lost: u64,
-    probes: u64,
+    /// The router's record when the breaker closed.
+    stats: StatsSnapshot,
 }
 
 /// One crash-to-readmission cycle on a 4-shard front.
@@ -146,14 +145,7 @@ fn mttr_trial(preload_per_shard: usize, k: usize, seed: u64) -> MttrTrial {
     }
     let mttr_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let quality = q.quality();
-    MttrTrial {
-        mttr_ms,
-        ops_to_recover: ops,
-        keys_recovered: quality.keys_recovered,
-        keys_lost: quality.keys_lost,
-        probes: quality.probes,
-    }
+    MttrTrial { mttr_ms, ops_to_recover: ops, stats: q.quality() }
 }
 
 pub fn run(scale: Scale) -> io::Result<()> {
@@ -205,9 +197,9 @@ pub fn run(scale: Scale) -> io::Result<()> {
         format!("{:.3}", mttr.mttr_ms),
         "-".into(),
         mttr.ops_to_recover.to_string(),
-        mttr.probes.to_string(),
-        mttr.keys_recovered.to_string(),
-        mttr.keys_lost.to_string(),
+        mttr.stats.probes.to_string(),
+        mttr.stats.keys_recovered.to_string(),
+        mttr.stats.keys_lost.to_string(),
     ]);
     table.save()?;
 
@@ -219,9 +211,9 @@ pub fn run(scale: Scale) -> io::Result<()> {
         .num("mttr_ms_median", format!("{:.3}", mttr.mttr_ms))
         .num("mttr_ms_max", format!("{:.3}", trials.max()))
         .num("ops_to_recover", mttr.ops_to_recover)
-        .num("probes", mttr.probes)
-        .num("keys_recovered", mttr.keys_recovered)
-        .num("keys_lost", mttr.keys_lost)
+        .num("probes", mttr.stats.probes)
+        .num("keys_recovered", mttr.stats.keys_recovered)
+        .num("keys_lost", mttr.stats.keys_lost)
         .num("trials", TRIALS)
         .save("recover")
 }

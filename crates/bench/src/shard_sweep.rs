@@ -39,7 +39,7 @@ use crate::{Scale, Trials, SHARD_SWEEP_COLUMNS, TRIALS};
 use bgpq_runtime::SimPlatform;
 use bgpq_shard::{BufferPolicy, CpuShardedBgpq, ShardedBgpq, ShardedOptions};
 use gpu_sim::{launch, GpuConfig};
-use pq_api::{BatchPriorityQueue, Entry};
+use pq_api::{BatchPriorityQueue, Entry, StatsSnapshot};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -169,17 +169,12 @@ fn grid_row(shards: usize, sample: usize, threads: usize, scale: Scale) -> Vec<S
 // ---------------------------------------------------------------------
 
 /// One front cell: throughput (ops per simulated ms for sim, ops per
-/// wall second for cpu) plus the buffered front's quality/occupancy
-/// counters (zero for plain cells).
+/// wall second for cpu) plus the router's record (its buffer counters
+/// are zero for plain cells).
 #[derive(Clone, Copy, Default)]
 struct FrontCell {
     throughput: f64,
-    mean_rank_error: f64,
-    max_rank_error: u64,
-    flushes: u64,
-    refills: u64,
-    refill_occupancy: f64,
-    sticky_reuse_rate: f64,
+    stats: StatsSnapshot,
 }
 
 fn front_opts(workers: usize, pairs: usize, buffered: bool) -> ShardedOptions {
@@ -252,17 +247,7 @@ fn front_cpu(workers: usize, pairs: usize, buffered: bool) -> FrontCell {
 }
 
 fn front_cell_from(q: &ShardedBgpq<u32, u32, impl bgpq_runtime::Platform>, tp: f64) -> FrontCell {
-    let quality = q.quality();
-    let fs = q.front_stats().snapshot();
-    FrontCell {
-        throughput: tp,
-        mean_rank_error: quality.mean_rank_error(),
-        max_rank_error: quality.rank_error_max,
-        flushes: fs.buffer_flushes,
-        refills: fs.buffer_refills,
-        refill_occupancy: fs.mean_refill_occupancy(),
-        sticky_reuse_rate: fs.sticky_reuse_rate(),
-    }
+    FrontCell { throughput: tp, stats: q.quality() }
 }
 
 type SimSharded = ShardedBgpq<u32, u32, SimPlatform>;
@@ -337,7 +322,7 @@ impl FrontRow {
         self.buffered.throughput / self.plain.throughput
     }
     fn rank_err_delta(&self) -> f64 {
-        self.buffered.mean_rank_error - self.plain.mean_rank_error
+        self.buffered.stats.mean_rank_error() - self.plain.stats.mean_rank_error()
     }
 }
 
@@ -356,10 +341,10 @@ fn front_sweep(
             row.plain.throughput,
             row.buffered.throughput,
             row.ratio(),
-            row.buffered.refill_occupancy,
-            row.buffered.sticky_reuse_rate,
-            row.plain.mean_rank_error,
-            row.buffered.mean_rank_error,
+            row.buffered.stats.mean_refill_occupancy(),
+            row.buffered.stats.sticky_reuse_rate(),
+            row.plain.stats.mean_rank_error(),
+            row.buffered.stats.mean_rank_error(),
         );
         rows.push(row);
     }
@@ -373,14 +358,14 @@ fn front_json_rows(rows: &[FrontRow]) -> impl Iterator<Item = Json> + '_ {
             .num("plain", format!("{:.1}", row.plain.throughput))
             .num("buffered", format!("{:.1}", row.buffered.throughput))
             .num("ratio", format!("{:.3}", row.ratio()))
-            .num("refill_occupancy", format!("{:.3}", row.buffered.refill_occupancy))
-            .num("sticky_reuse_rate", format!("{:.3}", row.buffered.sticky_reuse_rate))
-            .num("flushes", row.buffered.flushes)
-            .num("refills", row.buffered.refills)
-            .num("rank_err_plain", format!("{:.3}", row.plain.mean_rank_error))
-            .num("rank_err_buffered", format!("{:.3}", row.buffered.mean_rank_error))
-            .num("rank_max_plain", row.plain.max_rank_error)
-            .num("rank_max_buffered", row.buffered.max_rank_error)
+            .num("refill_occupancy", format!("{:.3}", row.buffered.stats.mean_refill_occupancy()))
+            .num("sticky_reuse_rate", format!("{:.3}", row.buffered.stats.sticky_reuse_rate()))
+            .num("flushes", row.buffered.stats.buffer_flushes)
+            .num("refills", row.buffered.stats.buffer_refills)
+            .num("rank_err_plain", format!("{:.3}", row.plain.stats.mean_rank_error()))
+            .num("rank_err_buffered", format!("{:.3}", row.buffered.stats.mean_rank_error()))
+            .num("rank_max_plain", row.plain.stats.rank_error_max)
+            .num("rank_max_buffered", row.buffered.stats.rank_error_max)
     })
 }
 
@@ -393,8 +378,8 @@ fn front_csv_rows(table: &mut Table, rows: &[FrontRow]) {
                 FRONT_SAMPLE.to_string(),
                 row.workers.to_string(),
                 format!("{:.0}", cell.throughput),
-                format!("{:.3}", cell.mean_rank_error),
-                cell.max_rank_error.to_string(),
+                format!("{:.3}", cell.stats.mean_rank_error()),
+                cell.stats.rank_error_max.to_string(),
                 (FRONT_SHARDS - 1).to_string(),
                 "0".to_string(),
                 "0".to_string(),
@@ -402,10 +387,10 @@ fn front_csv_rows(table: &mut Table, rows: &[FrontRow]) {
                 "0".to_string(),
                 "0".to_string(),
                 "0".to_string(),
-                cell.flushes.to_string(),
-                cell.refills.to_string(),
-                format!("{:.2}", cell.refill_occupancy),
-                format!("{:.2}", cell.sticky_reuse_rate),
+                cell.stats.buffer_flushes.to_string(),
+                cell.stats.buffer_refills.to_string(),
+                format!("{:.2}", cell.stats.mean_refill_occupancy()),
+                format!("{:.2}", cell.stats.sticky_reuse_rate()),
             ]);
         }
     }
@@ -451,13 +436,13 @@ pub fn run(scale: Scale) -> io::Result<()> {
         .max_by(|a, b| a.ratio().total_cmp(&b.ratio()))
         .expect("FRONT_WORKERS includes a loaded point");
     let occupancy_floor = FRONT_K as f64 / 2.0;
-    let pass = best.ratio() >= 2.0 && best.buffered.refill_occupancy > occupancy_floor;
+    let pass = best.ratio() >= 2.0 && best.buffered.stats.mean_refill_occupancy() > occupancy_floor;
     eprintln!(
         "acceptance (sim, {} workers): ratio {:.2} (need >= 2.0), refill occupancy {:.2} \
          (need > {:.1}), rank err delta {:+.3} => {}",
         best.workers,
         best.ratio(),
-        best.buffered.refill_occupancy,
+        best.buffered.stats.mean_refill_occupancy(),
         occupancy_floor,
         best.rank_err_delta(),
         if pass { "PASS" } else { "FAIL" }
@@ -471,7 +456,7 @@ pub fn run(scale: Scale) -> io::Result<()> {
         .str("basis", "sim_device_time")
         .num("workers", best.workers)
         .num("ratio", format!("{:.3}", best.ratio()))
-        .num("refill_occupancy", format!("{:.3}", best.buffered.refill_occupancy))
+        .num("refill_occupancy", format!("{:.3}", best.buffered.stats.mean_refill_occupancy()))
         .num("occupancy_floor", format!("{occupancy_floor:.1}"))
         .num("rank_err_delta", format!("{:.3}", best.rank_err_delta()))
         .num("pass", pass);

@@ -214,10 +214,6 @@ pub struct CombineShared<K: KeyType, V: ValueType> {
     /// linger and the stats, *not* part of the exit-protocol proof
     /// (ring emptiness under the ring mutexes is the ground truth).
     pending: AtomicUsize,
-    /// High-water mark of `pending` as sampled at gather entry — how
-    /// much simultaneous demand the combiner ever saw (diagnostics;
-    /// the coalesce bench reports it next to the mean occupancy).
-    peak_pending: AtomicUsize,
     /// Current coalescing window, `1..=2k`. Opening past `k` matters
     /// for mixed traffic: a `k`-wide round splits into an insert part
     /// and a delete part, each only a fraction of `k` wide. A `2k`
@@ -249,7 +245,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         Self {
             rings: (0..opts.rings).map(|_| Ring { q: Mutex::new(VecDeque::new()) }).collect(),
             pending: AtomicUsize::new(0),
-            peak_pending: AtomicUsize::new(0),
             // Starts closed: a lone first request is never delayed.
             window: AtomicUsize::new(1),
             poisoned: AtomicBool::new(false),
@@ -272,9 +267,11 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     }
 
     /// Front-side counters: `inserts`/`delete_mins` count issued
-    /// backend batches, `items_*` count coalesced requests, and
+    /// backend batches, `items_*` count coalesced requests,
     /// `batch_occupancy` histograms the coalesced width of every
-    /// issued batch against `k`.
+    /// issued batch against `k`, `poison_events` counts trips, and
+    /// `peak_pending` is the high-water mark of armed requests as
+    /// sampled at gather entry.
     pub fn stats(&self) -> &OpStats {
         &self.stats
     }
@@ -287,7 +284,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     /// Most simultaneous armed requests any gather ever observed
     /// (diagnostics: an upper bound on achievable batch occupancy).
     pub fn peak_pending(&self) -> usize {
-        self.peak_pending.load(Ordering::Relaxed)
+        self.stats.peak_pending.load(Ordering::Relaxed) as usize
     }
 
     /// The backend batch capacity this front coalesces toward.
@@ -431,7 +428,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     fn gather<B: CombineBackend<K, V>>(&self, backend: &mut B, s: &mut CombineScratch<K, V>) {
         s.round.clear();
         backend.touch_shared(true);
-        self.peak_pending.fetch_max(self.pending.load(Ordering::SeqCst), Ordering::Relaxed);
+        OpStats::raise(&self.stats.peak_pending, self.pending.load(Ordering::SeqCst) as u64);
         let window = self.window.load(Ordering::Relaxed).clamp(1, self.max_window());
         let mut spins = 0u32;
         loop {
@@ -510,21 +507,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
                 }
                 Op::DeleteMin => s.delete_cells.push(cell),
             }
-        }
-        // Per-round composition trace (COMBINE_TRACE=1): the tool that
-        // found both the stale-backlog window bug and the combiner
-        // starvation cycle; kept for the next schedule investigation.
-        static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *TRACE.get_or_init(|| std::env::var_os("COMBINE_TRACE").is_some()) {
-            eprintln!(
-                "[round] len={} ins={} del={} window={} pending={} backlog={}",
-                round_len,
-                s.insert_buf.len(),
-                s.delete_cells.len(),
-                self.window.load(Ordering::Relaxed),
-                self.pending.load(Ordering::SeqCst),
-                s.backlog
-            );
         }
         // One trip per round: after a chunk crashes the backend, the
         // rest of this round fails typed without touching it again. A

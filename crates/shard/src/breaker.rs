@@ -22,7 +22,7 @@
 //!
 //! Key accounting is conservative and loud: every key a salvage could
 //! not recover is counted in
-//! [`QualitySnapshot::keys_lost`](crate::QualitySnapshot::keys_lost) —
+//! [`StatsSnapshot::keys_lost`](pq_api::StatsSnapshot::keys_lost) —
 //! loss is never silent.
 
 use crate::router::ShardedBgpq;
@@ -191,8 +191,8 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             return;
         }
         self.breakers.open.fetch_add(1, Ordering::Relaxed);
-        self.quality.record_quarantine();
-        OpStats::bump(&self.shards[i].stats().shard_quarantines);
+        OpStats::bump(&self.stats.quarantines);
+        OpStats::bump(&self.shards[i].stats().quarantines);
         if let Some(rec) = &self.breakers.recovery {
             let gen = b.generation.fetch_add(1, Ordering::Relaxed);
             let now = self.breakers.ops.load(Ordering::Relaxed);
@@ -243,7 +243,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// `recovering` lock with the breaker Open, so no routing path can
     /// enter the shard concurrently.
     fn probe_shard(&self, i: usize, w: &mut P::Worker, rec: &RecoveryOptions, now: u64) {
-        self.quality.record_probe();
+        OpStats::bump(&self.stats.probes);
         // The whole probe mutates front state (quiesce reads, breaker
         // transition to half-open); the salvage itself tags the shard's
         // own lock domain.
@@ -268,7 +268,9 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
 
         let mut recovered: Vec<Entry<K, V>> = Vec::new();
         let report = self.shards[i].salvage_reset(w, &mut recovered);
-        self.quality.record_salvage(report.keys_recovered as u64, report.keys_lost as u64);
+        OpStats::bump(&self.stats.salvages);
+        OpStats::add(&self.stats.keys_recovered, report.keys_recovered as u64);
+        OpStats::add(&self.stats.keys_lost, report.keys_lost as u64);
 
         // Rebuild the shard from its own keys; spill chunks the freshly
         // reset home shard refuses (it re-poisoned, or raced Full) to
@@ -283,7 +285,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             Ok(())
         });
         if residue > 0 {
-            self.quality.record_lost(residue);
+            OpStats::add(&self.stats.keys_lost, residue);
         }
 
         // Trial service: live again, but each success burns a token and
@@ -316,7 +318,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
                 .compare_exchange(HALF_OPEN, CLOSED, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
         {
-            self.quality.record_readmission();
+            OpStats::bump(&self.stats.readmissions);
         }
     }
 }

@@ -20,7 +20,7 @@
 //! [`ShardedBgpq::drain`] empties every slot. A flush whose home shard
 //! was quarantined re-routes through the ordinary redistribution path
 //! and the re-routed keys are counted in
-//! [`QualitySnapshot::buffer_reroutes`](crate::QualitySnapshot::buffer_reroutes)
+//! [`StatsSnapshot::buffer_reroutes`](pq_api::StatsSnapshot::buffer_reroutes)
 //! — buffered inserts are never silently dropped by a breaker trip.
 //!
 //! **Rank-error bound (quiescent, exact hints).** An unbuffered sampled
@@ -98,7 +98,8 @@ impl<K: KeyType, V: ValueType> WorkerBuffers<K, V> {
     }
 }
 
-/// The buffered front's state: policy, slots, and its own counters.
+/// The buffered front's state: policy and slots (its counters go to
+/// the router's record).
 pub(crate) struct Buffers<K: KeyType, V: ValueType> {
     /// `None` leaves `slots` empty and the buffered entry points
     /// panicking on misuse.
@@ -109,9 +110,6 @@ pub(crate) struct Buffers<K: KeyType, V: ValueType> {
     /// counts them; updated only after a successful buffer mutation, so
     /// a panicking shard op cannot strand the count).
     parked: AtomicU64,
-    /// Front-level counters (flushes, refills, stickiness; shard-level
-    /// traffic keeps landing in the per-shard [`OpStats`]).
-    stats: OpStats,
 }
 
 impl<K: KeyType, V: ValueType> Buffers<K, V> {
@@ -121,7 +119,6 @@ impl<K: KeyType, V: ValueType> Buffers<K, V> {
             policy,
             slots: (0..slots).map(|_| Mutex::new(WorkerBuffers::default())).collect(),
             parked: AtomicU64::new(0),
-            stats: OpStats::new(),
         }
     }
 
@@ -183,11 +180,12 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         self.buffers.policy.is_some()
     }
 
-    /// Front-level counters for the buffered mode (flush / refill /
-    /// stickiness traffic; shard-level counters stay per shard, see
-    /// [`ShardedBgpq::merged_stats`]).
+    /// The router's record: the buffered front's traffic (its
+    /// `inserts`/`delete_mins` count buffered calls) beside rank error,
+    /// steals, sweeps and breaker events. Shard-level counters stay per
+    /// shard, see [`ShardedBgpq::merged_stats`].
     pub fn front_stats(&self) -> &OpStats {
-        &self.buffers.stats
+        &self.stats
     }
 
     /// Buffered insert: stage `items` in the worker's slot, flushing to
@@ -225,8 +223,8 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             if wide { self.insert_chunks(items, |c| self.try_insert(w, slot, c)).0 } else { 0 };
         b.stage.extend_from_slice(&items[done..]);
         self.buffers.parked.fetch_add((items.len() - done) as u64, Ordering::Relaxed);
-        OpStats::bump(&self.buffers.stats.inserts);
-        OpStats::add(&self.buffers.stats.items_inserted, items.len() as u64);
+        OpStats::bump(&self.stats.inserts);
+        OpStats::add(&self.stats.items_inserted, items.len() as u64);
         Ok(())
     }
 
@@ -261,8 +259,8 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         if n > 0 {
             self.buffers.parked.fetch_sub(n as u64, Ordering::Relaxed);
         }
-        OpStats::bump(&self.buffers.stats.delete_mins);
-        OpStats::add(&self.buffers.stats.items_deleted, n as u64);
+        OpStats::bump(&self.stats.delete_mins);
+        OpStats::add(&self.stats.items_deleted, n as u64);
         Ok(n)
     }
 
@@ -290,7 +288,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             if b.sticky_left > 0 {
                 b.sticky_left -= 1;
                 if !self.is_quarantined(b.sticky) {
-                    OpStats::bump(&self.buffers.stats.sticky_reuses);
+                    OpStats::bump(&self.stats.sticky_reuses);
                     let got = self.delete_from(w, b.sticky, &mut b.tmp, width, rs, Rank::Fresh);
                     if let Some(got @ 1..) = got {
                         return Ok((got, Some(b.sticky)));
@@ -299,7 +297,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
                 // Dry, failed or quarantined: re-sample.
                 b.sticky_left = 0;
             }
-            OpStats::bump(&self.buffers.stats.sticky_resamples);
+            OpStats::bump(&self.stats.sticky_resamples);
             let routed = self.try_delete_min_routed(w, rng, &mut b.tmp, width, rs);
             if let Ok((_, Some(i))) = routed {
                 b.sticky = i;
@@ -308,9 +306,9 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             routed
         });
         if let Ok((got, Some(_))) = routed {
-            OpStats::bump(&self.buffers.stats.buffer_refills);
-            OpStats::add(&self.buffers.stats.buffer_refill_items, got as u64);
-            self.buffers.stats.record_batch_occupancy(got, width);
+            OpStats::bump(&self.stats.buffer_refills);
+            OpStats::add(&self.stats.buffer_refill_items, got as u64);
+            self.stats.record_batch_occupancy(got, width);
             self.buffers.parked.fetch_add(got as u64, Ordering::Relaxed);
             b.serve_tmp();
             return Ok(got);
@@ -360,7 +358,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// prefix is committed) — a failed flush never loses keys. Keys
     /// whose home shard is quarantined re-route through
     /// [`Self::try_insert`]'s redistribution and are counted in
-    /// [`QualitySnapshot::buffer_reroutes`](crate::QualitySnapshot::buffer_reroutes).
+    /// [`StatsSnapshot::buffer_reroutes`](pq_api::StatsSnapshot::buffer_reroutes).
     fn flush_locked(
         &self,
         w: &mut P::Worker,
@@ -372,14 +370,14 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             return Ok(0);
         }
         if self.is_quarantined(slot % self.num_shards()) {
-            self.quality.record_buffer_reroute(total as u64);
+            OpStats::add(&self.stats.buffer_reroutes, total as u64);
         }
         let (done, r) = self.push_down(w, slot, &mut b.stage);
         if done > 0 {
             let cap = self.buffers.policy.map_or(self.node_capacity(), |p| p.insert_capacity);
-            OpStats::bump(&self.buffers.stats.buffer_flushes);
-            OpStats::add(&self.buffers.stats.buffer_flush_items, done as u64);
-            self.buffers.stats.record_batch_occupancy(done.min(cap), cap);
+            OpStats::bump(&self.stats.buffer_flushes);
+            OpStats::add(&self.stats.buffer_flush_items, done as u64);
+            self.stats.record_batch_occupancy(done.min(cap), cap);
         }
         r.map(|()| done)
     }

@@ -64,7 +64,7 @@ impl<K: KeyType, V: ValueType> CpuShardedBgpq<K, V> {
         Self { inner: ShardedBgpq::with_platforms(platforms, opts) }
     }
 
-    /// The underlying generic router (quality stats, per-shard access).
+    /// The underlying generic router (its record, per-shard access).
     pub fn inner(&self) -> &ShardedBgpq<K, V, CpuPlatform> {
         &self.inner
     }

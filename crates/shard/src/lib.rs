@@ -14,10 +14,12 @@
 //!   from the best; misses fall back to work stealing and then to an
 //!   exact full sweep, so emptiness at quiescence is precise and drains
 //!   are complete.
-//! * **Observability** — [`QualityStats`] records per-delete rank
-//!   error (how many shards advertised smaller minima than what a
-//!   delete returned) and the router exposes per-shard load imbalance,
-//!   so the relaxation is measured, not assumed. With exact hints at
+//! * **Observability** — the router keeps one [`pq_api::OpStats`]
+//!   record ([`ShardedBgpq::quality`]) holding per-delete rank error
+//!   (how many shards advertised smaller minima than what a delete
+//!   returned), steals, sweeps, breaker events and the buffered front's
+//!   traffic, and it exposes per-shard load imbalance, so the
+//!   relaxation is measured, not assumed. With exact hints at
 //!   quiescence the rank error of a delete is bounded by `S - c`.
 //! * **Buffered mode** — with [`ShardedOptions::buffer`] set
 //!   ([`pq_api::BufferPolicy`]), each worker stages inserts in a
@@ -42,10 +44,10 @@
 mod breaker;
 mod buffer;
 pub mod cpu;
-pub mod quality;
 pub mod router;
 
 pub use cpu::{worker_id, CpuShardedBgpq};
 pub use pq_api::BufferPolicy;
-pub use quality::{QualitySnapshot, QualityStats};
+/// The router record's snapshot under the name perfbench imports.
+pub use pq_api::StatsSnapshot as QualitySnapshot;
 pub use router::{BreakerState, RecoveryOptions, ShardedBgpq, ShardedOptions};

@@ -27,8 +27,9 @@
 //!   the survivors absorb its traffic; with recovery configured it is
 //!   salvaged after a jittered backoff, rebuilt, and re-admitted through
 //!   half-open trial traffic ([`BreakerState`]). Keys a salvage could
-//!   not recover are counted in [`QualitySnapshot::keys_lost`] — loss
-//!   is never silent.
+//!   not recover are counted in
+//!   [`StatsSnapshot::keys_lost`](pq_api::StatsSnapshot::keys_lost) —
+//!   loss is never silent.
 //! * **Buffered sticky front** ([`ShardedOptions::buffer`]). Each
 //!   worker stages inserts and serves deletes from its own buffer slot,
 //!   refilled by one wide delete from a sticky sampled shard
@@ -39,12 +40,11 @@
 
 use crate::breaker::Breakers;
 use crate::buffer::Buffers;
-use crate::quality::{QualitySnapshot, QualityStats};
 #[cfg(any(test, feature = "mutations"))]
 use bgpq::Mutation;
 use bgpq::{Bgpq, BgpqOptions};
 use bgpq_runtime::Platform;
-use pq_api::{BufferPolicy, Entry, KeyType, OpStats, QueueError, ValueType};
+use pq_api::{BufferPolicy, Entry, KeyType, OpStats, QueueError, StatsSnapshot, ValueType};
 
 pub use crate::breaker::{BreakerState, RecoveryOptions};
 
@@ -155,15 +155,36 @@ pub(crate) enum Rank {
     Fresh,
 }
 
+/// Record a delete that served entries into `stats`. Its rank error is
+/// the number of *other* shards whose hint (in `hints`, the per-shard
+/// root-min snapshot) was below `first_bits`, the ordered bits of the
+/// first (smallest) key returned by shard `taken`. With `c`-of-`S`
+/// sampling and exact hints it is at most `S - c` at quiescence: the
+/// best sampled shard is taken, so only unsampled shards can hide a
+/// smaller key. `stolen`: `taken` was not the first choice.
+fn record_delete(stats: &OpStats, hints: &[u64], taken: usize, first_bits: u64, stolen: bool) {
+    let err =
+        hints.iter().enumerate().filter(|&(i, &h)| i != taken && h < first_bits).count() as u64;
+    OpStats::bump(&stats.deletes);
+    OpStats::add(&stats.rank_error_sum, err);
+    OpStats::raise(&stats.rank_error_max, err);
+    if stolen {
+        OpStats::bump(&stats.steals);
+    }
+}
+
 /// `S` BGPQ instances behind a relaxed, sampled router.
 pub struct ShardedBgpq<K: KeyType, V: ValueType, P: Platform> {
     pub(crate) shards: Box<[Bgpq<K, V, P>]>,
     sample: usize,
-    pub(crate) quality: QualityStats,
+    /// The router's record: rank error, steals and sweeps, breaker and
+    /// salvage events, and the buffered front's traffic (each shard
+    /// heap keeps its own record).
+    pub(crate) stats: OpStats,
     /// Per-shard circuit breakers: a shard that poisoned itself or hit
     /// a lock timeout is excluded from routing, sampling and sweeps.
     pub(crate) breakers: Breakers,
-    /// The buffered front's slots and counters (inert when unbuffered).
+    /// The buffered front's slots (inert when unbuffered).
     pub(crate) buffers: Buffers<K, V>,
     /// Verification self-test mutation (see [`bgpq::Mutation`]), copied
     /// from the per-shard queue options so router-level mutations
@@ -188,7 +209,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         Self {
             shards: platforms.into_iter().map(|p| Bgpq::with_platform(p, opts.queue)).collect(),
             sample: opts.sample.clamp(1, opts.shards),
-            quality: QualityStats::new(),
+            stats: OpStats::new(),
             breakers: Breakers::new(opts.shards, opts.recovery),
             buffers: Buffers::new(opts.buffer),
             #[cfg(any(test, feature = "mutations"))]
@@ -242,13 +263,15 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         self.len() == 0
     }
 
-    /// Relaxation counters recorded by the delete path.
-    pub fn quality(&self) -> QualitySnapshot {
-        self.quality.snapshot()
+    /// A snapshot of the router's record ([`Self::front_stats`]):
+    /// relaxation, recovery and buffered-front counters.
+    pub fn quality(&self) -> StatsSnapshot {
+        self.stats.snapshot()
     }
 
+    /// Zero the router's record.
     pub fn reset_quality(&self) {
-        self.quality.reset();
+        self.stats.reset();
     }
 
     /// All shards' operation counters folded into one.
@@ -463,7 +486,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
                     false
                 }
             };
-            self.quality.record_delete(&rs.hints, i, out[start].key.to_ordered_bits(), stolen);
+            record_delete(&self.stats, &rs.hints, i, out[start].key.to_ordered_bits(), stolen);
         }
         self.note_success(i);
         Some(got)
@@ -523,7 +546,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         for n in 0..sampled + live {
             let i = if n < sampled { rs.picks[n] } else { rs.live[n - sampled] };
             if n == sampled {
-                self.quality.record_full_sweep();
+                OpStats::bump(&self.stats.full_sweeps);
             }
             if n >= sampled && self.is_quarantined(i) {
                 continue;
@@ -645,6 +668,37 @@ mod tests {
     }
 
     #[test]
+    fn rank_error_counts_strictly_smaller_other_shards() {
+        let q = OpStats::new();
+        // Shard 2 returned key-bits 10; shards 0 (5) and 3 (9) were
+        // smaller, shard 1 (10) ties and does not count, shard 2 is
+        // excluded even though its (stale) hint is below.
+        record_delete(&q, &[5, 10, 7, 9], 2, 10, false);
+        let s = q.snapshot();
+        assert_eq!(s.deletes, 1);
+        assert_eq!(s.rank_error_sum, 2);
+        assert_eq!(s.rank_error_max, 2);
+        assert_eq!(s.steals, 0);
+    }
+
+    #[test]
+    fn steals_and_sweeps_accumulate_and_reset() {
+        let q = OpStats::new();
+        record_delete(&q, &[1, 2], 1, 2, true);
+        record_delete(&q, &[u64::MAX, 2], 1, 2, false);
+        OpStats::bump(&q.full_sweeps);
+        let s = q.snapshot();
+        assert_eq!(s.deletes, 2);
+        assert_eq!(s.steals, 1);
+        assert_eq!(s.full_sweeps, 1);
+        assert_eq!(s.rank_error_sum, 1, "only shard 0's hint 1 < 2 in the first delete");
+        assert!((s.mean_rank_error() - 0.5).abs() < 1e-12);
+        q.reset();
+        assert_eq!(q.snapshot(), StatsSnapshot::default());
+        assert_eq!(StatsSnapshot::default().mean_rank_error(), 0.0);
+    }
+
+    #[test]
     fn quarantined_shard_is_bypassed_for_inserts_and_deletes() {
         use bgpq_runtime::{CpuPlatform, FaultAction, FaultPlan, InjectionPoint};
         use std::sync::Arc;
@@ -687,7 +741,7 @@ mod tests {
         assert!(q.is_quarantined(0));
         assert_eq!(q.quarantined_count(), 1);
         assert_eq!(q.quality().quarantines, 1);
-        assert_eq!(q.shard(0).stats().snapshot().shard_quarantines, 1);
+        assert_eq!(q.shard(0).stats().snapshot().quarantines, 1);
         assert_eq!(q.len(), 1, "len counts only live shards");
 
         // Deletes skip the quarantined shard and drain the survivors.

@@ -138,13 +138,17 @@ fn sharded_backend_and_histogram_shape_agree() {
     assert_eq!(n, 150);
 
     let front = q.stats().snapshot();
-    let router = q.inner().inner().merged_stats().snapshot();
-    // Same shape: both histograms have recorded batches, and adding
-    // them (the report the bench harness prints) type-checks and sums.
+    let router = q.inner().inner().merged_stats();
+    let heaps = router.snapshot();
+    // Same shape: both histograms have recorded batches, and merging
+    // them (one record for every layer) sums them.
     assert!(front.batches_recorded() > 0, "front recorded no batches");
-    assert!(router.batches_recorded() > 0, "router heaps recorded no batches");
-    let combined = front + router;
-    assert_eq!(combined.batches_recorded(), front.batches_recorded() + router.batches_recorded());
+    assert!(heaps.batches_recorded() > 0, "router heaps recorded no batches");
+    router.merge(q.stats());
+    assert_eq!(
+        router.snapshot().batches_recorded(),
+        front.batches_recorded() + heaps.batches_recorded()
+    );
 }
 
 /// Backpressure: a front over a tiny queue propagates `Full` to the

@@ -95,6 +95,10 @@ fn stall_after_linearization_delegates_refill_to_inserter() {
         plan.hits(InjectionPoint::MarkedSpin) >= 1,
         "the waiting delete must have spun through the MarkedSpin injection point"
     );
+    assert!(
+        snap.spin_escalations >= 1,
+        "a 250 ms stall outlasts SPIN_ESCALATE_AFTER cheap spins, so the wait must escalate"
+    );
     assert_eq!(snap.poison_events, 0);
 
     // Aftermath: everything not deleted is still there, in order.

@@ -7,8 +7,8 @@
 //! need their own drills beyond `sharded.rs`:
 //!
 //! * **No silent loss through buffers** — staged keys whose home shard
-//!   crashes re-route to survivors and are accounted in
-//!   `QualityStats::buffer_reroutes`; a full drain recovers every key.
+//!   crashes re-route to survivors and are accounted in the router
+//!   record's `buffer_reroutes`; a full drain recovers every key.
 //! * **Bounded relaxation** — a buffered pop's rank error is at most
 //!   `S - 1` (the serving shard itself never counts: the refill took
 //!   its `k` smallest), versus `S - c` for the unbuffered front.
@@ -103,6 +103,9 @@ fn crash_with_staged_keys_reroutes_and_loses_nothing() {
     q.buffered_try_insert(&mut w, 0, &staged2).unwrap();
     assert_eq!(q.flush_slot(&mut w, 0).unwrap(), 4);
     assert_eq!(q.quality().buffer_reroutes, 4);
+    // One record holds the router's and the buffered front's counters.
+    assert_eq!(q.quality(), q.front_stats().snapshot());
+    assert_eq!(q.quality().quarantines, 1);
 
     // Full-drain books: every key that entered through the front is
     // recovered (the two keys of the *crashed raw insert* died with
