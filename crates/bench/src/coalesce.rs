@@ -2,7 +2,9 @@
 //! either as a naive single-op loop straight at the queue (1-wide
 //! batches, one heap lock round-trip per key) or through the
 //! `bgpq-combine` flat-combining front (requests coalesce into
-//! up-to-`k`-wide batches under the adaptive window policy).
+//! up-to-`k`-wide batches; a lone submitter calls the queue directly,
+//! and each gathered round is issued outside the combiner lock, so
+//! rounds overlap in the queue).
 //!
 //! Two sweeps, same workload shape (every submitter runs `pairs`
 //! iterations of one single-item insert followed by one single-item
@@ -13,12 +15,12 @@
 //!   at ≥ 8 blocks the coalesced path must beat the naive loop ≥ 2×
 //!   with mean issued batch occupancy > `k/2`. Virtual time is where
 //!   batch economics are real: submitters genuinely overlap, so
-//!   requests queue behind an active combiner and rounds fill.
+//!   requests arrive while a gather lingers and rounds fill.
 //! * **cpu** — the same sweep with OS threads over `CpuBgpq` in
-//!   wall-clock time, recorded for context. On a single-core host
-//!   time-sliced threads serialize, so arrivals never outpace service
-//!   and rounds stay solo; the JSON header records `host_cores` so the
-//!   cells can be read for what they are.
+//!   wall-clock time, each cell the median of three runs. Threads
+//!   beyond the host's cores time-slice, so arrivals rarely outpace
+//!   service and rounds stay narrow; the JSON header records
+//!   `host_cores` so the cells can be read for what they are.
 //!
 //! Results land in `bench_results/coalesce.csv` and
 //! `bench_results/coalesce.json` (per-cell throughput, ratio,
@@ -41,18 +43,20 @@ use std::time::Instant;
 
 const SUBMITTERS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// Node width: the sweep targets single-op traffic, where the
-/// interesting regime is window ≈ submitter count, not the heap's full
-/// node width.
+/// interesting regime is round width ≈ submitter count, not the heap's
+/// full node width.
 const K: usize = 8;
 
 /// One sweep cell: throughput (wall ops/s for cpu, ops per simulated
 /// ms for sim), the front's mean items per issued insert batch (1.0 by
-/// construction for naive cells), and the final adaptive window.
+/// construction for naive cells), and the largest over the smallest
+/// throughput of the cell's runs (1.0 for a sim cell, which is one
+/// deterministic run).
 #[derive(Clone, Copy)]
 struct Cell {
     throughput: f64,
     mean_occupancy: f64,
-    window: usize,
+    spread: f64,
 }
 
 // ---------------------------------------------------------------------
@@ -70,9 +74,11 @@ fn cpu_queue(preload: usize, headroom: usize) -> CpuBgpq<u32, u32> {
     q
 }
 
-/// Median-of-trials over one full multi-threaded run.
+/// Median-of-trials over one full multi-threaded run, with the runs'
+/// spread.
 fn median_cell(mut run: impl FnMut() -> Cell) -> Cell {
-    *Trials::run(TRIALS, |_| run(), |c| c.throughput).median()
+    let trials = Trials::run(TRIALS, |_| run(), |c| c.throughput);
+    Cell { spread: trials.spread(), ..*trials.median() }
 }
 
 /// Naive mode: every thread drives `CpuBgpq`'s hardened batch paths
@@ -97,12 +103,12 @@ fn cpu_naive(threads: usize, pairs: usize) -> Cell {
             }
         });
         let secs = t0.elapsed().as_secs_f64();
-        Cell { throughput: (2 * pairs * threads) as f64 / secs, mean_occupancy: 1.0, window: 0 }
+        Cell { throughput: (2 * pairs * threads) as f64 / secs, mean_occupancy: 1.0, spread: 1.0 }
     })
 }
 
 /// Coalesced mode: the same traffic submitted through the combining
-/// front; the adaptive window decides the issued batch widths.
+/// front.
 fn cpu_combined(threads: usize, pairs: usize) -> Cell {
     median_cell(|| {
         let q = Combiner::wrap(cpu_queue(1 << 10, threads * K + K));
@@ -123,7 +129,7 @@ fn cpu_combined(threads: usize, pairs: usize) -> Cell {
         let snap = q.stats().snapshot();
         let mean_occupancy =
             if snap.inserts > 0 { snap.items_inserted as f64 / snap.inserts as f64 } else { 0.0 };
-        Cell { throughput: (2 * pairs * threads) as f64 / secs, mean_occupancy, window: q.window() }
+        Cell { throughput: (2 * pairs * threads) as f64 / secs, mean_occupancy, spread: 1.0 }
     })
 }
 
@@ -163,7 +169,7 @@ fn sim_naive(blocks: usize, pairs: usize) -> Cell {
         },
     );
     let ops = (2 * pairs * blocks) as f64;
-    Cell { throughput: ops / report.makespan_ms, mean_occupancy: 1.0, window: 0 }
+    Cell { throughput: ops / report.makespan_ms, mean_occupancy: 1.0, spread: 1.0 }
 }
 
 /// Combining backend for a simulated block (same shape as the
@@ -234,7 +240,7 @@ fn sim_combined(blocks: usize, pairs: usize) -> Cell {
     let mean_occupancy =
         if snap.inserts > 0 { snap.items_inserted as f64 / snap.inserts as f64 } else { 0.0 };
     let ops = (2 * pairs * blocks) as f64;
-    Cell { throughput: ops / report.makespan_ms, mean_occupancy, window: front.window() }
+    Cell { throughput: ops / report.makespan_ms, mean_occupancy, spread: 1.0 }
 }
 
 // ---------------------------------------------------------------------
@@ -264,12 +270,13 @@ fn sweep(
         let row = Row { submitters: n, naive: naive(n, pairs), combined: combined(n, pairs) };
         eprintln!(
             "  {label} x{n:>2}: naive {:>12.0}, coalesced {:>12.0} ({:.2}x, occupancy {:.2}, \
-             window {})",
+             spread {:.2} / {:.2})",
             row.naive.throughput,
             row.combined.throughput,
             row.ratio(),
             row.combined.mean_occupancy,
-            row.combined.window
+            row.naive.spread,
+            row.combined.spread
         );
         rows.push(row);
     }
@@ -284,7 +291,8 @@ fn json_rows(rows: &[Row]) -> impl Iterator<Item = Json> + '_ {
             .num("coalesced", format!("{:.1}", row.combined.throughput))
             .num("ratio", format!("{:.3}", row.ratio()))
             .num("mean_occupancy", format!("{:.3}", row.combined.mean_occupancy))
-            .num("final_window", row.combined.window)
+            .num("naive_spread", format!("{:.2}", row.naive.spread))
+            .num("coalesced_spread", format!("{:.2}", row.combined.spread))
     })
 }
 
@@ -303,7 +311,16 @@ pub fn run(scale: Scale) -> io::Result<()> {
 
     let mut table = Table::new(
         "coalesce",
-        &["sweep", "submitters", "naive", "coalesced", "ratio", "mean_occupancy", "window"],
+        &[
+            "sweep",
+            "submitters",
+            "naive",
+            "coalesced",
+            "ratio",
+            "mean_occupancy",
+            "naive_spread",
+            "coalesced_spread",
+        ],
     );
     for (label, rows) in [("sim", &sim_rows), ("cpu", &cpu_rows)] {
         for row in rows {
@@ -314,7 +331,8 @@ pub fn run(scale: Scale) -> io::Result<()> {
                 format!("{:.0}", row.combined.throughput),
                 format!("{:.2}", row.ratio()),
                 format!("{:.2}", row.combined.mean_occupancy),
-                row.combined.window.to_string(),
+                format!("{:.2}", row.naive.spread),
+                format!("{:.2}", row.combined.spread),
             ]);
         }
     }
@@ -348,7 +366,6 @@ pub fn run(scale: Scale) -> io::Result<()> {
         .num("pass", pass);
     Json::header("coalesce", scale)
         .num("k", K)
-        .str("window_policy", "adaptive")
         .num("cpu_pairs_per_thread", cpu_pairs)
         .num("sim_pairs_per_block", sim_pairs)
         .rows("sim_device_time", json_rows(&sim_rows))

@@ -1,7 +1,7 @@
 //! Platform-agnostic combining engine.
 //!
 //! [`CombineShared`] is the state every submitter sees: the submission
-//! rings, the combiner lock, the adaptive batch window and the front's
+//! rings, the pending counter, the combiner lock and the front's
 //! [`OpStats`]. It is generic over a [`CombineBackend`] — the CPU front
 //! in [`crate::cpu`] drives it with real threads and condvar parking,
 //! the simulator tests drive it with polling sim agents — so the
@@ -9,37 +9,41 @@
 //!
 //! # Protocol
 //!
-//! A submitter arms its thread-local cell, publishes `(cell, op)` into
-//! its lane's ring, then tries the combiner lock **once**:
+//! A submitter that finds nothing pending claims the pending counter
+//! from 0 to 1 and calls the backend itself, as a round of one: no
+//! cell, no ring, no lock. Otherwise it arms its thread-local cell,
+//! publishes `(cell, op)` into its lane's ring, then tries the combiner
+//! lock **once**:
 //!
-//! * acquired — it becomes the combiner: it drains rings in rounds of
-//!   up to `window` requests (the window opens to `2k` under load),
-//!   issues each kind as `≤ k`-wide batched backend calls, and
-//!   completes every drained cell (its own included);
-//! * not acquired — some other thread is combining; the submitter
-//!   waits on its cell (park or poll, per [`CombineBackend::CAN_PARK`]).
+//! * acquired — it *gathers* up to `2k` requests from the rings,
+//!   releases the lock, and *issues* the round itself: each kind as
+//!   `≤ k`-wide batched backend calls, completing every drained cell
+//!   (its own included);
+//! * not acquired — another submitter is gathering; this one waits on
+//!   its cell (park or poll, per [`CombineBackend::CAN_PARK`]).
+//!
+//! The lock scopes the gather only, so several rounds and a direct
+//! call can be inside the backend at once. Each is an ordinary batched
+//! call that the backend linearizes like any other, so the front is
+//! linearizable exactly when its backend is. BGPQ is built for that
+//! overlap: its root lock serializes only the root section, and the
+//! heapify below it runs hand-over-hand.
 //!
 //! # No lost requests
 //!
-//! The combiner may only stop while requests sit unserved if someone
-//! else is guaranteed to serve them. The exit protocol makes that
-//! airtight *without timed waits*: after draining to empty, the
-//! combiner releases the lock, then re-checks every ring **under the
-//! ring mutex**. If it finds work it re-tries the lock — continuing if
-//! acquired, and otherwise leaving the work to whoever beat it to the
-//! lock. A request pushed *after* that post-release sweep cannot be
-//! stranded either: its push happens-after the sweep (same ring mutex),
-//! so its owner's subsequent `try_lock` either acquires the now-free
-//! lock (and self-serves) or observes a newer combiner that will sweep
-//! again before exiting. Induction over combiners closes every
+//! Every cell a round drains is completed exactly once, with a result
+//! or a typed error, so a waiter — polling, or parked on its cell's
+//! condvar — only needs its request to be gathered. The protocol
+//! guarantees that *without timed waits*, and without a waiter ever
+//! re-trying the lock: after issuing its round, a gatherer re-checks every
+//! ring **under the ring mutex**. If it finds work it re-tries the
+//! lock, gathering again if acquired and otherwise leaving the work to
+//! the holder, who sweeps in turn. A request pushed *after* that sweep
+//! cannot be stranded either: its push happens-after the sweep (same
+//! ring mutex), so its owner's subsequent `try_lock` either acquires
+//! the lock (and gathers) or observes a newer holder that will sweep
+//! before it stops. Induction over lock holders closes every
 //! interleaving.
-//!
-//! The same protocol doubles as a fairness valve: after
-//! `SESSION_ROUNDS` rounds the combiner runs it with the rings still
-//! non-empty, and spinning waiters periodically re-try the lock, so
-//! under sustained traffic the combining duty rotates instead of
-//! pinning one submitter (and its own workload) behind everyone
-//! else's.
 //!
 //! # Failure containment
 //!
@@ -67,34 +71,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Bounded linger: when a round is still below the window but the
-/// pending counter says more submissions are in flight, the combiner
-/// takes up to this many `relax` steps to let them land before
-/// issuing. This is what grows batches under load without delaying a
-/// lone request (whose gather sees `pending == round.len()` and issues
-/// immediately).
-const GATHER_SPINS: u32 = 128;
-
 /// Bounded pre-park polling in `submit`: how many `relax` steps a
 /// waiter takes before falling back to the OS condvar. Covers the
-/// common case where an active combiner completes the cell within a
-/// few yields, without burning cycles when the round is genuinely
-/// slow.
+/// common case where a gatherer completes the cell within a few
+/// yields, without burning cycles when the round is genuinely slow.
 const PARK_SPINS: u32 = 64;
-
-/// Combiner lock tenure: after this many rounds the combiner runs the
-/// exit protocol even though the rings are non-empty, offering the
-/// role to whoever re-tries the lock in the gap. Under sustained
-/// traffic the rings never drain, so without a tenure bound one
-/// submitter would serve everyone else forever while its own workload
-/// starves — and then runs as an unbatched tail after the others
-/// finish. The offer is safe by the same exit-protocol induction: if
-/// no waiter takes the lock, the incumbent re-acquires and continues.
-const SESSION_ROUNDS: u32 = 8;
-
-/// How often a spinning waiter re-tries the combiner lock (every
-/// 2^RETRY_SHIFT relax steps) — the accept side of the tenure handoff.
-const RETRY_SHIFT: u32 = 5;
 
 /// While the front is tripped unavailable, one submission in this many
 /// is let through as a probe against the backend; the rest fail fast
@@ -114,8 +95,8 @@ pub trait CombineBackend<K: KeyType, V: ValueType> {
     const CAN_PARK: bool = true;
 
     /// The backend's `k` — the widest batch one backend call accepts.
-    /// The coalescing window may open past this (up to `2k`); the
-    /// combiner then issues the round as several `≤ k` calls.
+    /// A gathered round may hold up to `2k` requests; the front then
+    /// issues each kind as several `≤ k` calls.
     fn batch_capacity(&self) -> usize;
 
     /// Batched insert; on `Err` no item of `items` was inserted.
@@ -129,7 +110,7 @@ pub trait CombineBackend<K: KeyType, V: ValueType> {
     ) -> Result<usize, QueueError>;
 
     /// One bounded wait step (yield on CPU, virtual-time backoff on
-    /// the simulator). Never called with any combiner mutex held.
+    /// the simulator). Never called with a ring mutex held.
     fn relax(&mut self);
 
     /// Access-tagging hook for the front's shared combining state
@@ -149,25 +130,19 @@ pub trait CombineBackend<K: KeyType, V: ValueType> {
 /// One armed submission as it travels through a ring into a round.
 type Queued<K, V> = (Arc<OpCell<K, V>>, Op<K, V>);
 
-/// One MPSC submission lane: producers push at the tail, the combiner
+/// One MPSC submission lane: producers push at the tail, a gatherer
 /// drains from the head, preserving per-thread arrival order.
 struct Ring<K: KeyType, V: ValueType> {
     q: Mutex<VecDeque<Queued<K, V>>>,
 }
 
-/// Combiner-owned scratch: round buffers reused across rounds (the
-/// `OpScratch` convention — grow once, then allocation-free).
-struct CombineScratch<K: KeyType, V: ValueType> {
-    round: Vec<Queued<K, V>>,
-    /// Armed submissions the last gather saw beyond what fit in the
-    /// round — the demand signal the window adapts on (a round clipped
-    /// at the window must still be able to grow it).
-    backlog: usize,
-    /// Ring the next gather starts draining from. Rotating the start
-    /// keeps service fair when the window clips a round: a fixed
-    /// starting ring would serve low-numbered lanes every round and
-    /// starve the rest into a long completion tail.
-    cursor: usize,
+/// One round and the buffers its issue needs. The submitter that
+/// gathers a round owns it until the issue ends; in between rounds it
+/// waits in [`CombineShared`]'s spare list (the `OpScratch`
+/// convention — grow once, then allocation-free).
+#[derive(Default)]
+struct Round<K: KeyType, V: ValueType> {
+    requests: Vec<Queued<K, V>>,
     insert_cells: Vec<Arc<OpCell<K, V>>>,
     insert_buf: Vec<Entry<K, V>>,
     delete_cells: Vec<Arc<OpCell<K, V>>>,
@@ -180,7 +155,7 @@ static INSTANCE_TICKET: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Clone, Copy)]
 pub struct CombinerOptions {
     /// Number of submission rings. More rings mean less push
-    /// contention; the combiner drains them all either way.
+    /// contention; a gather drains them all either way.
     pub rings: usize,
     /// Verification self-test mutation (see [`bgpq::Mutation`]); the
     /// front honors [`Mutation::CombinerDropsForeignInsert`]. Must stay
@@ -210,16 +185,11 @@ impl CombinerOptions {
 /// Shared state of one combining front (see module docs).
 pub struct CombineShared<K: KeyType, V: ValueType> {
     rings: Box<[Ring<K, V>]>,
-    /// Armed-but-uncompleted requests; a load signal for the gather
-    /// linger and the stats, *not* part of the exit-protocol proof
-    /// (ring emptiness under the ring mutexes is the ground truth).
+    /// Armed or claimed requests not yet completed: the gather's
+    /// linger signal and the stats, *not* part of the no-lost-request
+    /// proof (ring emptiness under the ring mutexes is the ground
+    /// truth). Its 0 → 1 claim admits the direct path.
     pending: AtomicUsize,
-    /// Current coalescing window, `1..=2k`. Opening past `k` matters
-    /// for mixed traffic: a `k`-wide round splits into an insert part
-    /// and a delete part, each only a fraction of `k` wide. A `2k`
-    /// round keeps both kinds near full batches; [`Self::issue`]
-    /// chunks anything oversized into `≤ k` backend calls.
-    window: AtomicUsize,
     /// Tripped-unavailable flag: set when a backend call crashed or
     /// reported `Poisoned`, cleared when a probe gets served. See the
     /// module docs' failure-containment section.
@@ -227,7 +197,17 @@ pub struct CombineShared<K: KeyType, V: ValueType> {
     /// Submissions rejected (or admitted as probes) since the trip;
     /// drives the 1-in-[`PROBE_INTERVAL`] probe cadence.
     unavail_ticket: AtomicU64,
-    combiner: Mutex<CombineScratch<K, V>>,
+    /// The combiner lock. It scopes the gather only, and holds the ring
+    /// the next gather starts draining from: rotating the start keeps
+    /// service fair when the `2k` cap clips a round (a fixed start
+    /// would serve low-numbered lanes first every round).
+    combiner: Mutex<usize>,
+    /// Rounds between uses; each issuing submitter takes one.
+    spare: Mutex<Vec<Round<K, V>>>,
+    /// The direct path's delete output. Only the submitter whose claim
+    /// moved `pending` from 0 to 1 locks it, and `pending` stays above
+    /// 0 until that submitter is done, so the lock never waits.
+    direct_out: Mutex<Vec<Entry<K, V>>>,
     stats: OpStats,
     batch_capacity: usize,
     /// Key into the thread-local cell registry.
@@ -245,19 +225,11 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         Self {
             rings: (0..opts.rings).map(|_| Ring { q: Mutex::new(VecDeque::new()) }).collect(),
             pending: AtomicUsize::new(0),
-            // Starts closed: a lone first request is never delayed.
-            window: AtomicUsize::new(1),
             poisoned: AtomicBool::new(false),
             unavail_ticket: AtomicU64::new(0),
-            combiner: Mutex::new(CombineScratch {
-                round: Vec::new(),
-                backlog: 0,
-                cursor: 0,
-                insert_cells: Vec::new(),
-                insert_buf: Vec::new(),
-                delete_cells: Vec::new(),
-                delete_out: Vec::new(),
-            }),
+            combiner: Mutex::new(0),
+            spare: Mutex::new(Vec::new()),
+            direct_out: Mutex::new(Vec::new()),
             stats: OpStats::new(),
             batch_capacity,
             instance: INSTANCE_TICKET.fetch_add(1, Ordering::Relaxed),
@@ -276,11 +248,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         &self.stats
     }
 
-    /// Current adaptive window (diagnostics).
-    pub fn window(&self) -> usize {
-        self.window.load(Ordering::Relaxed)
-    }
-
     /// Most simultaneous armed requests any gather ever observed
     /// (diagnostics: an upper bound on achievable batch occupancy).
     pub fn peak_pending(&self) -> usize {
@@ -292,12 +259,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         self.batch_capacity
     }
 
-    /// Ceiling for the coalescing window: twice the backend `k`, so a
-    /// mixed round can carry close to `k` of *each* kind.
-    fn max_window(&self) -> usize {
-        2 * self.batch_capacity
-    }
-
     /// Whether a backend crash has tripped this front unavailable
     /// (most requests now fail fast with [`QueueError::Unavailable`];
     /// probes still go through and can restore service).
@@ -306,7 +267,8 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     }
 
     /// Submit one request and wait for its outcome. This is the whole
-    /// public fast path: publish, opportunistically combine, wait.
+    /// public fast path: call directly when nothing is pending, else
+    /// publish, opportunistically gather and issue, wait.
     pub fn submit<B: CombineBackend<K, V>>(
         &self,
         backend: &mut B,
@@ -325,25 +287,35 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
             // round clears the trip; if it is still down, the probe
             // reports `Poisoned` honestly.
         }
-        let cell = thread_cell::<K, V>(self.instance);
-        // Publishing a request mutates shared front state (cell arm,
-        // pending counter, ring push) — every other front op races it.
+        // Claiming or publishing a request mutates shared front state
+        // (pending counter, cell arm, ring push) — every other front op
+        // races it.
         backend.touch_shared(true);
+        if self.pending.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
+            // Nothing pending: there is no round to join. The claim
+            // keeps this call counted, so concurrent gathers linger
+            // for its owner's next request.
+            let outcome = self.issue_one(backend, op);
+            backend.touch_shared(true);
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+            return outcome;
+        }
+        let cell = thread_cell::<K, V>(self.instance);
         cell.arm();
         self.pending.fetch_add(1, Ordering::SeqCst);
         let lane = backend.lane() % self.rings.len();
         self.rings[lane].q.lock().push_back((cell.clone(), op));
 
-        // One shot at becoming the combiner (see module docs for why
-        // one attempt suffices for liveness).
-        self.combine_session(backend);
+        // One shot at the combiner lock (see module docs for why one
+        // attempt suffices for liveness).
+        self.combine(backend);
 
         if !cell.is_done() {
             if B::CAN_PARK {
-                // Spin-then-park: an active combiner usually completes
-                // the cell within a few scheduler yields, and skipping
-                // the park avoids the full sleep/notify round trip per
-                // request. Only genuinely slow rounds pay for parking.
+                // Spin-then-park: a gatherer usually completes the cell
+                // within a few scheduler yields, and skipping the park
+                // avoids the full sleep/notify round trip per request.
+                // Only genuinely slow rounds pay for parking.
                 let mut spins = 0u32;
                 while !cell.is_done() && spins < PARK_SPINS {
                     backend.relax();
@@ -353,68 +325,34 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
                     cell.park_until_done();
                 }
             } else {
-                // Polling waiters are the accept side of the tenure
-                // handoff (see SESSION_ROUNDS): periodically re-try
-                // the combiner lock so the duty can rotate. Parking
-                // waiters above skip this — there, fresh submitters'
-                // `try_lock` takes the handoff instead, and lock
-                // retries from a spinning waiter only add contention.
-                let mut spins = 0u32;
                 while !cell.is_done() {
-                    // Each poll reads the cell a combiner will write.
+                    // Each poll reads the cell a gatherer will write.
                     backend.touch_shared(false);
                     backend.relax();
-                    spins = spins.wrapping_add(1);
-                    if spins & ((1 << RETRY_SHIFT) - 1) == 0 {
-                        self.combine_session(backend);
-                    }
                 }
             }
         }
         cell.take()
     }
 
-    /// Try to become the combiner; if acquired, serve rounds until the
-    /// rings are verifiably empty (exit protocol in the module docs).
-    fn combine_session<B: CombineBackend<K, V>>(&self, backend: &mut B) {
-        // The lock attempt itself races every other session attempt.
-        backend.touch_shared(true);
-        let Some(mut guard) = self.combiner.try_lock() else { return };
+    /// While the combiner lock is free and requests wait in the rings:
+    /// gather a round under the lock, issue it outside, then sweep
+    /// (no-lost-request protocol in the module docs).
+    fn combine<B: CombineBackend<K, V>>(&self, backend: &mut B) {
         loop {
-            let mut rounds = 0u32;
-            loop {
-                self.gather(backend, &mut guard);
-                if guard.round.is_empty() {
-                    break;
-                }
-                self.issue(backend, &mut guard);
-                rounds += 1;
-                if !B::CAN_PARK && rounds >= SESSION_ROUNDS {
-                    // Tenure is up: offer the combiner role to a
-                    // polling waiter via the exit protocol below.
-                    // Parking backends skip this — their waiters
-                    // cannot accept a handoff while parked, so a
-                    // tenure break only buys a park/notify storm.
-                    break;
-                }
-            }
-            drop(guard);
-            // Post-release sweep: a request pushed between our last
-            // drain and the unlock must not be stranded.
+            // The lock attempt itself races every other gather.
+            backend.touch_shared(true);
+            let Some(mut cursor) = self.combiner.try_lock() else { return };
+            let mut round = self.spare.lock().pop().unwrap_or_default();
+            self.gather(backend, &mut cursor, &mut round.requests);
+            drop(cursor);
+            self.issue(backend, &mut round);
+            self.spare.lock().push(round);
+            // Post-issue sweep: a request pushed after our last drain
+            // must not be stranded.
             backend.touch_shared(true);
             if self.rings_are_empty() {
                 return;
-            }
-            // Open a real handoff window before re-trying: on the
-            // simulator no other agent runs between two of our steps
-            // unless we advance virtual time, so without this yield
-            // the incumbent would always win its own re-acquire.
-            backend.relax();
-            backend.touch_shared(true);
-            match self.combiner.try_lock() {
-                Some(g) => guard = g,
-                // Someone newer holds the lock; they will sweep too.
-                None => return,
             }
         }
     }
@@ -423,89 +361,77 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         self.rings.iter().all(|r| r.q.lock().is_empty())
     }
 
-    /// Drain up to `window` requests into `s.round`, lingering briefly
-    /// when more submissions are in flight (see [`GATHER_SPINS`]).
-    fn gather<B: CombineBackend<K, V>>(&self, backend: &mut B, s: &mut CombineScratch<K, V>) {
-        s.round.clear();
+    /// Drain up to `2k` requests into `round`, starting at ring
+    /// `cursor`.
+    ///
+    /// Below the cap, the gather lingers: it keeps re-draining the
+    /// rings while the pending counter holds requests outside its round
+    /// — being armed, inside another round's backend call, or a direct
+    /// call — for at most one `relax` step per such request, re-counted
+    /// at every step. Their owners resubmit as soon as they are served,
+    /// so rounds grow with the demand that can fill them, and a lone
+    /// submitter (nothing elsewhere) never waits. EXPERIMENTS E20
+    /// sweeps the steps per request: none keeps sim rounds one wide,
+    /// and more than one is slower on perfbench's `single_op_strict`.
+    fn gather<B: CombineBackend<K, V>>(
+        &self,
+        backend: &mut B,
+        cursor: &mut usize,
+        round: &mut Vec<Queued<K, V>>,
+    ) {
         backend.touch_shared(true);
         OpStats::raise(&self.stats.peak_pending, self.pending.load(Ordering::SeqCst) as u64);
-        let window = self.window.load(Ordering::Relaxed).clamp(1, self.max_window());
-        let mut spins = 0u32;
+        let cap = 2 * self.batch_capacity;
+        let mut spins = 0;
         loop {
             for i in 0..self.rings.len() {
-                if s.round.len() >= window {
-                    break;
-                }
-                let ring = &self.rings[(s.cursor + i) % self.rings.len()];
-                let mut q = ring.q.lock();
-                while s.round.len() < window {
-                    match q.pop_front() {
-                        Some(item) => s.round.push(item),
-                        None => break,
-                    }
-                }
+                let mut q = self.rings[(*cursor + i) % self.rings.len()].q.lock();
+                let take = q.len().min(cap - round.len());
+                round.extend(q.drain(..take));
             }
-            s.cursor = (s.cursor + 1) % self.rings.len();
-            if s.round.len() >= window {
-                // The demand signal must be refreshed on every exit
-                // path: a round clipped at the window plus a backlog
-                // is exactly what tells the window to grow.
-                s.backlog = self.pending.load(Ordering::SeqCst).saturating_sub(s.round.len());
-                return;
-            }
-            // `pending` counts armed-but-uncompleted requests, which
-            // includes everything already in this round. Any excess is
-            // a submission between arm and push — worth a short wait.
-            let in_flight = self.pending.load(Ordering::SeqCst).saturating_sub(s.round.len());
-            // Linger while (a) a submission is mid-flight between arm
-            // and push, or (b) the window is open because recent
-            // rounds were wide: the peers whose requests widened them
-            // were just completed and need a beat to resubmit. A lone
-            // submitter keeps the window at 1 and never waits here.
-            if spins >= GATHER_SPINS || (in_flight == 0 && window == 1) {
-                s.backlog = in_flight;
+            *cursor = (*cursor + 1) % self.rings.len();
+            // `pending` counts every armed or claimed request not yet
+            // completed, this round's included; the excess is in
+            // flight elsewhere.
+            let elsewhere = self.pending.load(Ordering::SeqCst).saturating_sub(round.len());
+            if round.len() == cap || spins >= elsewhere {
                 return;
             }
             spins += 1;
             backend.relax();
-            // Each linger iteration re-reads the rings and counters.
+            // Each linger step re-reads the rings and counters.
             backend.touch_shared(true);
         }
     }
 
-    /// Issue one round: inserts first (they can only help the deletes
-    /// see smaller keys), then deletes, with per-kind result
-    /// distribution in arrival order. A round wider than `k` of either
-    /// kind goes out as several `≤ k` backend calls — near-full ones,
-    /// which is the whole point of letting the window open past `k`.
-    fn issue<B: CombineBackend<K, V>>(&self, backend: &mut B, s: &mut CombineScratch<K, V>) {
-        s.insert_cells.clear();
-        s.insert_buf.clear();
-        s.delete_cells.clear();
-        let round_len = s.round.len();
+    /// Issue one gathered round: inserts first (they can only help the
+    /// deletes see smaller keys), then deletes, each kind in `≤ k`
+    /// chunks with results in arrival order.
+    fn issue<B: CombineBackend<K, V>>(&self, backend: &mut B, round: &mut Round<K, V>) {
+        let Round { requests, insert_cells, insert_buf, delete_cells, delete_out } = round;
         // CombinerDropsForeignInsert: acknowledge delegated inserts —
         // those gathered from *another* thread's lane — as served
-        // without issuing them. The combiner's own requests still go
+        // without issuing them. The gatherer's own requests still go
         // through, so the bug is invisible until a schedule makes one
-        // thread actually combine for another; then an acked key never
+        // thread actually gather for another; then an acked key never
         // reaches the backend and only front-level accounting can tell.
         #[cfg(any(test, feature = "mutations"))]
         let own_cell = (self.mutation == Mutation::CombinerDropsForeignInsert)
             .then(|| thread_cell::<K, V>(self.instance));
-        for (cell, op) in s.round.drain(..) {
+        for (cell, op) in requests.drain(..) {
             match op {
                 Op::Insert(e) => {
                     #[cfg(any(test, feature = "mutations"))]
                     if let Some(own) = &own_cell {
-                        if !std::sync::Arc::ptr_eq(&cell, own) {
+                        if !Arc::ptr_eq(&cell, own) {
                             self.finish(&cell, Ok(None));
                             continue;
                         }
                     }
-                    s.insert_cells.push(cell);
-                    s.insert_buf.push(e);
+                    insert_cells.push(cell);
+                    insert_buf.push(e);
                 }
-                Op::DeleteMin => s.delete_cells.push(cell),
+                Op::DeleteMin => delete_cells.push(cell),
             }
         }
         // One trip per round: after a chunk crashes the backend, the
@@ -513,138 +439,125 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         // *later* round may touch it — that is how probes re-test a
         // tripped backend (module docs, failure containment).
         let mut tripped = false;
-        let mut backpressure = false;
-        if !s.insert_buf.is_empty() {
-            backpressure = self.issue_inserts(backend, s, &mut tripped);
-        }
-        if !s.delete_cells.is_empty() {
-            self.issue_deletes(backend, s, &mut tripped);
-        }
-        if backpressure {
-            // The backend is out of space; wide rounds only amplify
-            // the per-request retries. Collapse and probe back up.
-            self.adapt_window(1);
-        } else {
-            self.adapt_window(round_len + s.backlog);
-        }
+        self.issue_inserts(backend, insert_buf, &mut tripped, |i, r| {
+            self.finish(&insert_cells[i], r)
+        });
+        let deletes = delete_cells.len();
+        self.issue_deletes(backend, deletes, delete_out, &mut tripped, |j, r| {
+            self.finish(&delete_cells[j], r)
+        });
+        insert_cells.clear();
+        insert_buf.clear();
+        delete_cells.clear();
     }
 
-    /// Issue the round's inserts in `≤ k` chunks. Returns whether any
-    /// chunk hit `Full` backpressure.
+    /// The direct path: `op` issued as a round of one, its outcome
+    /// returned instead of completed into a cell.
+    fn issue_one<B: CombineBackend<K, V>>(&self, backend: &mut B, op: Op<K, V>) -> OpOutcome<K, V> {
+        let mut outcome = Ok(None);
+        let mut tripped = false;
+        match op {
+            Op::Insert(e) => self.issue_inserts(backend, &[e], &mut tripped, |_, r| outcome = r),
+            Op::DeleteMin => {
+                let mut out = self.direct_out.lock();
+                self.issue_deletes(backend, 1, &mut out, &mut tripped, |_, r| outcome = r);
+            }
+        }
+        outcome
+    }
+
+    /// Issue `items` in `≤ k` chunks, reporting request `i`'s outcome
+    /// through `done(i, ..)`.
     fn issue_inserts<B: CombineBackend<K, V>>(
         &self,
         backend: &mut B,
-        s: &mut CombineScratch<K, V>,
+        items: &[Entry<K, V>],
         tripped: &mut bool,
-    ) -> bool {
-        let total = s.insert_buf.len();
-        let mut saw_full = false;
-        let mut done = 0;
-        while done < total {
-            // Every chunk completes cells waiters are polling on.
+        mut done: impl FnMut(usize, OpOutcome<K, V>),
+    ) {
+        for (c, chunk) in items.chunks(self.batch_capacity).enumerate() {
+            let (base, n) = (c * self.batch_capacity, chunk.len());
+            // Every chunk completes requests waiters are polling on.
             backend.touch_shared(true);
             if *tripped {
                 // An earlier chunk of this round crashed the backend;
                 // fail the rest without touching it again.
-                for cell in &s.insert_cells[done..total] {
-                    self.finish(cell, Err(QueueError::Poisoned));
-                }
-                break;
+                (base..items.len()).for_each(|i| done(i, Err(QueueError::Poisoned)));
+                return;
             }
-            let end = (done + self.batch_capacity).min(total);
-            let chunk = &s.insert_buf[done..end];
-            let n = chunk.len();
             match self.call_backend(tripped, || backend.try_insert_batch(chunk)) {
                 Ok(()) => {
-                    OpStats::bump(&self.stats.inserts);
-                    OpStats::add(&self.stats.items_inserted, n as u64);
-                    self.stats.record_batch_occupancy(n, self.batch_capacity);
-                    for cell in &s.insert_cells[done..end] {
-                        self.finish(cell, Ok(None));
-                    }
+                    self.record(&self.stats.inserts, &self.stats.items_inserted, n, n);
+                    (base..base + n).for_each(|i| done(i, Ok(None)));
                 }
                 Err(QueueError::Full { .. }) if n > 1 => {
                     // The chunk as a whole exceeded free space; retry
                     // each request alone so the ones that individually
                     // fit still succeed.
-                    saw_full = true;
-                    for (cell, e) in s.insert_cells[done..end].iter().zip(chunk) {
-                        if *tripped {
-                            self.finish(cell, Err(QueueError::Poisoned));
-                            continue;
-                        }
-                        let one = std::slice::from_ref(e);
-                        let r = self.call_backend(tripped, || backend.try_insert_batch(one));
+                    for (j, e) in chunk.iter().enumerate() {
+                        let r = if *tripped {
+                            Err(QueueError::Poisoned)
+                        } else {
+                            let one = std::slice::from_ref(e);
+                            self.call_backend(tripped, || backend.try_insert_batch(one))
+                        };
                         if r.is_ok() {
-                            OpStats::bump(&self.stats.inserts);
-                            OpStats::add(&self.stats.items_inserted, 1);
-                            self.stats.record_batch_occupancy(1, self.batch_capacity);
+                            self.record(&self.stats.inserts, &self.stats.items_inserted, 1, 1);
                         }
-                        self.finish(cell, r.map(|()| None));
+                        done(base + j, r.map(|()| None));
                     }
                 }
-                Err(err) => {
-                    // `Full` (n == 1) and `LockTimeout` are per-chunk:
-                    // the front stays live and callers still own their
-                    // keys.
-                    saw_full |= matches!(err, QueueError::Full { .. });
-                    for cell in &s.insert_cells[done..end] {
-                        self.finish(cell, Err(err.clone()));
-                    }
-                }
+                // `Full` (one request) and `LockTimeout` are per-chunk:
+                // the front stays live and callers still own their keys.
+                Err(err) => (base..base + n).for_each(|i| done(i, Err(err.clone()))),
             }
-            done = end;
         }
-        s.insert_cells.clear();
-        s.insert_buf.clear();
-        saw_full
     }
 
-    /// Issue the round's deletes in `≤ k` chunks, handing arrival
-    /// order j the j-th smallest key overall (sequential `delete_min`
-    /// batches return globally ascending runs).
+    /// Issue `total` deletes in `≤ k` chunks into `out`, reporting
+    /// request `j`'s outcome through `done(j, ..)`: arrival order j gets
+    /// the j-th smallest key overall (sequential `delete_min` batches
+    /// return globally ascending runs).
     fn issue_deletes<B: CombineBackend<K, V>>(
         &self,
         backend: &mut B,
-        s: &mut CombineScratch<K, V>,
+        total: usize,
+        out: &mut Vec<Entry<K, V>>,
         tripped: &mut bool,
+        mut done: impl FnMut(usize, OpOutcome<K, V>),
     ) {
-        let total = s.delete_cells.len();
-        s.delete_out.clear();
-        let mut done = 0;
-        while done < total {
-            // Every chunk completes cells waiters are polling on.
+        out.clear();
+        let mut base = 0;
+        while base < total {
+            // Every chunk completes requests waiters are polling on.
             backend.touch_shared(true);
             if *tripped {
-                for cell in &s.delete_cells[done..total] {
-                    self.finish(cell, Err(QueueError::Poisoned));
-                }
-                break;
+                (base..total).for_each(|j| done(j, Err(QueueError::Poisoned)));
+                return;
             }
-            let n = (total - done).min(self.batch_capacity);
-            let base = s.delete_out.len();
-            let out = &mut s.delete_out;
+            let n = (total - base).min(self.batch_capacity);
+            let from = out.len();
             match self.call_backend(tripped, || backend.try_delete_min_batch(out, n)) {
                 Ok(got) => {
-                    OpStats::bump(&self.stats.delete_mins);
-                    OpStats::add(&self.stats.items_deleted, got as u64);
-                    self.stats.record_batch_occupancy(n, self.batch_capacity);
-                    // Waiters past what the queue held see an empty
+                    self.record(&self.stats.delete_mins, &self.stats.items_deleted, n, got);
+                    // Requests past what the queue held see an empty
                     // queue.
                     for j in 0..n {
-                        let res = if j < got { Ok(Some(s.delete_out[base + j])) } else { Ok(None) };
-                        self.finish(&s.delete_cells[done + j], res);
+                        done(base + j, Ok((j < got).then(|| out[from + j])));
                     }
                 }
-                Err(err) => {
-                    for cell in &s.delete_cells[done..done + n] {
-                        self.finish(cell, Err(err.clone()));
-                    }
-                }
+                Err(err) => (base..base + n).for_each(|j| done(j, Err(err.clone()))),
             }
-            done += n;
+            base += n;
         }
-        s.delete_cells.clear();
+    }
+
+    /// Count one served backend call: `width` coalesced requests that
+    /// moved `items` keys.
+    fn record(&self, calls: &AtomicU64, items: &AtomicU64, width: usize, moved: usize) {
+        OpStats::bump(calls);
+        OpStats::add(items, moved as u64);
+        self.stats.record_batch_occupancy(width, self.batch_capacity);
     }
 
     /// One backend call. A panic (injected fault, bug) counts as
@@ -689,31 +602,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     fn mark_available(&self) {
         if self.poisoned.load(Ordering::Relaxed) {
             self.poisoned.store(false, Ordering::Release);
-        }
-    }
-
-    /// Demand-following window policy, evaluated once per issued round
-    /// with `demand` = the round's size plus the backlog the gather
-    /// left behind. Idle traffic converges to window 1 — a lone
-    /// request is never delayed — while sustained load opens the
-    /// window up to `2k` (mixed rounds then still issue near-full
-    /// `k`-wide batches of each kind).
-    fn adapt_window(&self, demand: usize) {
-        let w = self.window.load(Ordering::Relaxed);
-        // Open straight to the observed demand, decay one step at a
-        // time: a submitter burst should coalesce on the very next
-        // round, while a momentary refill gap (peers woken by the last
-        // wide round but not yet resubmitted) must not slam the window
-        // shut and re-serialize the traffic.
-        let next = if demand > w {
-            demand.min(self.max_window())
-        } else if demand <= w / 2 {
-            (w - 1).max(1)
-        } else {
-            w
-        };
-        if next != w {
-            self.window.store(next, Ordering::Relaxed);
         }
     }
 }
@@ -863,23 +751,5 @@ mod tests {
             1,
             "re-trips of a tripped front do not recount"
         );
-    }
-
-    #[test]
-    fn window_adapts_up_and_down() {
-        let sh: CombineShared<u32, u32> = CombineShared::new(16, CombinerOptions::default());
-        assert_eq!(sh.window(), 1);
-        sh.adapt_window(1); // lone request, no backlog → hold collapsed
-        assert_eq!(sh.window(), 1);
-        sh.adapt_window(5); // burst → open straight to the demand
-        assert_eq!(sh.window(), 5);
-        sh.adapt_window(100);
-        assert_eq!(sh.window(), 32, "capped at 2k");
-        sh.adapt_window(32); // saturated → hold
-        assert_eq!(sh.window(), 32);
-        sh.adapt_window(7); // ≤ half → decay one step
-        assert_eq!(sh.window(), 31);
-        sh.adapt_window(20); // between half and full → hold
-        assert_eq!(sh.window(), 31);
     }
 }

@@ -53,10 +53,10 @@ where
     }
 }
 
-/// Flat-combining submission front over a batched queue (the
-/// tentpole): single-op `insert` / `delete_min` calls from many
-/// threads coalesce into batched backend calls sized by an adaptive
-/// window. Implements [`PriorityQueue`] so every single-op caller —
+/// Flat-combining submission front over a batched queue: single-op
+/// `insert` / `delete_min` calls from many threads coalesce into
+/// batched backend calls, and a lone caller calls the queue directly.
+/// Implements [`PriorityQueue`] so every single-op caller —
 /// apps, drills, benches — can run through it unchanged, and passes
 /// [`BatchPriorityQueue`] straight through to the wrapped queue so
 /// already-batched callers skip the front.
@@ -105,11 +105,6 @@ where
     /// wrapped queue keeps its own [`OpStats`] independently.
     pub fn stats(&self) -> &OpStats {
         self.shared.stats()
-    }
-
-    /// Current adaptive coalescing window (diagnostics).
-    pub fn window(&self) -> usize {
-        self.shared.window()
     }
 
     /// Whether a backend crash has poisoned the front.

@@ -29,12 +29,15 @@
 //! * [`CombineShared`] / [`CombineBackend`] — the platform-agnostic
 //!   engine and its driver trait, public so the simulator tests drive
 //!   the same protocol with polling sim agents (`CAN_PARK = false`).
-//! * [`CombinerOptions`] — ring count and initial window.
+//! * [`CombinerOptions`] — ring count (and a self-test mutation).
 //!
-//! The adaptive window grows toward `k` under load and collapses to 1
-//! when idle, so a lone request is never delayed waiting for peers
-//! that are not coming; see `DESIGN.md` for the ring layout, the
-//! no-lost-request exit protocol, and the backpressure semantics.
+//! A submitter that finds nothing pending calls the queue directly, so
+//! a lone request is never delayed waiting for peers that are not
+//! coming. The combiner lock covers only the gather: each gathered
+//! round is issued outside it, so several rounds run through the
+//! queue at once, and the front is linearizable exactly when the
+//! wrapped queue is. See `DESIGN.md` §9 for the ring layout, the
+//! no-lost-request protocol, and the backpressure semantics.
 
 pub mod cell;
 pub mod core;

@@ -463,10 +463,10 @@ fn classify(
         if let Some(events) = front_events {
             // The subject must hold exactly what the front acknowledged
             // accepting minus what it acknowledged delivering. An
-            // acked-but-never-executed request (the combiner's tenure
-            // handoff bug) leaves it short; only the front log can see
-            // that, because the heap's own history never contains the
-            // dropped operation at all.
+            // acked-but-never-executed request (a combiner that drops
+            // a foreign insert) leaves it short; only the front log can
+            // see that, because the heap's own history never contains
+            // the dropped operation at all.
             let balance = balance(events);
             if len != balance {
                 return Some(Violation::FrontAccounting(format!(

@@ -46,7 +46,7 @@ pub enum WorkOp {
 /// [`bgpq::Bgpq`] directly. The other two wrap that same heap in a
 /// cross-crate front so the explorer can model-check the *composition*:
 /// the shard router's circuit breaker + salvage re-admission
-/// (`bgpq-shard`) and the flat combiner's tenure handoff
+/// (`bgpq-shard`) and the flat combiner's delegated rounds
 /// (`bgpq-combine`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontSpec {
@@ -228,10 +228,12 @@ impl WorkloadSpec {
     /// single-key operations through one `bgpq-combine` front over a
     /// shared backing heap. Deliberately minimal — polling waiters make
     /// every extra agent multiply the schedule tree through free
-    /// switches — yet two agents already cover combiner election,
-    /// request gathering, and the tenure-handoff window (one agent can
-    /// take the combiner lock exactly when the other's post-release
-    /// re-acquire fails).
+    /// switches — yet two agents with two ops each cover the direct
+    /// call, combiner election, request gathering and a foreign round:
+    /// one agent's second request lands in the other's gather while
+    /// that gather lingers on the first agent's call. With one op each
+    /// the second submitter always finds the lock free and serves
+    /// itself, so no round is ever foreign.
     pub fn combined_mix(k: usize) -> Self {
         assert!(k >= 1, "combined mix needs k >= 1");
         Self {
@@ -239,7 +241,10 @@ impl WorkloadSpec {
             max_nodes: 16,
             use_collaboration: false,
             mutation: Mutation::None,
-            scripts: vec![vec![WorkOp::Insert(vec![5])], vec![WorkOp::DeleteMin(1)]],
+            scripts: vec![
+                vec![WorkOp::Insert(vec![5]), WorkOp::Insert(vec![6])],
+                vec![WorkOp::DeleteMin(1), WorkOp::DeleteMin(1)],
+            ],
             faults: Vec::new(),
             front: FrontSpec::Combined,
             fault_shard: None,

@@ -46,7 +46,8 @@ fn main() {
     println!("residual items : {}", q.len());
     println!("deletes        : {}", quality.deletes);
     println!(
-        "rank error     : mean {:.3}, max {} (bound S-c = {})",
+        "rank error     : mean {:.3}, max {} (quiescent bound S-c = {}; concurrent deletes can \
+         see stale hints)",
         quality.mean_rank_error(),
         quality.rank_error_max,
         q.inner().num_shards() - q.inner().sample()

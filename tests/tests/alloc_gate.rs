@@ -18,9 +18,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bgpq::{Bgpq, BgpqOptions, CpuBgpq};
+use bgpq_combine::Combiner;
 use bgpq_runtime::SimPlatform;
 use gpu_sim::{launch, GpuConfig};
-use pq_api::{BatchPriorityQueue, Entry};
+use pq_api::{BatchPriorityQueue, Entry, PriorityQueue};
 
 /// Wraps the system allocator; counts `alloc`/`realloc` calls while the
 /// gate flag is raised. Deallocations are free to happen (dropping a
@@ -215,7 +216,36 @@ fn sim_gate() {
     );
 }
 
-/// Both platform gates in one test body: the test harness runs tests on
+/// The combining front's lone submitter: every request takes the
+/// direct path, and every delete reuses the front's one direct output
+/// buffer, so single-op pairs through the front must go quiet after
+/// warmup too.
+fn combine_gate() {
+    let opts = BgpqOptions { node_capacity: K, max_nodes: 1 << 12, ..Default::default() };
+    let q = Combiner::wrap(CpuBgpq::<u32, u32>::new(opts));
+    let mut rng = XorShift(0x510E527FADE682D1);
+    let pair = |rng: &mut XorShift| {
+        let k = rng.next();
+        q.insert(k, k);
+        assert!(q.delete_min().is_some(), "the preload keeps the queue non-empty");
+    };
+    for _ in 0..32 * K {
+        let k = rng.next();
+        q.insert(k, k);
+    }
+    for _ in 0..32 * K {
+        pair(&mut rng);
+    }
+
+    begin_gate();
+    for _ in 0..STEADY_ITERS * K {
+        pair(&mut rng);
+    }
+    let allocs = end_gate();
+    assert_eq!(allocs, 0, "combining-front steady state hit the allocator {allocs} times");
+}
+
+/// Every gate in one test body: the test harness runs tests on
 /// concurrent threads, and a harness allocation landing inside another
 /// test's measurement window would be a false positive.
 #[test]
@@ -223,4 +253,5 @@ fn steady_state_ops_do_not_allocate() {
     cpu_gate();
     cpu_gate_wide();
     sim_gate();
+    combine_gate();
 }

@@ -8,9 +8,10 @@ use bgpq_combine::{CombineBackend, CombineShared, Combiner, CombinerOptions, Op}
 use bgpq_runtime::{Platform, SimPlatform};
 use bgpq_shard::{CpuShardedBgpq, ShardedOptions};
 use gpu_sim::sched::SimWorker;
-use gpu_sim::{launch, GpuConfig};
+use gpu_sim::{launch, launch_phased, BlockCtx, GpuConfig};
 use pq_api::{Entry, PriorityQueue, QueueError};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn bgpq_front(k: usize) -> Combiner<u32, u32, CpuBgpq<u32, u32>> {
@@ -85,9 +86,9 @@ proptest! {
 }
 
 /// Quiescence: a lone request must not wait for peers that are not
-/// coming. The submitter itself becomes the combiner and issues a
-/// 1-wide batch immediately — observable as one issued batch per
-/// request and a window that stays collapsed.
+/// coming. The submitter finds nothing pending and calls the queue
+/// itself with a 1-wide batch — observable as one issued batch per
+/// request.
 #[test]
 fn solo_requests_complete_without_idle_delay() {
     let q = bgpq_front(64);
@@ -109,7 +110,6 @@ fn solo_requests_complete_without_idle_delay() {
     assert_eq!(snap.items_inserted, 100);
     assert_eq!(snap.items_deleted, 100);
     assert_eq!(snap.inserts, 100, "each solo insert issued as its own batch");
-    assert_eq!(q.window(), 1, "window stays collapsed without load");
     // All 200 issued batches were 1-wide: bucket 0 of a 64-capacity
     // histogram.
     assert_eq!(snap.batch_occupancy[0], 200);
@@ -187,11 +187,37 @@ fn full_backend_rejects_typed_not_wedged() {
 /// Combining backend for a simulated GPU block: batched calls go to
 /// the shared sim heap, waiting yields virtual time through the
 /// platform's backoff (a sim agent must never block on an OS
-/// primitive), and the lane is the block id.
+/// primitive), and the lane is the block id. With `calls` set, every
+/// batched call is counted into it.
 struct SimBackend<'a> {
     q: &'a Bgpq<u32, u32, SimPlatform>,
     w: &'a mut SimWorker,
     lane: usize,
+    calls: Option<&'a InFlight>,
+}
+
+/// Backend calls in flight across all blocks, and the most at once.
+#[derive(Default)]
+struct InFlight {
+    now: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl SimBackend<'_> {
+    fn counted<T>(
+        &mut self,
+        call: impl FnOnce(&Bgpq<u32, u32, SimPlatform>, &mut SimWorker) -> T,
+    ) -> T {
+        if let Some(c) = self.calls {
+            let now = c.now.fetch_add(1, Ordering::SeqCst) + 1;
+            c.peak.fetch_max(now, Ordering::SeqCst);
+        }
+        let r = call(self.q, self.w);
+        if let Some(c) = self.calls {
+            c.now.fetch_sub(1, Ordering::SeqCst);
+        }
+        r
+    }
 }
 
 impl CombineBackend<u32, u32> for SimBackend<'_> {
@@ -202,7 +228,7 @@ impl CombineBackend<u32, u32> for SimBackend<'_> {
     }
 
     fn try_insert_batch(&mut self, items: &[Entry<u32, u32>]) -> Result<(), QueueError> {
-        self.q.try_insert(self.w, items)
+        self.counted(|q, w| q.try_insert(w, items))
     }
 
     fn try_delete_min_batch(
@@ -210,7 +236,7 @@ impl CombineBackend<u32, u32> for SimBackend<'_> {
         out: &mut Vec<Entry<u32, u32>>,
         count: usize,
     ) -> Result<usize, QueueError> {
-        self.q.try_delete_min(self.w, out, count)
+        self.counted(|q, w| q.try_delete_min(w, out, count))
     }
 
     fn relax(&mut self) {
@@ -244,7 +270,7 @@ fn sim_agents_coalesce_and_conserve() {
         },
         |ctx, st: &SimFront| {
             let lane = ctx.block_id();
-            let mut backend = SimBackend { q: &st.0, w: ctx.worker(), lane };
+            let mut backend = SimBackend { q: &st.0, w: ctx.worker(), lane, calls: None };
             let bid = lane as u32;
             let mut kept = 0u32;
             for i in 0..per_block {
@@ -273,4 +299,65 @@ fn sim_agents_coalesce_and_conserve() {
     assert_eq!(snap.items_deleted + q.len() as u64, total, "conservation across the front");
     assert!(!front.is_poisoned());
     assert!(snap.batches_recorded() >= snap.inserts + snap.delete_mins);
+}
+
+/// Overlap: the combiner lock scopes only the gather, so a round
+/// gathered while another call is inside the heap goes in at once
+/// instead of queueing behind that call. Two blocks share a k = 8 heap
+/// of 32 full nodes whose partial buffer is one key short of full.
+/// Block 0's insert fills the buffer and heapifies a node down five
+/// levels; block 1 submits a delete 1000 cycles into that call. Block
+/// 1's request must reach the heap before block 0's call returns — two
+/// calls in flight at once — where a combiner that held its lock
+/// through the call would issue it only afterwards.
+#[test]
+fn sim_round_is_issued_while_another_call_is_in_the_backend() {
+    let k = 8;
+    let cfg = GpuConfig::new(2, 32);
+    let opts = BgpqOptions { node_capacity: k, max_nodes: 1 << 8, ..Default::default() };
+    let preload: Vec<Entry<u32, u32>> =
+        (0..(32 * k + k - 1) as u32).map(|x| Entry::new(x, x)).collect();
+    let calls = InFlight::default();
+
+    let fill = |ctx: &mut BlockCtx, st: &SimFront| {
+        if ctx.block_id() == 0 {
+            for chunk in preload.chunks(k) {
+                st.0.try_insert(ctx.worker(), chunk).expect("preload fits");
+            }
+        }
+    };
+    let race = |ctx: &mut BlockCtx, st: &SimFront| {
+        let lane = ctx.block_id();
+        let w = ctx.worker();
+        let op = if lane == 0 {
+            Op::Insert(Entry::new(10_000, 0))
+        } else {
+            w.advance(1_000);
+            Op::DeleteMin
+        };
+        let mut backend = SimBackend { q: &st.0, w, lane, calls: Some(&calls) };
+        st.1.submit(&mut backend, op).expect("healthy sim");
+    };
+    let (_, (q, front)) = launch_phased(
+        cfg,
+        |sched| -> SimFront {
+            let p = SimPlatform::new(sched, opts.max_nodes + 1, cfg.cost, cfg.block_dim);
+            let q = Arc::new(Bgpq::with_platform(p, opts));
+            let front = CombineShared::new(q.node_capacity(), CombinerOptions::default());
+            (q, front)
+        },
+        &[&fill, &race],
+    );
+
+    // The preload's first batch fills the root; the other 31 and block
+    // 0's insert each heapify.
+    assert_eq!(q.stats().snapshot().insert_heapifies, 32, "block 0's insert heapified");
+    assert_eq!(
+        calls.peak.load(Ordering::SeqCst),
+        2,
+        "block 1's request must reach the heap while block 0's call is in it"
+    );
+    let snap = front.stats().snapshot();
+    assert_eq!((snap.inserts, snap.delete_mins), (1, 1), "two one-wide calls");
+    assert_eq!(q.len(), preload.len());
 }

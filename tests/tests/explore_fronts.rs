@@ -121,8 +121,8 @@ fn sharded_front_is_clean_at_budget_one() {
     assert!(report.runs > 1 && report.pruned > 0);
 }
 
-/// The flat-combining front explores exhaustively clean at budget 2
-/// (the budget its mutation needs — see below).
+/// The flat-combining front explores exhaustively clean at budget 2,
+/// one past the budget its mutation needs (see below).
 #[test]
 fn combined_front_is_clean_at_budget_two() {
     let report = run(&WorkloadSpec::combined_mix(2), 2, true);
@@ -193,14 +193,16 @@ fn sharded_sweep_mutation_caught_at_budget_one() {
 
 /// Combiner delegation bug: the combiner acks a *foreign* insert
 /// without issuing it, so the key exists only in front-level
-/// accounting. Budgets 0–1 cannot produce a cross-thread combining
-/// round; budget 2 catches it and shrinks to two overrides.
+/// accounting. The default schedule never produces a cross-thread
+/// round (each agent serves itself); one preemption — agent 0's second
+/// insert landing in agent 1's lingering gather — catches it, and the
+/// schedule shrinks to that one override.
 #[test]
-fn combiner_foreign_insert_mutation_caught_at_budget_two() {
+fn combiner_foreign_insert_mutation_caught_at_budget_one() {
     assert_front_mutation_caught(
         WorkloadSpec::combined_mix(2),
         Mutation::CombinerDropsForeignInsert,
-        2,
+        1,
         2,
     );
 }
@@ -214,7 +216,7 @@ fn failing_bases() -> &'static Vec<(WorkloadSpec, Counterexample)> {
         install_quiet_panic_hook();
         let cases = [
             (WorkloadSpec::sharded_mix(2).with_mutation(Mutation::SweepDiscardsOnTrip), 1),
-            (WorkloadSpec::combined_mix(2).with_mutation(Mutation::CombinerDropsForeignInsert), 2),
+            (WorkloadSpec::combined_mix(2).with_mutation(Mutation::CombinerDropsForeignInsert), 1),
             (WorkloadSpec::key_steal_mix(4).with_mutation(Mutation::MarkedHandoffEarlyAvail), 2),
         ];
         cases
