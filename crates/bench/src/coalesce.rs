@@ -33,11 +33,10 @@ use crate::report::{host_cores, Json, Table};
 use crate::sim::sim_bgpq;
 use crate::{Scale, Trials, TRIALS};
 use bgpq::{Bgpq, BgpqOptions, CpuBgpq};
-use bgpq_combine::{CombineBackend, CombineShared, Combiner, CombinerOptions, Op};
-use bgpq_runtime::{Platform, SimPlatform};
-use gpu_sim::sched::SimWorker;
+use bgpq_combine::{CombineShared, Combiner, CombinerOptions, Op, WorkerBackend};
+use bgpq_runtime::SimPlatform;
 use gpu_sim::{launch, GpuConfig};
-use pq_api::{Entry, QueueError};
+use pq_api::Entry;
 use std::io;
 use std::time::Instant;
 
@@ -172,43 +171,6 @@ fn sim_naive(blocks: usize, pairs: usize) -> Cell {
     Cell { throughput: ops / report.makespan_ms, mean_occupancy: 1.0, spread: 1.0 }
 }
 
-/// Combining backend for a simulated block (same shape as the
-/// integration tests): batched calls to the shared sim heap, waiting
-/// yields virtual time through the platform's backoff, lane = block.
-struct SimBackend<'a> {
-    q: &'a SimQueue,
-    w: &'a mut SimWorker,
-    lane: usize,
-}
-
-impl CombineBackend<u32, u32> for SimBackend<'_> {
-    const CAN_PARK: bool = false;
-
-    fn batch_capacity(&self) -> usize {
-        self.q.node_capacity()
-    }
-
-    fn try_insert_batch(&mut self, items: &[Entry<u32, u32>]) -> Result<(), QueueError> {
-        self.q.try_insert(self.w, items)
-    }
-
-    fn try_delete_min_batch(
-        &mut self,
-        out: &mut Vec<Entry<u32, u32>>,
-        count: usize,
-    ) -> Result<usize, QueueError> {
-        self.q.try_delete_min(self.w, out, count)
-    }
-
-    fn relax(&mut self) {
-        self.q.platform().backoff(self.w);
-    }
-
-    fn lane(&self) -> usize {
-        self.lane
-    }
-}
-
 type SimFront = (SimQueue, CombineShared<u32, u32>);
 
 /// Coalesced mode on the simulator: the same traffic through the
@@ -225,7 +187,7 @@ fn sim_combined(blocks: usize, pairs: usize) -> Cell {
         },
         move |ctx, st: &SimFront| {
             let lane = ctx.block_id();
-            let mut backend = SimBackend { q: &st.0, w: ctx.worker(), lane };
+            let mut backend = WorkerBackend::new(&st.0, ctx.worker(), lane);
             let bid = lane as u32;
             for i in 0..pairs as u32 {
                 let key = bid * 1_000_000 + i;

@@ -27,8 +27,10 @@
 //!   ```
 //!
 //! * [`CombineShared`] / [`CombineBackend`] — the platform-agnostic
-//!   engine and its driver trait, public so the simulator tests drive
-//!   the same protocol with polling sim agents (`CAN_PARK = false`).
+//!   engine and its driver trait, public so simulated agents drive the
+//!   same protocol by polling (`CAN_PARK = false`).
+//! * [`WorkerBackend`] — the backend of such an agent: a shared
+//!   [`bgpq::Bgpq`] driven through the agent's own platform worker.
 //! * [`CombinerOptions`] — ring count (and a self-test mutation).
 //!
 //! A submitter that finds nothing pending calls the queue directly, so
@@ -42,7 +44,9 @@
 pub mod cell;
 pub mod core;
 pub mod cpu;
+pub mod worker;
 
 pub use cell::{Op, OpCell, OpOutcome};
 pub use core::{CombineBackend, CombineShared, CombinerOptions};
 pub use cpu::Combiner;
+pub use worker::WorkerBackend;

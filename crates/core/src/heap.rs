@@ -36,6 +36,13 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 /// looks stalled, stop burning its CPU).
 const SPIN_ESCALATE_AFTER: u64 = 1 << 10;
 
+/// Spin iterations after which a collaboration wait gives up and
+/// poisons the queue: the counterpart insert has evidently died (see
+/// DESIGN.md "Failure model"). About 10⁶, orders of magnitude above
+/// any healthy refill, and reached only after the escalation above, so
+/// a merely slow peer does not trip it.
+const SPIN_POISON_AFTER: u64 = 1 << 20;
+
 /// Most locks any single operation holds at once: a delete-heapify
 /// level holds its node and both children. The losing child leaves in
 /// its parent's store and is released in its parent's release round
@@ -555,39 +562,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             * (self.opts.node_capacity * std::mem::size_of::<Entry<K, V>>() + 1)
     }
 
-    /// Insert an arbitrary number of entries, splitting them into
-    /// `node_capacity`-sized batches (each batch is one linearized
-    /// INSERT). Returns the number inserted.
-    pub fn insert_all<I>(&self, w: &mut P::Worker, items: I) -> usize
-    where
-        I: IntoIterator<Item = Entry<K, V>>,
-    {
-        let k = self.opts.node_capacity;
-        // One scratch take for the whole iterator: every batch reuses
-        // the worker's staging buffer (`stage`, detached so it can
-        // coexist with the arena borrow inside each insert).
-        let mut s = self.take_scratch(w);
-        let mut batch = std::mem::take(&mut s.stage);
-        batch.clear();
-        let mut n = 0;
-        for e in items {
-            batch.push(e);
-            if batch.len() == k {
-                self.insert_with(w, &batch, &mut s);
-                n += k;
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            n += batch.len();
-            self.insert_with(w, &batch, &mut s);
-        }
-        batch.clear();
-        s.stage = batch;
-        self.put_scratch(w, s);
-        n
-    }
-
     /// Remove every entry, appending them to `out` in ascending key
     /// order. Concurrent-safe (each batch is one linearized DELETEMIN);
     /// with concurrent inserts running, "every" means "until a moment
@@ -825,18 +799,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         r
     }
 
-    /// [`Bgpq::insert`] with a caller-held arena (batched paths like
-    /// [`Bgpq::insert_all`] take the scratch once for many operations).
-    fn insert_with(&self, w: &mut P::Worker, items: &[Entry<K, V>], s: &mut OpScratch<K, V>) {
-        match self.try_insert_with(w, items, s) {
-            Ok(()) => {}
-            Err(QueueError::Full { max_nodes }) => {
-                panic!("BGPQ out of node slots (max_nodes = {max_nodes}); size the queue larger")
-            }
-            Err(e) => panic!("BGPQ insert failed: {e}"),
-        }
-    }
-
     fn try_insert_with(
         &self,
         w: &mut P::Worker,
@@ -893,14 +855,13 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             let m = self.storage.meta_mut();
             (m.heap_size, m.buf_len)
         };
-        let direct_full_batch = !self.opts.use_partial_buffer && size == k;
 
         // Backpressure precheck, *before any state is touched*: a batch
         // that will need an insert-heapify when no node slot is free is
         // refused outright — the caller keeps every key. (The root
         // merge below changes neither `buf_len` nor `heap_size`, so the
         // predicate is exact.)
-        let needs_heapify = heap_size > 0 && (direct_full_batch || buf_len + size >= k);
+        let needs_heapify = heap_size > 0 && buf_len + size >= k;
         if needs_heapify && heap_size >= self.opts.max_nodes {
             let max_nodes = self.opts.max_nodes;
             c.unlock(ROOT);
@@ -931,11 +892,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
 
         // The root and the pBuffer share the root lock: one load brings
         // both on-chip, and one store writes both back before the lock
-        // is released. A full batch that bypasses the buffer leaves it
-        // unread.
+        // is released.
         let root_len = self.root_len();
-        let buf_in = if direct_full_batch { 0 } else { buf_len };
-        c.load(root_len + buf_in);
+        c.load(root_len + buf_len);
 
         // Merge with the root so it keeps the |root| smallest keys
         // (Alg. 1 line 20).
@@ -948,7 +907,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.changed(ROOT);
         }
 
-        if !direct_full_batch && buf_len + size < k {
+        if buf_len + size < k {
             // Buffer absorbs the batch (Alg. 1 lines 21-24); kept sorted
             // by merging (see module docs).
             c.charge(PrimitiveCost::Merge { n: buf_len + size });
@@ -974,7 +933,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         // Overflow (Alg. 1 lines 25-29): extract the k smallest of
         // (batch ∪ buffer) into `buf`, leave the rest in the buffer. An
         // empty buffer means `size == k`: `buf` already is that batch.
-        let buf_out = if buf_in > 0 {
+        let buf_out = if buf_len > 0 {
             debug_assert!(buf_len + size >= k);
             c.charge(PrimitiveCost::SortSplit { na: size, nb: buf_len });
             unsafe {
@@ -1318,7 +1277,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
 
     /// Bounded collaboration wait: spin until `node`'s state is `want`,
     /// escalating the backoff once the peer looks stalled and giving up
-    /// (poisoning) at `opts.marked_spin_bound` — the peer has evidently
+    /// (poisoning) at `SPIN_POISON_AFTER` — the peer has evidently
     /// died and the awaited refill will never come. Also aborts as soon
     /// as an existing poison is observed. Either failure releases every
     /// held lock.
@@ -1338,7 +1297,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 return Err(QueueError::Poisoned);
             }
             iters += 1;
-            if iters > self.opts.marked_spin_bound {
+            if iters > SPIN_POISON_AFTER {
                 c.touch_domain(true);
                 self.poison_now();
                 c.release_all();

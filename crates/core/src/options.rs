@@ -1,4 +1,6 @@
-//! Construction options and ablation toggles.
+//! Construction options: the heap's shape (`node_capacity`,
+//! `max_nodes`), the collaboration ablation, the sort primitive the
+//! simulator charges, and the explorer's self-test mutation.
 
 use primitives::SortAlgo;
 
@@ -57,12 +59,7 @@ pub struct BgpqOptions {
     /// Maximum number of heap nodes. Total key capacity is
     /// `node_capacity * max_nodes` (+ the partial buffer).
     pub max_nodes: usize,
-    /// Ablation (a): route inserts through the partial buffer (§3.2).
-    /// When disabled, full batches trigger an insert-heapify
-    /// immediately; partial batches still use the buffer (they cannot
-    /// form a full node).
-    pub use_partial_buffer: bool,
-    /// Ablation (b): TARGET/MARKED key stealing between a DELETEMIN and
+    /// Ablation: TARGET/MARKED key stealing between a DELETEMIN and
     /// an in-flight INSERT (§4.3). When disabled, a delete finding its
     /// refill node in state TARGET waits for the insertion to finish
     /// instead of collaborating.
@@ -72,12 +69,6 @@ pub struct BgpqOptions {
     /// uses bitonic). The sorted result is identical for all three, so
     /// this knob affects only the virtual-time charge.
     pub sort_algo: SortAlgo,
-    /// Maximum iterations a DELETEMIN spends spinning on a MARKED/TARGET
-    /// collaboration before giving up and poisoning the queue (the
-    /// counterpart insert has evidently died; see DESIGN.md "Failure
-    /// model"). Spins escalate to the platform's long backoff well
-    /// before this bound, so a merely-slow peer does not trip it.
-    pub marked_spin_bound: u64,
     /// Verification self-test mutation (see [`Mutation`]). Must stay
     /// [`Mutation::None`] outside schedule-exploration self-tests.
     pub mutation: Mutation,
@@ -91,23 +82,15 @@ impl BgpqOptions {
         Self {
             node_capacity: k,
             max_nodes,
-            use_partial_buffer: true,
             use_collaboration: true,
             sort_algo: SortAlgo::Bitonic,
-            marked_spin_bound: Self::DEFAULT_MARKED_SPIN_BOUND,
             mutation: Mutation::None,
         }
     }
 
-    /// Default collaboration-spin bound (~10⁶ iterations — orders of
-    /// magnitude above any healthy refill, cheap enough to trip fast in
-    /// a drill).
-    pub const DEFAULT_MARKED_SPIN_BOUND: u64 = 1 << 20;
-
     pub fn validate(&self) {
         assert!(self.node_capacity >= 1, "node capacity must be >= 1");
         assert!(self.max_nodes >= 1, "need at least the root node");
-        assert!(self.marked_spin_bound >= 1, "spin bound must be >= 1");
         // Mutations exist solely so the schedule explorer can prove it
         // catches protocol bugs; without the self-test cfg the heap would
         // silently ignore the field — reject instead.
@@ -129,10 +112,8 @@ impl Default for BgpqOptions {
         Self {
             node_capacity: 1024,
             max_nodes: 1 << 16,
-            use_partial_buffer: true,
             use_collaboration: true,
             sort_algo: SortAlgo::Bitonic,
-            marked_spin_bound: Self::DEFAULT_MARKED_SPIN_BOUND,
             mutation: Mutation::None,
         }
     }

@@ -42,9 +42,8 @@ pub struct OpScratch<K, V> {
     /// the caller-provided scratch of `primitives::sort_split`; the
     /// in-place routes of `crate::split` stash a displaced run here.
     pub(crate) merge: Vec<Entry<K, V>>,
-    /// Staging for the iterator-driven paths (`insert_all`'s batch
-    /// assembly, `clear`'s discard sink). Taken with `mem::take` so it
-    /// can live alongside `ins`/`merge` borrows.
+    /// `clear`'s discard sink. Taken with `mem::take` so it can live
+    /// alongside `ins`/`merge` borrows.
     pub(crate) stage: Vec<Entry<K, V>>,
 }
 

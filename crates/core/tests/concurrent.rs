@@ -165,36 +165,6 @@ fn collaboration_disabled_still_correct() {
 }
 
 #[test]
-fn no_buffer_ablation_still_correct() {
-    let o = BgpqOptions { use_partial_buffer: false, ..opts(8, 2048) };
-    let q: CpuBgpq<u32, u32> = CpuBgpq::new(o).with_history();
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            let q = &q;
-            s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(t);
-                let mut out = Vec::new();
-                for _ in 0..150 {
-                    if rng.gen_bool(0.6) {
-                        // Full batches bypass the buffer in this mode.
-                        let items: Vec<Entry<u32, u32>> =
-                            (0..8).map(|_| Entry::new(rng.gen_range(0..1 << 30), 0)).collect();
-                        q.insert_batch(&items);
-                    } else {
-                        q.delete_min_batch(&mut out, rng.gen_range(1..=8));
-                    }
-                }
-            });
-        }
-    });
-    let events = q.inner().take_history();
-    if let Some(v) = check_history(&events) {
-        panic!("history violation at seq {}: {}", v.seq, v.detail);
-    }
-    q.inner().check_invariants();
-}
-
-#[test]
 fn pairs_preserve_utilization() {
     // The paper's utilization experiment shape: each thread does an
     // insert/delete pair, so the queue size stays near its initial

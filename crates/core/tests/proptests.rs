@@ -64,14 +64,8 @@ proptest! {
     }
 
     #[test]
-    fn matches_model_k8_no_buffer(ops in ops_strategy(8, 80)) {
-        let o = BgpqOptions {
-            node_capacity: 8,
-            max_nodes: 512,
-            use_partial_buffer: false,
-            ..Default::default()
-        };
-        run_against_model(8, o, &ops)?;
+    fn matches_model_k8(ops in ops_strategy(8, 80)) {
+        run_against_model(8, BgpqOptions { node_capacity: 8, max_nodes: 512, ..Default::default() }, &ops)?;
     }
 
     #[test]

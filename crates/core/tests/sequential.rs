@@ -261,8 +261,10 @@ fn delete_up_to_spans_multiple_node_batches() {
     use bgpq_runtime::CpuWorker;
     let q: CpuBgpq<u32, u32> = CpuBgpq::new(opts(4, 64));
     let mut w = CpuWorker::new();
-    let keys: Vec<u32> = (0..30u32).rev().collect();
-    q.inner().insert_all(&mut w, keys.iter().map(|&k| Entry::new(k, k)));
+    let keys: Vec<Entry<u32, u32>> = (0..30u32).rev().map(|k| Entry::new(k, k)).collect();
+    for batch in keys.chunks(4) {
+        q.inner().insert(&mut w, batch);
+    }
     let mut out = Vec::new();
     // Wider than k: three full inner batches plus a partial one.
     let got = q.inner().try_delete_up_to(&mut w, &mut out, 14).unwrap();

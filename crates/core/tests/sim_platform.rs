@@ -993,43 +993,37 @@ fn fuzzed_schedule_is_reproducible_per_seed() {
     let _ = m3; // may or may not differ; determinism per seed is the claim
 }
 
-/// The ablation modes must also survive fuzzed schedules.
+/// The collaboration ablation must also survive fuzzed schedules.
 #[test]
 fn fuzzed_schedules_linearize_with_ablations_disabled() {
-    for (collab, buffer) in [(false, true), (true, false), (false, false)] {
-        for seed in 0..8u64 {
-            let cfg = GpuConfig::new(5, 64).with_fuzz_seed(seed);
-            let opts = BgpqOptions {
-                node_capacity: 2,
-                max_nodes: 4096,
-                use_collaboration: collab,
-                use_partial_buffer: buffer,
-                ..Default::default()
-            };
-            let (_, q) = launch(
-                cfg,
-                |sched| sim_queue(sched, &cfg, opts),
-                |ctx, q: &SimQueue| {
-                    let bid = ctx.block_id() as u32;
-                    let mut out = Vec::new();
-                    for i in 0..20u32 {
-                        q.insert(
-                            ctx.worker(),
-                            &[Entry::new(i * 8 + bid, 0), Entry::new(i * 8 + bid + 4, 0)],
-                        );
-                        out.clear();
-                        q.delete_min(ctx.worker(), &mut out, 2);
-                    }
-                },
-            );
-            let events = q.take_history();
-            if let Some(v) = check_history(&events) {
-                panic!(
-                    "collab={collab} buffer={buffer} seed={seed}: violation at seq {}: {}",
-                    v.seq, v.detail
-                );
-            }
-            q.check_invariants();
+    for seed in 0..8u64 {
+        let cfg = GpuConfig::new(5, 64).with_fuzz_seed(seed);
+        let opts = BgpqOptions {
+            node_capacity: 2,
+            max_nodes: 4096,
+            use_collaboration: false,
+            ..Default::default()
+        };
+        let (_, q) = launch(
+            cfg,
+            |sched| sim_queue(sched, &cfg, opts),
+            |ctx, q: &SimQueue| {
+                let bid = ctx.block_id() as u32;
+                let mut out = Vec::new();
+                for i in 0..20u32 {
+                    q.insert(
+                        ctx.worker(),
+                        &[Entry::new(i * 8 + bid, 0), Entry::new(i * 8 + bid + 4, 0)],
+                    );
+                    out.clear();
+                    q.delete_min(ctx.worker(), &mut out, 2);
+                }
+            },
+        );
+        let events = q.take_history();
+        if let Some(v) = check_history(&events) {
+            panic!("collab=false seed={seed}: violation at seq {}: {}", v.seq, v.detail);
         }
+        q.check_invariants();
     }
 }

@@ -10,8 +10,8 @@
 use crate::spec::{FrontSpec, WorkOp, WorkloadSpec};
 use bgpq::{check_collaboration, check_history, Bgpq, BgpqOptions};
 use bgpq::{HistoryEvent, HistoryOp, ProtocolEvent};
-use bgpq_combine::{CombineBackend, CombineShared, CombinerOptions, Op};
-use bgpq_runtime::{FaultAction, FaultPlan, Platform, SimPlatform};
+use bgpq_combine::{CombineShared, CombinerOptions, Op, WorkerBackend};
+use bgpq_runtime::{FaultAction, FaultPlan, SimPlatform};
 use bgpq_shard::{RecoveryOptions, ShardedBgpq, ShardedOptions};
 use gpu_sim::sched::SimWorker;
 use gpu_sim::{launch, Decision, GpuConfig, ScheduleController, Scheduler};
@@ -196,7 +196,7 @@ impl Subject {
                 Ok(())
             }
             (Subject::Combined(q, front), WorkOp::Insert(keys)) => {
-                let mut backend = ExploreBackend { q, w, lane: agent };
+                let mut backend = WorkerBackend::new(q, w, agent);
                 for &k in keys {
                     front.submit(&mut backend, Op::Insert(Entry::new(k, k)))?;
                     log.record(HistoryOp::Insert { keys: vec![k] });
@@ -204,7 +204,7 @@ impl Subject {
                 Ok(())
             }
             (Subject::Combined(q, front), WorkOp::DeleteMin(n)) => {
-                let mut backend = ExploreBackend { q, w, lane: agent };
+                let mut backend = WorkerBackend::new(q, w, agent);
                 for _ in 0..*n {
                     let got = front.submit(&mut backend, Op::DeleteMin)?;
                     let keys = got.iter().map(|e| e.key).collect();
@@ -371,48 +371,6 @@ fn balance(events: &[HistoryEvent<u32>]) -> i64 {
             HistoryOp::DeleteMin { keys, .. } => -(keys.len() as i64),
         })
         .sum()
-}
-
-/// Combining backend for an explored agent: batched calls to the shared
-/// backing heap, virtual-time backoff for waiting, the agent id as the
-/// submission lane, and front-state access tags forwarded to the sim
-/// platform so the independence relation sees combiner traffic.
-struct ExploreBackend<'a> {
-    q: &'a Bgpq<u32, u32, SimPlatform>,
-    w: &'a mut SimWorker,
-    lane: usize,
-}
-
-impl CombineBackend<u32, u32> for ExploreBackend<'_> {
-    const CAN_PARK: bool = false;
-
-    fn batch_capacity(&self) -> usize {
-        self.q.node_capacity()
-    }
-
-    fn try_insert_batch(&mut self, items: &[Entry<u32, u32>]) -> Result<(), QueueError> {
-        self.q.try_insert(self.w, items)
-    }
-
-    fn try_delete_min_batch(
-        &mut self,
-        out: &mut Vec<Entry<u32, u32>>,
-        count: usize,
-    ) -> Result<usize, QueueError> {
-        self.q.try_delete_min(self.w, out, count)
-    }
-
-    fn relax(&mut self) {
-        self.q.platform().backoff(self.w);
-    }
-
-    fn touch_shared(&mut self, write: bool) {
-        self.q.platform().touch_shared(self.w, write);
-    }
-
-    fn lane(&self) -> usize {
-        self.lane
-    }
 }
 
 /// Judge one run; the first failure wins. Panic triage comes first,

@@ -26,17 +26,10 @@
 //! constants; `CostModel::default()` documents the calibration used for
 //! EXPERIMENTS.md.
 //!
-//! ## The cost model is independent of host kernel dispatch
-//!
 //! These formulas price the *simulated device's* lock-step execution:
 //! a `SortSplit { na, nb }` charge depends only on the operand shape
-//! and the block width, never on how the host happened to compute the
-//! result. The SIMD dispatch layer (`crate::simd`) swaps AVX2 kernels
-//! for the scalar fallbacks to make the *host* faster, but both produce
-//! identical output and charge identical `PrimitiveCost` values — so
-//! simulated virtual time, and every figure derived from it, is
-//! bit-for-bit reproducible across hosts and across `BGPQ_FORCE_SCALAR`
-//! settings. The `costs_are_dispatch_independent` test pins this down.
+//! and the block width, never on how the host computed the result, so
+//! simulated virtual time is bit-for-bit reproducible across hosts.
 
 /// Which sorting network/algorithm a batch sort uses (§4 names all
 /// three as the available GPU primitives).
@@ -70,8 +63,6 @@ pub enum PrimitiveCost {
     Atomic,
     /// `ops` plain ALU operations per thread.
     Compute { ops: u64 },
-    /// One spin-wait backoff iteration.
-    SpinIter,
     /// Kernel-launch / block-dispatch overhead.
     Dispatch,
 }
@@ -235,7 +226,6 @@ impl CostModel {
             }
             PrimitiveCost::Atomic => self.c_atomic,
             PrimitiveCost::Compute { ops } => ops * self.c_compute,
-            PrimitiveCost::SpinIter => self.c_spin,
             PrimitiveCost::Dispatch => self.c_dispatch,
         }
     }
@@ -293,33 +283,6 @@ mod tests {
         assert_eq!(m.cycles(PrimitiveCost::Sort { n: 256 }, 128), m.bitonic_sort_cycles(256, 128));
         assert_eq!(m.cycles(PrimitiveCost::Atomic, 128), m.c_atomic);
         assert_eq!(m.cycles(PrimitiveCost::Compute { ops: 7 }, 128), 7 * m.c_compute);
-    }
-
-    #[test]
-    fn costs_are_dispatch_independent() {
-        // Simulated-device costs price the device's schedule, not the
-        // host's instruction set: flipping the host kernel dispatch must
-        // not move a single cycle.
-        let _serial = crate::simd::TEST_DISPATCH_LOCK.lock().unwrap();
-        let m = CostModel::default();
-        let shapes = [(0usize, 0usize), (1, 0), (64, 64), (1000, 24), (1024, 1024)];
-        let probe = |m: &CostModel| {
-            let mut v = Vec::new();
-            for &(na, nb) in &shapes {
-                for t in [32u32, 128, 512] {
-                    v.push(m.sort_split_cycles(na, nb, t));
-                    v.push(m.bitonic_sort_cycles(na + nb, t));
-                    v.push(m.cycles(PrimitiveCost::SortSplit { na, nb }, t));
-                    v.push(m.cycles(PrimitiveCost::Sort { n: na + nb }, t));
-                }
-            }
-            v
-        };
-        let native = probe(&m);
-        crate::simd::set_forced_scalar(true);
-        let forced = probe(&m);
-        crate::simd::set_forced_scalar(false);
-        assert_eq!(native, forced, "cost model must not depend on host SIMD dispatch");
     }
 
     #[test]

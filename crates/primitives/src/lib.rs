@@ -26,7 +26,5 @@ pub mod simd;
 pub mod sort_split;
 
 pub use cost::{CostModel, PrimitiveCost, SortAlgo};
-pub use merge_path::{
-    merge_into, merge_into_scalar, merge_into_vec, merge_path_partition, merge_path_search,
-};
+pub use merge_path::{merge_into, merge_into_scalar, merge_into_vec, merge_path_search};
 pub use sort_split::{sort_split, sort_split_full, SortSplitResult};

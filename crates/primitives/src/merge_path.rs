@@ -9,11 +9,10 @@
 //! final barrier.
 //!
 //! The host keeps the diagonal search ([`merge_path_search`], which
-//! the heap's `SORT_SPLIT` uses to find its split point) and the chunk
-//! walk ([`merge_path_partition`], the outer loop of the SIMD merge).
-//! The merges themselves run sequentially ([`merge_into`]); the
-//! simulator charges the partitioned schedule from the closed-form
-//! counts in [`crate::cost`].
+//! the heap's `SORT_SPLIT` uses to find its split point). The merges
+//! themselves run sequentially ([`merge_into`]); the simulator charges
+//! the partitioned schedule from the closed-form counts in
+//! [`crate::cost`].
 
 /// Find the merge-path intersection for cross diagonal `diag`
 /// (`0 <= diag <= a.len() + b.len()`): returns `(i, j)` with
@@ -38,35 +37,6 @@ pub fn merge_path_search<T: Ord>(a: &[T], b: &[T], diag: usize) -> (usize, usize
         }
     }
     (lo, diag - lo)
-}
-
-/// Walk the merge of sorted `a` and `b` in output chunks of at most
-/// `chunk_len`, calling `f(d0..d1, i0..i1, j0..j1)` for each chunk:
-/// output positions `d0..d1` are produced by merging `a[i0..i1]` with
-/// `b[j0..j1]`. Boundaries come from [`merge_path_search`], so the
-/// chunks compose to exactly the stable (`a` wins ties) merge.
-///
-/// This is the Merge Path *outer loop* of the SIMD kernels in
-/// [`crate::simd`]: a chunk whose `a` (or `b`) range is empty is a pure
-/// copy of the other run — the caller can service it with a bulk copy
-/// and reserve the merge kernel for chunks where the runs actually
-/// cross.
-pub fn merge_path_partition<T: Ord>(
-    a: &[T],
-    b: &[T],
-    chunk_len: usize,
-    mut f: impl FnMut(core::ops::Range<usize>, core::ops::Range<usize>, core::ops::Range<usize>),
-) {
-    assert!(chunk_len >= 1, "need a positive chunk length");
-    let total = a.len() + b.len();
-    let (mut i0, mut j0) = (0usize, 0usize);
-    let mut d0 = 0usize;
-    while d0 < total {
-        let d1 = (d0 + chunk_len).min(total);
-        let (i1, j1) = merge_path_search(a, b, d1);
-        f(d0..d1, i0..i1, j0..j1);
-        (i0, j0, d0) = (i1, j1, d1);
-    }
 }
 
 /// Reference two-way merge: the textbook branchy loop. Kept as the

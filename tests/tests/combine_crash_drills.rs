@@ -9,9 +9,8 @@
 //! thread (the front converts it to the typed error).
 
 use bgpq::{Bgpq, BgpqOptions, CpuBgpq};
-use bgpq_combine::{CombineBackend, CombineShared, Combiner, CombinerOptions, Op};
-use bgpq_runtime::{CpuPlatform, FaultAction, FaultPlan, InjectionPoint, Platform, SimPlatform};
-use gpu_sim::sched::SimWorker;
+use bgpq_combine::{CombineShared, Combiner, CombinerOptions, Op, WorkerBackend};
+use bgpq_runtime::{CpuPlatform, FaultAction, FaultPlan, InjectionPoint, SimPlatform};
 use gpu_sim::{launch, GpuConfig};
 use pq_api::{Entry, QueueError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,40 +130,6 @@ fn cpu_combined_stall_drills_time_out_not_hang() {
 // Simulator drill: polling waiters against a crashing backend.
 // ---------------------------------------------------------------------
 
-struct SimBackend<'a> {
-    q: &'a Bgpq<u32, u32, SimPlatform>,
-    w: &'a mut SimWorker,
-    lane: usize,
-}
-
-impl CombineBackend<u32, u32> for SimBackend<'_> {
-    const CAN_PARK: bool = false;
-
-    fn batch_capacity(&self) -> usize {
-        self.q.node_capacity()
-    }
-
-    fn try_insert_batch(&mut self, items: &[Entry<u32, u32>]) -> Result<(), QueueError> {
-        self.q.try_insert(self.w, items)
-    }
-
-    fn try_delete_min_batch(
-        &mut self,
-        out: &mut Vec<Entry<u32, u32>>,
-        count: usize,
-    ) -> Result<usize, QueueError> {
-        self.q.try_delete_min(self.w, out, count)
-    }
-
-    fn relax(&mut self) {
-        self.q.platform().backoff(self.w);
-    }
-
-    fn lane(&self) -> usize {
-        self.lane
-    }
-}
-
 type SimState = (Arc<Bgpq<u32, u32, SimPlatform>>, CombineShared<u32, u32>, AtomicU64);
 
 /// A panic injected inside a combiner-issued batch on the simulator:
@@ -192,7 +157,7 @@ fn sim_combined_panic_drill_completes_with_typed_errors() {
         },
         |ctx, st: &SimState| {
             let lane = ctx.block_id();
-            let mut backend = SimBackend { q: &st.0, w: ctx.worker(), lane };
+            let mut backend = WorkerBackend::new(&st.0, ctx.worker(), lane);
             let bid = lane as u32;
             for i in 0..80u32 {
                 let r = if i % 3 == 2 {

@@ -3,7 +3,7 @@
 //! concurrent schedules must agree at quiescence.
 
 use bgpq::{Bgpq, BgpqOptions, CpuBgpq};
-use bgpq_runtime::{CpuWorker, SimPlatform};
+use bgpq_runtime::SimPlatform;
 use gpu_sim::{launch, GpuConfig};
 use pq_api::{BatchPriorityQueue, Entry};
 use rand::rngs::StdRng;
@@ -101,20 +101,6 @@ fn single_agent_schedules_agree_exactly() {
         q.check_invariants();
         cpu.inner().check_invariants();
     }
-}
-
-#[test]
-fn insert_all_splits_into_linearized_batches() {
-    let q: CpuBgpq<u32, u32> = CpuBgpq::new(opts());
-    let mut w = CpuWorker::new();
-    let n = q.inner().insert_all(&mut w, (0..100u32).map(|k| Entry::new(k, k)));
-    assert_eq!(n, 100);
-    assert_eq!(q.len(), 100);
-    let s = q.inner().stats().snapshot();
-    assert_eq!(s.inserts, 100usize.div_ceil(8) as u64, "batches of k plus one remainder");
-    let mut out = Vec::new();
-    q.inner().drain(&mut w, &mut out);
-    assert_eq!(out.iter().map(|e| e.key).collect::<Vec<_>>(), (0..100).collect::<Vec<_>>());
 }
 
 #[test]
