@@ -2,9 +2,8 @@
 //!
 //! One builder produces any of the queue designs behind a
 //! `Box<dyn BatchPriorityQueue>` so every experiment drives every queue
-//! through identical code. Wall-clock numbers on this host measure
-//! *throughput*, not scalability (the CI machine is single-core); the
-//! paper-facing comparisons are assembled in EXPERIMENTS.md with that
+//! through identical code. Wall-clock numbers on a host with few cores
+//! measure *throughput*, not scalability; the paper-facing comparisons are assembled in EXPERIMENTS.md with that
 //! caveat.
 
 use baseline_heaps::{CoarseLockPq, FineHeapPq};

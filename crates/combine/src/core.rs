@@ -84,6 +84,10 @@ const PARK_SPINS: u32 = 64;
 /// a dead one is not hammered.
 pub const PROBE_INTERVAL: u64 = 16;
 
+/// Number of submission rings. More rings mean less push contention;
+/// a gather drains them all either way.
+const RINGS: usize = 8;
+
 /// What a combiner drives: the batched backend plus the platform's
 /// notion of how to wait. Each submitting worker supplies its own
 /// backend value (methods take `&mut self` so sim backends can carry
@@ -117,8 +121,8 @@ pub trait CombineBackend<K: KeyType, V: ValueType> {
     /// (rings, cells, pending counter, combiner lock): schedule
     /// exploration uses it to build the independence relation for
     /// partial-order reduction. A no-op everywhere else — sim backends
-    /// forward to `Platform::touch_shared`.
-    fn touch_shared(&mut self, _write: bool) {}
+    /// forward to `Platform::tag` at `Place::Front`.
+    fn tag_front(&mut self, _write: bool) {}
 
     /// Preferred submission lane for the calling worker (reduces ring
     /// contention; correctness does not depend on the value).
@@ -154,9 +158,6 @@ static INSTANCE_TICKET: AtomicU64 = AtomicU64::new(1);
 /// Tuning knobs for a combining front.
 #[derive(Debug, Clone, Copy)]
 pub struct CombinerOptions {
-    /// Number of submission rings. More rings mean less push
-    /// contention; a gather drains them all either way.
-    pub rings: usize,
     /// Verification self-test mutation (see [`bgpq::Mutation`]); the
     /// front honors [`Mutation::CombinerDropsForeignInsert`]. Must stay
     /// [`Mutation::None`] outside schedule-exploration self-tests.
@@ -165,13 +166,12 @@ pub struct CombinerOptions {
 
 impl Default for CombinerOptions {
     fn default() -> Self {
-        Self { rings: 8, mutation: Mutation::None }
+        Self { mutation: Mutation::None }
     }
 }
 
 impl CombinerOptions {
     pub fn validate(&self) {
-        assert!(self.rings >= 1, "need at least one submission ring");
         // Same policy as `BgpqOptions::validate`: outside the self-test
         // cfg the front would silently ignore the field — reject.
         #[cfg(not(any(test, feature = "mutations")))]
@@ -223,7 +223,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         opts.validate();
         assert!(batch_capacity >= 1, "backend batch capacity must be at least 1");
         Self {
-            rings: (0..opts.rings).map(|_| Ring { q: Mutex::new(VecDeque::new()) }).collect(),
+            rings: (0..RINGS).map(|_| Ring { q: Mutex::new(VecDeque::new()) }).collect(),
             pending: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
             unavail_ticket: AtomicU64::new(0),
@@ -290,13 +290,13 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         // Claiming or publishing a request mutates shared front state
         // (pending counter, cell arm, ring push) — every other front op
         // races it.
-        backend.touch_shared(true);
+        backend.tag_front(true);
         if self.pending.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
             // Nothing pending: there is no round to join. The claim
             // keeps this call counted, so concurrent gathers linger
             // for its owner's next request.
             let outcome = self.issue_one(backend, op);
-            backend.touch_shared(true);
+            backend.tag_front(true);
             self.pending.fetch_sub(1, Ordering::SeqCst);
             return outcome;
         }
@@ -327,7 +327,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
             } else {
                 while !cell.is_done() {
                     // Each poll reads the cell a gatherer will write.
-                    backend.touch_shared(false);
+                    backend.tag_front(false);
                     backend.relax();
                 }
             }
@@ -341,7 +341,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     fn combine<B: CombineBackend<K, V>>(&self, backend: &mut B) {
         loop {
             // The lock attempt itself races every other gather.
-            backend.touch_shared(true);
+            backend.tag_front(true);
             let Some(mut cursor) = self.combiner.try_lock() else { return };
             let mut round = self.spare.lock().pop().unwrap_or_default();
             self.gather(backend, &mut cursor, &mut round.requests);
@@ -350,7 +350,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
             self.spare.lock().push(round);
             // Post-issue sweep: a request pushed after our last drain
             // must not be stranded.
-            backend.touch_shared(true);
+            backend.tag_front(true);
             if self.rings_are_empty() {
                 return;
             }
@@ -379,7 +379,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         cursor: &mut usize,
         round: &mut Vec<Queued<K, V>>,
     ) {
-        backend.touch_shared(true);
+        backend.tag_front(true);
         OpStats::raise(&self.stats.peak_pending, self.pending.load(Ordering::SeqCst) as u64);
         let cap = 2 * self.batch_capacity;
         let mut spins = 0;
@@ -400,7 +400,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
             spins += 1;
             backend.relax();
             // Each linger step re-reads the rings and counters.
-            backend.touch_shared(true);
+            backend.tag_front(true);
         }
     }
 
@@ -478,7 +478,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         for (c, chunk) in items.chunks(self.batch_capacity).enumerate() {
             let (base, n) = (c * self.batch_capacity, chunk.len());
             // Every chunk completes requests waiters are polling on.
-            backend.touch_shared(true);
+            backend.tag_front(true);
             if *tripped {
                 // An earlier chunk of this round crashed the backend;
                 // fail the rest without touching it again.
@@ -530,7 +530,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         let mut base = 0;
         while base < total {
             // Every chunk completes requests waiters are polling on.
-            backend.touch_shared(true);
+            backend.tag_front(true);
             if *tripped {
                 (base..total).for_each(|j| done(j, Err(QueueError::Poisoned)));
                 return;

@@ -12,8 +12,8 @@ use pq_api::{
 
 /// Backend driver for real threads: batched calls go straight to the
 /// wrapped queue's hardened paths, waiting yields the OS scheduler
-/// (this repo's CI is single-core — a pure spin would starve the
-/// combiner we are waiting on), and the submission lane is the
+/// (on an oversubscribed host a pure spin would starve the combiner we
+/// are waiting on), and the submission lane is the
 /// process-wide dense worker id, the same identity the shard router
 /// stripes by.
 struct CpuBackend<'a, Q> {
@@ -84,11 +84,7 @@ where
 {
     /// Wrap `queue` with default combining options.
     pub fn wrap(queue: Q) -> Self {
-        Self::with_options(queue, CombinerOptions::default())
-    }
-
-    pub fn with_options(queue: Q, opts: CombinerOptions) -> Self {
-        let shared = CombineShared::new(queue.batch_capacity(), opts);
+        let shared = CombineShared::new(queue.batch_capacity(), CombinerOptions::default());
         Self { queue, shared }
     }
 

@@ -31,7 +31,7 @@
 //!   same protocol by polling (`CAN_PARK = false`).
 //! * [`WorkerBackend`] — the backend of such an agent: a shared
 //!   [`bgpq::Bgpq`] driven through the agent's own platform worker.
-//! * [`CombinerOptions`] — ring count (and a self-test mutation).
+//! * [`CombinerOptions`] — the self-test mutation switch.
 //!
 //! A submitter that finds nothing pending calls the queue directly, so
 //! a lone request is never delayed waiting for peers that are not

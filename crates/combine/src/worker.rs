@@ -4,15 +4,15 @@
 
 use crate::core::CombineBackend;
 use bgpq::Bgpq;
-use bgpq_runtime::Platform;
+use bgpq_runtime::{Place, Platform};
 use pq_api::{Entry, KeyType, QueueError, ValueType};
 
 /// [`CombineBackend`] over a shared [`Bgpq`] and the calling agent's
 /// worker. Batched calls go to the heap's hardened paths with that
 /// worker; a wait step is one [`Platform::backoff`] (virtual time on
 /// the simulator), so submitters poll instead of parking; and the
-/// front's access tags go to [`Platform::touch_shared`], which does
-/// nothing unless a schedule controller is attached.
+/// front's access tags go to [`Platform::tag`] at [`Place::Front`],
+/// which does nothing unless a schedule controller is attached.
 pub struct WorkerBackend<'a, K, V, P: Platform> {
     q: &'a Bgpq<K, V, P>,
     w: &'a mut P::Worker,
@@ -49,8 +49,8 @@ impl<K: KeyType, V: ValueType, P: Platform> CombineBackend<K, V> for WorkerBacke
         self.q.platform().backoff(self.w);
     }
 
-    fn touch_shared(&mut self, write: bool) {
-        self.q.platform().touch_shared(self.w, write);
+    fn tag_front(&mut self, write: bool) {
+        self.q.platform().tag(self.w, Place::Front, write);
     }
 
     fn lane(&self) -> usize {

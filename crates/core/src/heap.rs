@@ -26,7 +26,7 @@ use crate::scratch::OpScratch;
 use crate::split;
 use crate::storage::{NodeState, NodeStorage, PBUFFER};
 use crate::tree::{next_on_path, ROOT};
-use bgpq_runtime::{InjectionPoint, Platform};
+use bgpq_runtime::{InjectionPoint, Place, Platform};
 use pq_api::{Entry, KeyType, OpStats, QueueError, ValueType};
 use primitives::{simd, PrimitiveCost};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -216,17 +216,12 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
         self.q.platform.backoff_long(self.w);
     }
 
-    /// Tag a lock-free access to `lock`'s co-located state word (node
-    /// state, root-min hint) for schedule exploration; no-op elsewhere.
+    /// Tag a lock-free access for schedule exploration (no-op
+    /// elsewhere): a node's state word and the root-min hint live at
+    /// their node's lock, the poison flag at the whole queue.
     #[inline]
-    fn touch(&mut self, lock: usize, write: bool) {
-        self.q.platform.touch(self.w, lock, write);
-    }
-
-    /// Tag a lock-free queue-wide access (the poison flag).
-    #[inline]
-    fn touch_domain(&mut self, write: bool) {
-        self.q.platform.touch_domain(self.w, write);
+    fn tag(&mut self, place: Place, write: bool) {
+        self.q.platform.tag(self.w, place, write);
     }
 
     fn track(&mut self, lock: usize) {
@@ -269,7 +264,7 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
     /// mutated yet, so failure (or an existing poison) is clean — the
     /// operation simply never starts.
     fn lock_entry(&mut self, lock: usize) -> Result<(), QueueError> {
-        self.touch_domain(false);
+        self.tag(Place::Queue, false);
         if self.q.is_poisoned() {
             return Err(QueueError::Poisoned);
         }
@@ -289,7 +284,7 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
                 Ok(())
             }
             Err(e) => {
-                self.touch_domain(true);
+                self.tag(Place::Queue, true);
                 self.q.poison_now();
                 self.release_all();
                 Err(e)
@@ -546,6 +541,15 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         self.root_min_bits.load(Ordering::Relaxed)
     }
 
+    /// [`Self::min_hint_bits`] as a router sampling this queue on `w`
+    /// reads it, outside any lock: tagged for schedule exploration at
+    /// the root's lock, beside which every publish is tagged.
+    #[inline]
+    pub fn read_min_hint(&self, w: &mut P::Worker) -> u64 {
+        self.platform.tag(w, Place::Lock(ROOT), false);
+        self.min_hint_bits()
+    }
+
     /// Total key capacity of the heap body.
     pub fn capacity_items(&self) -> usize {
         self.opts.capacity_items()
@@ -708,7 +712,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     fn unlock_path(&self, c: &mut Crit<'_, K, V, P>, lock: usize, ctx: &mut OpCtx<K>) {
         if lock == ROOT {
             self.linearize_insert(ctx);
-            c.touch(ROOT, true);
+            c.tag(Place::Lock(ROOT), true);
             self.publish_root_min();
         }
         c.unlock(lock);
@@ -881,7 +885,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             c.changed(ROOT);
             c.store([(ROOT, size)]);
-            c.touch(ROOT, true);
+            c.tag(Place::Lock(ROOT), true);
             self.storage.set_state(ROOT, NodeState::Avail);
             OpStats::bump(&self.stats.inserts_buffered);
             self.linearize_insert(ctx);
@@ -924,7 +928,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.store([(ROOT, root_len), (PBUFFER, buf_len + size)]);
             OpStats::bump(&self.stats.inserts_buffered);
             self.linearize_insert(ctx);
-            c.touch(ROOT, true);
+            c.tag(Place::Lock(ROOT), true);
             self.publish_root_min();
             c.unlock(ROOT);
             return Ok(());
@@ -989,7 +993,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 return self.insert_tail(ctx, e);
             }
         }
-        c.touch(tar, true);
+        c.tag(Place::Lock(tar), true);
         self.storage.set_state(tar, NodeState::Target);
         self.record_protocol(ProtocolKind::TargetSet, tar);
         if first != tar {
@@ -1002,7 +1006,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         let mut held = ROOT;
         let mut cur = first;
         let mut taken = got_first || first == tar;
-        c.touch(tar, false);
+        c.tag(Place::Lock(tar), false);
         // The root is held until the first pass releases it, so `tar`
         // cannot be MARKED while the first path node is taken.
         while cur != tar && self.storage.state(tar) != NodeState::Marked {
@@ -1017,7 +1021,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 // `tar`'s state rides in the round trip that released
                 // `held`: a delete may have marked `tar` while this
                 // block waited for `cur` (DESIGN §2).
-                c.touch(tar, false);
+                c.tag(Place::Lock(tar), false);
                 if self.storage.state(tar) == NodeState::Marked {
                     return self.answer_at_lock(c, cur, tar, &buf[..k], ctx);
                 }
@@ -1039,7 +1043,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.changed(cur);
             c.store([(cur, k)]);
             cur = next_on_path(cur, tar);
-            c.touch(tar, false);
+            c.tag(Place::Lock(tar), false);
         }
 
         // Alg. 1 lines 8-14.
@@ -1050,7 +1054,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
         }
         self.unlock_path(c, held, ctx);
-        c.touch(tar, false);
+        c.tag(Place::Lock(tar), false);
         if self.storage.state(tar) == NodeState::Target {
             // SAFETY: we hold tar's lock and it is TARGET (reserved for
             // us; no keys yet, and perhaps never written).
@@ -1059,7 +1063,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             c.changed(tar);
             c.store([(tar, k)]);
-            c.touch(tar, true);
+            c.tag(Place::Lock(tar), true);
             self.storage.set_state(tar, NodeState::Avail);
             self.record_protocol(ProtocolKind::TargetFilled, tar);
         } else {
@@ -1107,7 +1111,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // `Mutation::MarkedHandoffEarlyAvail`): publish AVAIL before
             // the stolen keys land. A deleter scheduled into the charge
             // below reads a stale root.
-            c.touch(ROOT, true);
+            c.tag(Place::Lock(ROOT), true);
             self.storage.set_state(ROOT, NodeState::Avail);
             c.changed(ROOT);
             c.store([(ROOT, k)]);
@@ -1125,10 +1129,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             c.changed(ROOT);
             c.store([(ROOT, k)]);
-            c.touch(ROOT, true);
+            c.tag(Place::Lock(ROOT), true);
             self.storage.set_state(ROOT, NodeState::Avail);
         }
-        c.touch(tar, true);
+        c.tag(Place::Lock(tar), true);
         self.storage.set_state(tar, NodeState::Empty);
         OpStats::bump(&self.stats.collaborations);
         self.record_protocol(ProtocolKind::CollabRefill, tar);
@@ -1290,7 +1294,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         let mut iters: u64 = 0;
         // Each poll reads the awaited state word and the poison flag;
         // the domain-read covers both (reads commute with other polls).
-        c.touch_domain(false);
+        c.tag(Place::Queue, false);
         while self.storage.state(node) != want {
             if self.is_poisoned() {
                 c.release_all();
@@ -1298,7 +1302,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             iters += 1;
             if iters > SPIN_POISON_AFTER {
-                c.touch_domain(true);
+                c.tag(Place::Queue, true);
                 self.poison_now();
                 c.release_all();
                 return Err(QueueError::Poisoned);
@@ -1312,7 +1316,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             } else {
                 c.backoff();
             }
-            c.touch_domain(false);
+            c.tag(Place::Queue, false);
         }
         Ok(())
     }
@@ -1394,7 +1398,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 // Heap fully drained; reset to the empty state.
                 // SAFETY: root lock held.
                 unsafe { self.storage.meta_mut().heap_size = 0 };
-                c.touch(ROOT, true);
+                c.tag(Place::Lock(ROOT), true);
                 self.storage.set_state(ROOT, NodeState::Empty);
             }
             OpStats::bump(&self.stats.deletes_from_root);
@@ -1403,7 +1407,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         }
 
         // ---- refill the root from a heap node (Alg. 2 lines 4-14) ----
-        c.touch(ROOT, true);
+        c.tag(Place::Lock(ROOT), true);
         self.storage.set_state(ROOT, NodeState::Empty);
         let remained = count - root_len;
         let tar = unsafe {
@@ -1427,7 +1431,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 // The lock path reads the state with an atomic of its own.
                 c.charge(PrimitiveCost::Atomic);
             }
-            c.touch(tar, false);
+            c.tag(Place::Lock(tar), false);
             match self.storage.state(tar) {
                 NodeState::Avail => {
                     // `tar` is EMPTY once its word is released, and no
@@ -1459,7 +1463,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     // root lock). `tar` holds no keys yet. Bounded: a dead
                     // inserter must not wedge us.
                     c.load(pending);
-                    c.touch(tar, true);
+                    c.tag(Place::Lock(tar), true);
                     self.storage.set_state(tar, NodeState::Marked);
                     self.record_protocol(ProtocolKind::MarkedSet, tar);
                     c.release_word(tar, word);
@@ -1549,9 +1553,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             self.storage.meta_mut().root_len = src.len();
         }
         c.changed(ROOT);
-        c.touch(tar, true);
+        c.tag(Place::Lock(tar), true);
         self.storage.set_state(tar, NodeState::Empty);
-        c.touch(ROOT, true);
+        c.tag(Place::Lock(ROOT), true);
         self.storage.set_state(ROOT, NodeState::Avail);
     }
 
@@ -1612,10 +1616,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // through the lock path while the CAS keeps the other.
             if l_in {
                 c.lock_pair(l, r_in.then_some(r))?;
-                c.touch(l, false);
+                c.tag(Place::Lock(l), false);
             }
             if r_in {
-                c.touch(r, false);
+                c.tag(Place::Lock(r), false);
             }
             let l_has = l_in && self.storage.state(l) == NodeState::Avail;
             let r_has = r_in && self.storage.state(r) == NodeState::Avail;
@@ -1778,7 +1782,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             self.items.fetch_sub(got.len() as i64, Ordering::Relaxed);
             OpStats::add(&self.stats.items_deleted, got.len() as u64);
             self.linearize_delete(ctx, out, start);
-            c.touch(ROOT, true);
+            c.tag(Place::Lock(ROOT), true);
             self.publish_root_min();
         }
         c.unlock(lock);
@@ -1863,7 +1867,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         self.platform.force_reset_locks();
         // The walk reads, and the reset rewrites, the entire queue:
         // conflicts with every operation on it.
-        self.platform.touch_domain(w, true);
+        self.platform.tag(w, Place::Queue, true);
         let was_poisoned = self.is_poisoned();
         let k = self.opts.node_capacity;
         let expected = self.items.load(Ordering::SeqCst).max(0) as usize;

@@ -160,7 +160,7 @@ impl Subject {
             }
             FrontSpec::Combined => {
                 let q = Bgpq::with_platform(platform(true), opts).with_history();
-                let copts = CombinerOptions { rings: spec.blocks(), mutation: spec.mutation };
+                let copts = CombinerOptions { mutation: spec.mutation };
                 let front = Box::new(CombineShared::new(q.node_capacity(), copts));
                 Subject::Combined(q, front)
             }

@@ -207,8 +207,8 @@ impl Platform for CpuPlatform {
 
     #[inline]
     fn backoff(&self, _w: &mut CpuWorker) {
-        // On an oversubscribed host (this repo's CI is single-core) a
-        // pure spin would starve the thread we are waiting on.
+        // On an oversubscribed host a pure spin would starve the thread
+        // we are waiting on.
         std::thread::yield_now();
     }
 

@@ -34,5 +34,5 @@ pub mod sim;
 
 pub use cpu::{with_thread_worker, worker_id, CpuPlatform, CpuWorker};
 pub use fault::{FaultAction, FaultPlan, FaultRule, InjectionPoint};
-pub use platform::{LockFailure, Platform};
+pub use platform::{LockFailure, Place, Platform};
 pub use sim::SimPlatform;

@@ -14,6 +14,24 @@ pub struct LockFailure {
     pub detail: String,
 }
 
+/// Where a lock-free access tagged through [`Platform::tag`] lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Place {
+    /// State beside lock `l` of the table: BGPQ publishes node `l`'s
+    /// state word outside its lock, and the root-min hint beside the
+    /// root's.
+    Lock(usize),
+    /// The whole queue, every lock of the table: the poison flag,
+    /// salvage's walk, fault-plan bookkeeping. Conflicts with every
+    /// access to this queue but with no other queue's.
+    Queue,
+    /// The coordination state of a front over several queues (router
+    /// breakers and op clock, combiner rings, cells and counters): one
+    /// place shared by every platform instance, apart from every
+    /// queue's own.
+    Front,
+}
+
 /// Execution environment for the batched heap.
 ///
 /// A platform owns a table of `num_locks()` locks addressed by index —
@@ -99,26 +117,13 @@ pub trait Platform: Send + Sync {
     /// delay, or panic the worker here; the default is a no-op.
     fn inject(&self, _w: &mut Self::Worker, _point: InjectionPoint) {}
 
-    /// Access-tagging hook for *lock-free* reads/writes of state
-    /// co-located with lock `lock` (BGPQ publishes per-node state words
-    /// and the root-min hint outside the node locks). Used by schedule
-    /// exploration to build the independence relation for partial-order
-    /// reduction; a no-op everywhere else. Lock-*protected* accesses
-    /// need no tagging — mutual exclusion already orders them and the
-    /// platform's lock ops are tagged by the scheduler.
-    fn touch(&self, _w: &mut Self::Worker, _lock: usize, _write: bool) {}
-
-    /// Like [`Platform::touch`] for a queue-wide access (the whole lock
-    /// arena): salvage walks, fault-plan bookkeeping — anything that
-    /// conflicts with every operation on this queue but not with other
-    /// queues.
-    fn touch_domain(&self, _w: &mut Self::Worker, _write: bool) {}
-
-    /// Like [`Platform::touch`] for cross-queue coordination state
-    /// shared by a multi-queue front (router breakers and op counters,
-    /// combiner rings): conflicts with every other `touch_shared`, on
-    /// any platform, but not with per-queue traffic.
-    fn touch_shared(&self, _w: &mut Self::Worker, _write: bool) {}
+    /// Access-tagging hook for a *lock-free* read or write of state that
+    /// lives at `place`. Used by schedule exploration to build the
+    /// independence relation for partial-order reduction; a no-op
+    /// everywhere else. Lock-*protected* accesses need no tagging —
+    /// mutual exclusion already orders them and the platform's lock ops
+    /// are tagged by the scheduler.
+    fn tag(&self, _w: &mut Self::Worker, _place: Place, _write: bool) {}
 
     /// Acquire `lock` with failure detection, when the platform has
     /// any: a watchdog-equipped platform returns [`LockFailure`] instead

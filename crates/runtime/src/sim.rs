@@ -1,11 +1,16 @@
 //! Virtual-time platform backed by the `gpu-sim` scheduler.
 
 use crate::fault::{FaultAction, FaultPlan, InjectionPoint};
-use crate::platform::Platform;
+use crate::platform::{Place, Platform};
 use gpu_sim::{LockId, Scheduler, SimWorker};
 use pq_api::ScratchSlot;
 use primitives::{CostModel, PrimitiveCost};
 use std::sync::Arc;
+
+/// Footprint address of [`Place::Front`], the same on every platform
+/// instance: below `gpu_sim::AGENT_BASE`, far above any realistic lock
+/// arena.
+const FRONT_ADDR: u64 = 1 << 62;
 
 /// A platform whose locks live in a `gpu-sim` scheduler's lock arena and
 /// whose primitive costs advance the simulated block's virtual clock.
@@ -21,11 +26,6 @@ use std::sync::Arc;
 /// virtual time on every run with the same seed — stalls and delays are
 /// virtual-clock advances, and a schedule-fuzzing seed (`GpuConfig`'s
 /// `fuzz_seed`) picks which agent reaches the nth hit first.
-/// Footprint address for cross-queue front coordination state (all
-/// `touch_shared` calls map here, on every platform instance): below
-/// `gpu_sim::AGENT_BASE`, far above any realistic lock arena.
-const SHARED_TAG: u64 = 1 << 62;
-
 pub struct SimPlatform {
     base_lock: LockId,
     num_locks: usize,
@@ -58,6 +58,21 @@ impl SimPlatform {
     /// Simulated threads per block.
     pub fn block_dim(&self) -> u32 {
         self.block_dim
+    }
+
+    /// The explorer address interval of `place`: one lock word, this
+    /// platform's whole lock arena, or the one front address.
+    #[inline]
+    fn span(&self, place: Place) -> (u64, u64) {
+        match place {
+            Place::Lock(lock) => {
+                debug_assert!(lock < self.num_locks);
+                let addr = (self.base_lock + lock) as u64;
+                (addr, addr)
+            }
+            Place::Queue => (self.base_lock as u64, (self.base_lock + self.num_locks - 1) as u64),
+            Place::Front => (FRONT_ADDR, FRONT_ADDR),
+        }
     }
 }
 
@@ -114,25 +129,18 @@ impl Platform for SimPlatform {
         w.spin(self.cost.c_spin * 64);
     }
 
-    fn touch(&self, w: &mut SimWorker, lock: usize, write: bool) {
-        debug_assert!(lock < self.num_locks);
-        let addr = (self.base_lock + lock) as u64;
-        w.touch(addr, addr, write);
-    }
-
-    fn touch_domain(&self, w: &mut SimWorker, write: bool) {
-        w.touch(self.base_lock as u64, (self.base_lock + self.num_locks - 1) as u64, write);
-    }
-
-    fn touch_shared(&self, w: &mut SimWorker, write: bool) {
-        w.touch(SHARED_TAG, SHARED_TAG, write);
+    #[inline]
+    fn tag(&self, w: &mut SimWorker, place: Place, write: bool) {
+        let (lo, hi) = self.span(place);
+        w.touch(lo, hi, write);
     }
 
     fn inject(&self, w: &mut SimWorker, point: InjectionPoint) {
         let Some(plan) = self.faults.as_ref() else { return };
         // The plan's per-point hit counters are shared state: every
         // injection on this platform races every other one.
-        self.touch_domain(w, true);
+        let (lo, hi) = self.span(Place::Queue);
+        w.touch(lo, hi, true);
         match plan.check(point) {
             None => {}
             Some(FaultAction::Panic) => {

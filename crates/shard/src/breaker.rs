@@ -203,7 +203,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// A routing path saw shard `i` fail: tag the breaker write and
     /// quarantine the shard.
     pub(crate) fn trip(&self, w: &mut P::Worker, i: usize) {
-        self.touch_front(w, true);
+        self.tag_front(w, true);
         self.quarantine(i);
     }
 
@@ -215,7 +215,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         // The op clock is written by every operation: with recovery
         // armed, front traffic is genuinely order-sensitive (which op
         // crosses a probe deadline first matters).
-        self.touch_front(w, true);
+        self.tag_front(w, true);
         let now = self.breakers.ops.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
         if self.breakers.open.load(Ordering::Relaxed) == 0 {
             return;
@@ -247,7 +247,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         // The whole probe mutates front state (quiesce reads, breaker
         // transition to half-open); the salvage itself tags the shard's
         // own lock domain.
-        self.touch_front(w, true);
+        self.tag_front(w, true);
         let b = &self.breakers.shards[i];
 
         // Quiescence: operations that passed the quarantine check just

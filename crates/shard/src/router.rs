@@ -43,7 +43,7 @@ use crate::buffer::Buffers;
 #[cfg(any(test, feature = "mutations"))]
 use bgpq::Mutation;
 use bgpq::{Bgpq, BgpqOptions};
-use bgpq_runtime::Platform;
+use bgpq_runtime::{Place, Platform};
 use pq_api::{BufferPolicy, Entry, KeyType, OpStats, QueueError, StatsSnapshot, ValueType};
 
 pub use crate::breaker::{BreakerState, RecoveryOptions};
@@ -219,12 +219,13 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
 
     /// Access-tag the front's shared coordination state (breaker
     /// states, in-flight tokens, the recovery op clock) for schedule
-    /// exploration: maps to [`Platform::touch_shared`], a no-op outside
-    /// the simulator. Reads conflict only with breaker transitions, so
-    /// fault-free schedules keep their cross-shard independence.
+    /// exploration: [`Place::Front`] through [`Platform::tag`], a no-op
+    /// outside the simulator. Reads conflict only with breaker
+    /// transitions, so fault-free schedules keep their cross-shard
+    /// independence.
     #[inline]
-    pub(crate) fn touch_front(&self, w: &mut P::Worker, write: bool) {
-        self.shards[0].platform().touch_shared(w, write);
+    pub(crate) fn tag_front(&self, w: &mut P::Worker, write: bool) {
+        self.shards[0].platform().tag(w, Place::Front, write);
     }
 
     pub fn num_shards(&self) -> usize {
@@ -326,7 +327,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     ) -> Result<(), QueueError> {
         self.tick(w);
         // Routing reads the breaker states; conflicts only with trips.
-        self.touch_front(w, false);
+        self.tag_front(w, false);
         let s = self.shards.len();
         let home = affinity % s;
         let mut full: Option<QueueError> = None;
@@ -400,7 +401,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         count: usize,
     ) -> Result<usize, QueueError> {
         self.tick(w);
-        self.touch_front(w, false);
+        self.tag_front(w, false);
         self.with_scratch(w, |w, rs| self.try_delete_min_routed(w, rng, out, count, rs))
             .map(|(got, _)| got)
     }
@@ -427,15 +428,12 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     }
 
     /// Lock-free routing snapshot: every shard's published root-min (a
-    /// poisoned shard parks its hint at `u64::MAX`). Each hint read
-    /// races that shard's root publishes — tag it at the shard's root
-    /// lock.
+    /// poisoned shard parks its hint at `u64::MAX`), each read through
+    /// [`Bgpq::read_min_hint`], which tags it where that shard's root
+    /// publishes are tagged.
     fn snapshot_hints(&self, w: &mut P::Worker, hints: &mut Vec<u64>) {
         hints.clear();
-        hints.extend(self.shards.iter().map(|q| {
-            q.platform().touch(w, 0, false);
-            q.min_hint_bits()
-        }));
+        hints.extend(self.shards.iter().map(|q| q.read_min_hint(w)));
     }
 
     /// The one per-shard delete arm: take up to `count` entries from

@@ -101,3 +101,79 @@ fn sim_sharded_runs_are_deterministic() {
     assert_eq!(l1, l2);
     assert_eq!(q1, q2, "quality counters must replay identically");
 }
+
+/// Picks agent 0 for the first three decisions (its start, its launch
+/// prologue and its routing step) and agent 1 whenever it is ready
+/// afterwards.
+struct SnapshotThenPublish;
+
+impl gpu_sim::ScheduleController for SnapshotThenPublish {
+    fn pick(&self, point: &gpu_sim::PickPoint<'_>) -> gpu_sim::AgentId {
+        if point.step >= 3 && point.ready.contains(&1) {
+            1
+        } else {
+            point.ready[0]
+        }
+    }
+}
+
+/// The router's hint snapshot is tagged where the heap tags its
+/// root-min publish: the step that samples both shards must conflict
+/// with agent 1's publishing step on shard 1, and only through the
+/// hint read. Agent 1 drives shard 1 directly, so it touches no front
+/// state and no shard-0 word.
+#[test]
+fn hint_snapshot_conflicts_with_a_root_min_publish() {
+    use gpu_sim::{footprints_conflict, Access};
+    use std::sync::{Arc, Mutex};
+
+    let cfg = GpuConfig::new(2, 32);
+    let opts = ShardedOptions::new(
+        2,
+        2,
+        BgpqOptions { node_capacity: 2, max_nodes: 8, ..Default::default() },
+    );
+    let stash = Mutex::new(None);
+    launch(
+        cfg,
+        |sched| {
+            sched.set_controller(Arc::new(SnapshotThenPublish));
+            *stash.lock().unwrap() = Some(Arc::clone(sched));
+            sim_sharded(sched, &cfg, opts)
+        },
+        |ctx, q: &SimSharded| {
+            if ctx.block_id() == 0 {
+                let mut rng = 1u64;
+                q.delete_min(ctx.worker(), &mut rng, &mut Vec::new(), 1);
+            } else {
+                q.shard(1).insert(ctx.worker(), &[Entry::new(7, 7)]);
+            }
+        },
+    );
+    let decisions = stash.lock().unwrap().take().unwrap().take_decisions();
+    // Agent 1's entry check reads the poison flag across shard 1's whole
+    // lock arena, whose second lock is the root's.
+    let shard1_root = decisions
+        .iter()
+        .filter(|d| d.chosen == 1)
+        .flat_map(|d| d.footprint.iter())
+        .find(|a| a.lo < a.hi)
+        .expect("shard 1's queue-wide poison check")
+        .lo
+        + 1;
+    // Agent 0's first step with a read is its routing step.
+    let snapshot = decisions[..3]
+        .iter()
+        .find(|d| d.chosen == 0 && d.footprint.iter().any(|a| !a.write))
+        .expect("agent 0 routes before agent 1 runs");
+    let hint_read = Access::point(shard1_root, false);
+    assert!(snapshot.footprint.contains(&hint_read), "{:?}", snapshot.footprint);
+    let publish = decisions
+        .iter()
+        .find(|d| d.chosen == 1 && d.footprint.contains(&Access::point(shard1_root, true)))
+        .expect("agent 1 publishes shard 1's root-min");
+    assert!(footprints_conflict(&snapshot.footprint, &publish.footprint));
+    let without_hint: Vec<Access> =
+        snapshot.footprint.iter().copied().filter(|a| *a != hint_read).collect();
+    assert!(!footprints_conflict(&without_hint, &publish.footprint));
+}
