@@ -224,6 +224,28 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
         self.q.platform.tag(self.w, place, write);
     }
 
+    /// Node `node`'s state word, read outside its lock.
+    #[inline]
+    fn state(&mut self, node: usize) -> NodeState {
+        self.tag(Place::Lock(node), false);
+        self.q.storage.state(node)
+    }
+
+    /// Publish node `node`'s state word.
+    #[inline]
+    fn set_state(&mut self, node: usize, state: NodeState) {
+        self.tag(Place::Lock(node), true);
+        self.q.storage.set_state(node, state);
+    }
+
+    /// Refresh the root-min hint (caller holds the root lock), tagged
+    /// beside the root's lock.
+    #[inline]
+    fn publish_root_min(&mut self) {
+        self.tag(Place::Lock(ROOT), true);
+        self.q.publish_root_min();
+    }
+
     fn track(&mut self, lock: usize) {
         debug_assert!(self.n < MAX_HELD, "lock chain deeper than MAX_HELD");
         self.held[self.n] = lock;
@@ -712,8 +734,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     fn unlock_path(&self, c: &mut Crit<'_, K, V, P>, lock: usize, ctx: &mut OpCtx<K>) {
         if lock == ROOT {
             self.linearize_insert(ctx);
-            c.tag(Place::Lock(ROOT), true);
-            self.publish_root_min();
+            c.publish_root_min();
         }
         c.unlock(lock);
     }
@@ -885,11 +906,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             c.changed(ROOT);
             c.store([(ROOT, size)]);
-            c.tag(Place::Lock(ROOT), true);
-            self.storage.set_state(ROOT, NodeState::Avail);
+            c.set_state(ROOT, NodeState::Avail);
             OpStats::bump(&self.stats.inserts_buffered);
             self.linearize_insert(ctx);
-            self.publish_root_min();
+            c.publish_root_min();
             c.unlock(ROOT);
             return Ok(());
         }
@@ -928,8 +948,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.store([(ROOT, root_len), (PBUFFER, buf_len + size)]);
             OpStats::bump(&self.stats.inserts_buffered);
             self.linearize_insert(ctx);
-            c.tag(Place::Lock(ROOT), true);
-            self.publish_root_min();
+            c.publish_root_min();
             c.unlock(ROOT);
             return Ok(());
         }
@@ -993,8 +1012,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 return self.insert_tail(ctx, e);
             }
         }
-        c.tag(Place::Lock(tar), true);
-        self.storage.set_state(tar, NodeState::Target);
+        c.set_state(tar, NodeState::Target);
         self.record_protocol(ProtocolKind::TargetSet, tar);
         if first != tar {
             c.release_word(tar, if got_tar { Word::Cas } else { Word::Locked });
@@ -1006,10 +1024,10 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         let mut held = ROOT;
         let mut cur = first;
         let mut taken = got_first || first == tar;
-        c.tag(Place::Lock(tar), false);
         // The root is held until the first pass releases it, so `tar`
-        // cannot be MARKED while the first path node is taken.
-        while cur != tar && self.storage.state(tar) != NodeState::Marked {
+        // cannot be MARKED while the first path node is taken. Each pass
+        // reads `tar`'s state, the last one included.
+        while c.state(tar) != NodeState::Marked && cur != tar {
             c.inject(InjectionPoint::MidInsertHeapify);
             if !std::mem::take(&mut taken) {
                 if let Err(e) = c.lock_or_poison(cur) {
@@ -1021,8 +1039,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 // `tar`'s state rides in the round trip that released
                 // `held`: a delete may have marked `tar` while this
                 // block waited for `cur` (DESIGN §2).
-                c.tag(Place::Lock(tar), false);
-                if self.storage.state(tar) == NodeState::Marked {
+                if c.state(tar) == NodeState::Marked {
                     return self.answer_at_lock(c, cur, tar, &buf[..k], ctx);
                 }
             }
@@ -1043,7 +1060,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             c.changed(cur);
             c.store([(cur, k)]);
             cur = next_on_path(cur, tar);
-            c.tag(Place::Lock(tar), false);
         }
 
         // Alg. 1 lines 8-14.
@@ -1054,8 +1070,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
         }
         self.unlock_path(c, held, ctx);
-        c.tag(Place::Lock(tar), false);
-        if self.storage.state(tar) == NodeState::Target {
+        if c.state(tar) == NodeState::Target {
             // SAFETY: we hold tar's lock and it is TARGET (reserved for
             // us; no keys yet, and perhaps never written).
             unsafe {
@@ -1063,8 +1078,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             c.changed(tar);
             c.store([(tar, k)]);
-            c.tag(Place::Lock(tar), true);
-            self.storage.set_state(tar, NodeState::Avail);
+            c.set_state(tar, NodeState::Avail);
             self.record_protocol(ProtocolKind::TargetFilled, tar);
         } else {
             self.answer_marked(c, tar, &buf[..k]);
@@ -1111,8 +1125,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // `Mutation::MarkedHandoffEarlyAvail`): publish AVAIL before
             // the stolen keys land. A deleter scheduled into the charge
             // below reads a stale root.
-            c.tag(Place::Lock(ROOT), true);
-            self.storage.set_state(ROOT, NodeState::Avail);
+            c.set_state(ROOT, NodeState::Avail);
             c.changed(ROOT);
             c.store([(ROOT, k)]);
             unsafe {
@@ -1129,11 +1142,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             }
             c.changed(ROOT);
             c.store([(ROOT, k)]);
-            c.tag(Place::Lock(ROOT), true);
-            self.storage.set_state(ROOT, NodeState::Avail);
+            c.set_state(ROOT, NodeState::Avail);
         }
-        c.tag(Place::Lock(tar), true);
-        self.storage.set_state(tar, NodeState::Empty);
+        c.set_state(tar, NodeState::Empty);
         OpStats::bump(&self.stats.collaborations);
         self.record_protocol(ProtocolKind::CollabRefill, tar);
     }
@@ -1398,8 +1409,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 // Heap fully drained; reset to the empty state.
                 // SAFETY: root lock held.
                 unsafe { self.storage.meta_mut().heap_size = 0 };
-                c.tag(Place::Lock(ROOT), true);
-                self.storage.set_state(ROOT, NodeState::Empty);
+                c.set_state(ROOT, NodeState::Empty);
             }
             OpStats::bump(&self.stats.deletes_from_root);
             self.finish_delete(c, out, start, ROOT, true, ctx)?;
@@ -1407,8 +1417,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         }
 
         // ---- refill the root from a heap node (Alg. 2 lines 4-14) ----
-        c.tag(Place::Lock(ROOT), true);
-        self.storage.set_state(ROOT, NodeState::Empty);
+        c.set_state(ROOT, NodeState::Empty);
         let remained = count - root_len;
         let tar = unsafe {
             let m = self.storage.meta_mut();
@@ -1431,8 +1440,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 // The lock path reads the state with an atomic of its own.
                 c.charge(PrimitiveCost::Atomic);
             }
-            c.tag(Place::Lock(tar), false);
-            match self.storage.state(tar) {
+            match c.state(tar) {
                 NodeState::Avail => {
                     // `tar` is EMPTY once its word is released, and no
                     // insert can reserve it while the root is held: its
@@ -1463,8 +1471,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                     // root lock). `tar` holds no keys yet. Bounded: a dead
                     // inserter must not wedge us.
                     c.load(pending);
-                    c.tag(Place::Lock(tar), true);
-                    self.storage.set_state(tar, NodeState::Marked);
+                    c.set_state(tar, NodeState::Marked);
                     self.record_protocol(ProtocolKind::MarkedSet, tar);
                     c.release_word(tar, word);
                     self.bounded_wait(c, ROOT, NodeState::Avail)?;
@@ -1553,10 +1560,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             self.storage.meta_mut().root_len = src.len();
         }
         c.changed(ROOT);
-        c.tag(Place::Lock(tar), true);
-        self.storage.set_state(tar, NodeState::Empty);
-        c.tag(Place::Lock(ROOT), true);
-        self.storage.set_state(ROOT, NodeState::Avail);
+        c.set_state(tar, NodeState::Empty);
+        c.set_state(ROOT, NodeState::Avail);
     }
 
     /// `DELETEMIN_HEAPIFY` (Alg. 3), iteratively. On entry the caller
@@ -1616,13 +1621,9 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             // through the lock path while the CAS keeps the other.
             if l_in {
                 c.lock_pair(l, r_in.then_some(r))?;
-                c.tag(Place::Lock(l), false);
             }
-            if r_in {
-                c.tag(Place::Lock(r), false);
-            }
-            let l_has = l_in && self.storage.state(l) == NodeState::Avail;
-            let r_has = r_in && self.storage.state(r) == NodeState::Avail;
+            let l_has = l_in && c.state(l) == NodeState::Avail;
+            let r_has = r_in && c.state(r) == NodeState::Avail;
             let child_keys = (usize::from(l_has) + usize::from(r_has)) * k;
             c.load(if cur_on_chip { 0 } else { k } + child_keys);
             if !cur_on_chip && extra.is_some() {
@@ -1782,8 +1783,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             self.items.fetch_sub(got.len() as i64, Ordering::Relaxed);
             OpStats::add(&self.stats.items_deleted, got.len() as u64);
             self.linearize_delete(ctx, out, start);
-            c.tag(Place::Lock(ROOT), true);
-            self.publish_root_min();
+            c.publish_root_min();
         }
         c.unlock(lock);
         Ok(())
