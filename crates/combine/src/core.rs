@@ -274,6 +274,9 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         backend: &mut B,
         op: Op<K, V>,
     ) -> OpOutcome<K, V> {
+        // Every front op races every other one on the pending counter,
+        // the cells and the rings: the step that starts here writes them.
+        backend.tag_front(true);
         if self.is_poisoned() {
             let t = self.unavail_ticket.fetch_add(1, Ordering::Relaxed);
             if !t.is_multiple_of(PROBE_INTERVAL) {
@@ -287,16 +290,11 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
             // round clears the trip; if it is still down, the probe
             // reports `Poisoned` honestly.
         }
-        // Claiming or publishing a request mutates shared front state
-        // (pending counter, cell arm, ring push) — every other front op
-        // races it.
-        backend.tag_front(true);
         if self.pending.compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
             // Nothing pending: there is no round to join. The claim
             // keeps this call counted, so concurrent gathers linger
             // for its owner's next request.
             let outcome = self.issue_one(backend, op);
-            backend.tag_front(true);
             self.pending.fetch_sub(1, Ordering::SeqCst);
             return outcome;
         }
@@ -318,7 +316,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
                 // Only genuinely slow rounds pay for parking.
                 let mut spins = 0u32;
                 while !cell.is_done() && spins < PARK_SPINS {
-                    backend.relax();
+                    Self::wait_step(backend, false);
                     spins += 1;
                 }
                 if !cell.is_done() {
@@ -326,9 +324,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
                 }
             } else {
                 while !cell.is_done() {
-                    // Each poll reads the cell a gatherer will write.
-                    backend.tag_front(false);
-                    backend.relax();
+                    Self::wait_step(backend, false);
                 }
             }
         }
@@ -340,8 +336,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     /// (no-lost-request protocol in the module docs).
     fn combine<B: CombineBackend<K, V>>(&self, backend: &mut B) {
         loop {
-            // The lock attempt itself races every other gather.
-            backend.tag_front(true);
             let Some(mut cursor) = self.combiner.try_lock() else { return };
             let mut round = self.spare.lock().pop().unwrap_or_default();
             self.gather(backend, &mut cursor, &mut round.requests);
@@ -350,7 +344,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
             self.spare.lock().push(round);
             // Post-issue sweep: a request pushed after our last drain
             // must not be stranded.
-            backend.tag_front(true);
             if self.rings_are_empty() {
                 return;
             }
@@ -379,7 +372,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         cursor: &mut usize,
         round: &mut Vec<Queued<K, V>>,
     ) {
-        backend.tag_front(true);
         OpStats::raise(&self.stats.peak_pending, self.pending.load(Ordering::SeqCst) as u64);
         let cap = 2 * self.batch_capacity;
         let mut spins = 0;
@@ -398,9 +390,8 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
                 return;
             }
             spins += 1;
-            backend.relax();
-            // Each linger step re-reads the rings and counters.
-            backend.tag_front(true);
+            // Each linger step re-drains the rings.
+            Self::wait_step(backend, true);
         }
     }
 
@@ -477,15 +468,13 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     ) {
         for (c, chunk) in items.chunks(self.batch_capacity).enumerate() {
             let (base, n) = (c * self.batch_capacity, chunk.len());
-            // Every chunk completes requests waiters are polling on.
-            backend.tag_front(true);
             if *tripped {
                 // An earlier chunk of this round crashed the backend;
                 // fail the rest without touching it again.
                 (base..items.len()).for_each(|i| done(i, Err(QueueError::Poisoned)));
                 return;
             }
-            match self.call_backend(tripped, || backend.try_insert_batch(chunk)) {
+            match self.call_backend(backend, tripped, |b| b.try_insert_batch(chunk)) {
                 Ok(()) => {
                     self.record(&self.stats.inserts, &self.stats.items_inserted, n, n);
                     (base..base + n).for_each(|i| done(i, Ok(None)));
@@ -499,7 +488,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
                             Err(QueueError::Poisoned)
                         } else {
                             let one = std::slice::from_ref(e);
-                            self.call_backend(tripped, || backend.try_insert_batch(one))
+                            self.call_backend(backend, tripped, |b| b.try_insert_batch(one))
                         };
                         if r.is_ok() {
                             self.record(&self.stats.inserts, &self.stats.items_inserted, 1, 1);
@@ -529,15 +518,13 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         out.clear();
         let mut base = 0;
         while base < total {
-            // Every chunk completes requests waiters are polling on.
-            backend.tag_front(true);
             if *tripped {
                 (base..total).for_each(|j| done(j, Err(QueueError::Poisoned)));
                 return;
             }
             let n = (total - base).min(self.batch_capacity);
             let from = out.len();
-            match self.call_backend(tripped, || backend.try_delete_min_batch(out, n)) {
+            match self.call_backend(backend, tripped, |b| b.try_delete_min_batch(out, n)) {
                 Ok(got) => {
                     self.record(&self.stats.delete_mins, &self.stats.items_deleted, n, got);
                     // Requests past what the queue held see an empty
@@ -560,16 +547,30 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         self.stats.record_batch_occupancy(width, self.batch_capacity);
     }
 
+    /// One bounded wait step, then the front tag of the step that
+    /// resumes after it: a poll reads its cell, a lingering gather
+    /// re-drains the rings (`write`).
+    #[inline]
+    fn wait_step<B: CombineBackend<K, V>>(backend: &mut B, write: bool) {
+        backend.relax();
+        backend.tag_front(write);
+    }
+
     /// One backend call. A panic (injected fault, bug) counts as
     /// `Poisoned`: the backend's own poison guard has already marked the
     /// queue. A served call clears a trip; `Poisoned` trips the front
-    /// and the rest of the round.
-    fn call_backend<R>(
+    /// and the rest of the round. The step that resumes after the call
+    /// completes cells and the pending count: tagged as a front write.
+    #[inline]
+    fn call_backend<B: CombineBackend<K, V>, R>(
         &self,
+        backend: &mut B,
         tripped: &mut bool,
-        f: impl FnOnce() -> Result<R, QueueError>,
+        f: impl FnOnce(&mut B) -> Result<R, QueueError>,
     ) -> Result<R, QueueError> {
-        let r = catch_unwind(AssertUnwindSafe(f)).unwrap_or(Err(QueueError::Poisoned));
+        let r = catch_unwind(AssertUnwindSafe(|| f(&mut *backend)))
+            .unwrap_or(Err(QueueError::Poisoned));
+        backend.tag_front(true);
         match &r {
             Ok(_) => self.mark_available(),
             Err(QueueError::Poisoned) => {
