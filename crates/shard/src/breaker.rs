@@ -100,7 +100,7 @@ struct Breaker {
 pub(crate) struct Breakers {
     shards: Box<[Breaker]>,
     /// Recovery policy; `None` keeps quarantine permanent.
-    recovery: Option<RecoveryOptions>,
+    pub(crate) recovery: Option<RecoveryOptions>,
     /// Router operation counter: the clock that backoff deadlines are
     /// measured against. Ticks only when recovery is configured.
     ops: AtomicU64,
@@ -200,22 +200,12 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         }
     }
 
-    /// A routing path saw shard `i` fail: tag the breaker write and
-    /// quarantine the shard.
-    pub(crate) fn trip(&self, w: &mut P::Worker, i: usize) {
-        self.tag_front(w, true);
-        self.quarantine(i);
-    }
-
     /// Advance the recovery clock and run due salvage probes. Called at
-    /// the top of every routing operation; free when recovery is off,
-    /// one relaxed increment plus one load when no breaker is open.
+    /// the top of every routing operation (through the router's
+    /// routing entry, which tags it); free when recovery is off, one
+    /// relaxed increment plus one load when no breaker is open.
     pub(crate) fn tick(&self, w: &mut P::Worker) {
         let Some(rec) = self.breakers.recovery else { return };
-        // The op clock is written by every operation: with recovery
-        // armed, front traffic is genuinely order-sensitive (which op
-        // crosses a probe deadline first matters).
-        self.tag_front(w, true);
         let now = self.breakers.ops.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
         if self.breakers.open.load(Ordering::Relaxed) == 0 {
             return;
@@ -244,10 +234,6 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// enter the shard concurrently.
     fn probe_shard(&self, i: usize, w: &mut P::Worker, rec: &RecoveryOptions, now: u64) {
         OpStats::bump(&self.stats.probes);
-        // The whole probe mutates front state (quiesce reads, breaker
-        // transition to half-open); the salvage itself tags the shard's
-        // own lock domain.
-        self.tag_front(w, true);
         let b = &self.breakers.shards[i];
 
         // Quiescence: operations that passed the quarantine check just

@@ -277,7 +277,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         policy: &BufferPolicy,
     ) -> Result<usize, QueueError> {
         debug_assert!(b.ready.is_empty());
-        self.tick(w);
+        self.enter_routing(w);
         let width =
             if policy.refill_width == 0 { self.node_capacity() } else { policy.refill_width };
         b.tmp.clear();

@@ -217,15 +217,40 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         }
     }
 
-    /// Access-tag the front's shared coordination state (breaker
-    /// states, in-flight tokens, the recovery op clock) for schedule
-    /// exploration: [`Place::Front`] through [`Platform::tag`], a no-op
-    /// outside the simulator. Reads conflict only with breaker
-    /// transitions, so fault-free schedules keep their cross-shard
-    /// independence.
+    /// Routing entry, the top of every routing operation: tag the step
+    /// that routes for schedule exploration ([`Place::Front`], a no-op
+    /// outside the simulator), then advance the recovery clock. The
+    /// step reads breaker states and takes an in-flight token, which
+    /// conflict only with breaker transitions, so fault-free schedules
+    /// keep their cross-shard independence; with recovery armed it also
+    /// ticks the op clock and may run a probe, both writes.
     #[inline]
-    pub(crate) fn tag_front(&self, w: &mut P::Worker, write: bool) {
+    pub(crate) fn enter_routing(&self, w: &mut P::Worker) {
+        let write = self.breakers.recovery.is_some();
         self.shards[0].platform().tag(w, Place::Front, write);
+        self.tick(w);
+    }
+
+    /// Call shard `i` under an in-flight token (a later salvage probe
+    /// waits it out; it releases on panic too), then tag the step that
+    /// resumes after the shard's last yield: it drops the token and
+    /// does the caller's breaker bookkeeping, a write when the call
+    /// failed (the caller trips the breaker) or the breaker is half-open
+    /// (a success burns a trial token).
+    #[inline]
+    pub(crate) fn call_shard<R>(
+        &self,
+        w: &mut P::Worker,
+        i: usize,
+        call: impl FnOnce(&Bgpq<K, V, P>, &mut P::Worker) -> Result<R, QueueError>,
+    ) -> Result<R, QueueError> {
+        let r = {
+            let _g = self.breakers.enter(i);
+            call(&self.shards[i], w)
+        };
+        let write = r.is_err() || self.breaker_state(i) == BreakerState::HalfOpen;
+        self.shards[0].platform().tag(w, Place::Front, write);
+        r
     }
 
     pub fn num_shards(&self) -> usize {
@@ -325,9 +350,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         affinity: usize,
         items: &[Entry<K, V>],
     ) -> Result<(), QueueError> {
-        self.tick(w);
-        // Routing reads the breaker states; conflicts only with trips.
-        self.tag_front(w, false);
+        self.enter_routing(w);
         let s = self.shards.len();
         let home = affinity % s;
         let mut full: Option<QueueError> = None;
@@ -335,17 +358,13 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             if self.is_quarantined(i) {
                 continue;
             }
-            let r = {
-                let _g = self.breakers.enter(i);
-                self.shards[i].try_insert(w, items)
-            };
-            match r {
+            match self.call_shard(w, i, |q, w| q.try_insert(w, items)) {
                 Ok(()) => {
                     self.note_success(i);
                     return Ok(());
                 }
                 Err(e @ QueueError::Full { .. }) => full = Some(e),
-                Err(_) => self.trip(w, i),
+                Err(_) => self.quarantine(i),
             }
         }
         Err(full.unwrap_or(QueueError::Poisoned))
@@ -400,8 +419,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         out: &mut Vec<Entry<K, V>>,
         count: usize,
     ) -> Result<usize, QueueError> {
-        self.tick(w);
-        self.tag_front(w, false);
+        self.enter_routing(w);
         self.with_scratch(w, |w, rs| self.try_delete_min_routed(w, rng, out, count, rs))
             .map(|(got, _)| got)
     }
@@ -453,12 +471,8 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         rank: Rank,
     ) -> Option<usize> {
         let start = out.len();
-        let r = {
-            let _g = self.breakers.enter(i);
-            self.shards[i].try_delete_up_to(w, out, count)
-        };
-        let Ok(got) = r else {
-            self.trip(w, i);
+        let Ok(got) = self.call_shard(w, i, |q, w| q.try_delete_up_to(w, out, count)) else {
+            self.quarantine(i);
             return None;
         };
         // SweepDiscardsOnTrip: a breaker tripped while this delete was
