@@ -216,34 +216,72 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
         self.q.platform.backoff_long(self.w);
     }
 
-    /// Tag a lock-free access for schedule exploration (no-op
-    /// elsewhere): a node's state word and the root-min hint live at
-    /// their node's lock, the poison flag at the whole queue.
-    #[inline]
-    fn tag(&mut self, place: Place, write: bool) {
-        self.q.platform.tag(self.w, place, write);
-    }
+    // Lock-free accesses, each tagged for schedule exploration (a no-op
+    // elsewhere) where its word lives: node states and the root-min
+    // hint beside their node's lock, the poison flag queue-wide.
 
     /// Node `node`'s state word, read outside its lock.
     #[inline]
     fn state(&mut self, node: usize) -> NodeState {
-        self.tag(Place::Lock(node), false);
+        self.q.platform.tag(self.w, Place::Lock(node), false);
         self.q.storage.state(node)
     }
 
     /// Publish node `node`'s state word.
     #[inline]
     fn set_state(&mut self, node: usize, state: NodeState) {
-        self.tag(Place::Lock(node), true);
+        self.q.platform.tag(self.w, Place::Lock(node), true);
         self.q.storage.set_state(node, state);
     }
 
-    /// Refresh the root-min hint (caller holds the root lock), tagged
-    /// beside the root's lock.
+    /// One poll of a wait on `node`'s state word, which reads the
+    /// poison flag next: tagged queue-wide, covering both (a read, so
+    /// polls commute with each other).
+    #[inline]
+    fn poll_state(&mut self, node: usize) -> NodeState {
+        self.q.platform.tag(self.w, Place::Queue, false);
+        self.q.storage.state(node)
+    }
+
+    /// Whether the queue is poisoned.
+    #[inline]
+    fn poisoned(&mut self) -> bool {
+        self.q.platform.tag(self.w, Place::Queue, false);
+        self.q.is_poisoned()
+    }
+
+    /// Poison the queue (idempotent; the first transition counts a
+    /// poison event and retracts the min hint so routers stop
+    /// considering this queue).
+    #[inline]
+    fn poison(&mut self) {
+        self.q.platform.tag(self.w, Place::Queue, true);
+        if !self.q.poisoned.swap(true, Ordering::SeqCst) {
+            OpStats::bump(&self.q.stats.poison_events);
+            self.q.root_min_bits.store(u64::MAX, Ordering::Relaxed);
+        }
+    }
+
+    /// Refresh [`Bgpq::min_hint_bits`]. Caller holds the root lock (the
+    /// buffer shares it); must run before every root-lock release so
+    /// the published value reflects the state being made visible.
     #[inline]
     fn publish_root_min(&mut self) {
-        self.tag(Place::Lock(ROOT), true);
-        self.q.publish_root_min();
+        self.q.platform.tag(self.w, Place::Lock(ROOT), true);
+        let s = &self.q.storage;
+        // SAFETY: root lock held; reads cover only the root/buffer
+        // region that lock protects.
+        let bits = unsafe {
+            let m = s.meta_mut();
+            if m.root_len > 0 {
+                s.node_ref(ROOT)[0].key.to_ordered_bits()
+            } else if m.buf_len > 0 {
+                s.node_ref(PBUFFER)[0].key.to_ordered_bits()
+            } else {
+                u64::MAX
+            }
+        };
+        self.q.root_min_bits.store(bits, Ordering::Relaxed);
     }
 
     fn track(&mut self, lock: usize) {
@@ -286,8 +324,7 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
     /// mutated yet, so failure (or an existing poison) is clean — the
     /// operation simply never starts.
     fn lock_entry(&mut self, lock: usize) -> Result<(), QueueError> {
-        self.tag(Place::Queue, false);
-        if self.q.is_poisoned() {
+        if self.poisoned() {
             return Err(QueueError::Poisoned);
         }
         self.acquire(lock)
@@ -306,8 +343,7 @@ impl<'a, K: KeyType, V: ValueType, P: Platform> Crit<'a, K, V, P> {
                 Ok(())
             }
             Err(e) => {
-                self.tag(Place::Queue, true);
-                self.q.poison_now();
+                self.poison();
                 self.release_all();
                 Err(e)
             }
@@ -438,7 +474,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Drop for Crit<'_, K, V, P> {
         // section (normal paths release explicitly). Poison FIRST: a
         // peer that wins a freed lock must already see the flag.
         if self.n > 0 {
-            self.q.poison_now();
+            self.poison();
             self.release_all();
         }
     }
@@ -484,16 +520,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
     /// now fail with [`QueueError::Poisoned`]).
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::SeqCst)
-    }
-
-    /// Transition to the poisoned state (idempotent; first transition
-    /// counts a poison event and retracts the min hint so routers stop
-    /// considering this queue).
-    fn poison_now(&self) {
-        if !self.poisoned.swap(true, Ordering::SeqCst) {
-            OpStats::bump(&self.stats.poison_events);
-            self.root_min_bits.store(u64::MAX, Ordering::Relaxed);
-        }
     }
 
     /// Enable linearization-history recording (Section 5 checking).
@@ -563,9 +589,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         self.root_min_bits.load(Ordering::Relaxed)
     }
 
-    /// [`Self::min_hint_bits`] as a router sampling this queue on `w`
-    /// reads it, outside any lock: tagged for schedule exploration at
-    /// the root's lock, beside which every publish is tagged.
+    /// [`Self::min_hint_bits`] read by a router on `w`, outside any
+    /// lock: tagged beside the root's lock, as every publish is.
     #[inline]
     pub fn read_min_hint(&self, w: &mut P::Worker) -> u64 {
         self.platform.tag(w, Place::Lock(ROOT), false);
@@ -708,25 +733,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
                 },
             });
         }
-    }
-
-    /// Refresh [`Self::min_hint_bits`]. Caller holds the root lock (the
-    /// buffer shares it); must run before every root-lock release so
-    /// the published value reflects the state being made visible.
-    fn publish_root_min(&self) {
-        // SAFETY: root lock held; reads cover only the root/buffer
-        // region that lock protects.
-        let bits = unsafe {
-            let m = self.storage.meta_mut();
-            if m.root_len > 0 {
-                self.storage.node_ref(ROOT)[0].key.to_ordered_bits()
-            } else if m.buf_len > 0 {
-                self.storage.node_ref(PBUFFER)[0].key.to_ordered_bits()
-            } else {
-                u64::MAX
-            }
-        };
-        self.root_min_bits.store(bits, Ordering::Relaxed);
     }
 
     /// Release a path lock on the insert path; if it is the root's,
@@ -1025,9 +1031,8 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         let mut cur = first;
         let mut taken = got_first || first == tar;
         // The root is held until the first pass releases it, so `tar`
-        // cannot be MARKED while the first path node is taken. Each pass
-        // reads `tar`'s state, the last one included.
-        while c.state(tar) != NodeState::Marked && cur != tar {
+        // cannot be MARKED while the first path node is taken.
+        while cur != tar && c.state(tar) != NodeState::Marked {
             c.inject(InjectionPoint::MidInsertHeapify);
             if !std::mem::take(&mut taken) {
                 if let Err(e) = c.lock_or_poison(cur) {
@@ -1303,18 +1308,14 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         want: NodeState,
     ) -> Result<(), QueueError> {
         let mut iters: u64 = 0;
-        // Each poll reads the awaited state word and the poison flag;
-        // the domain-read covers both (reads commute with other polls).
-        c.tag(Place::Queue, false);
-        while self.storage.state(node) != want {
+        while c.poll_state(node) != want {
             if self.is_poisoned() {
                 c.release_all();
                 return Err(QueueError::Poisoned);
             }
             iters += 1;
             if iters > SPIN_POISON_AFTER {
-                c.tag(Place::Queue, true);
-                self.poison_now();
+                c.poison();
                 c.release_all();
                 return Err(QueueError::Poisoned);
             }
@@ -1327,7 +1328,6 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
             } else {
                 c.backoff();
             }
-            c.tag(Place::Queue, false);
         }
         Ok(())
     }
