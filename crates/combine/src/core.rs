@@ -568,8 +568,7 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         tripped: &mut bool,
         f: impl FnOnce(&mut B) -> Result<R, QueueError>,
     ) -> Result<R, QueueError> {
-        let r = catch_unwind(AssertUnwindSafe(|| f(&mut *backend)))
-            .unwrap_or(Err(QueueError::Poisoned));
+        let r = catch_unwind(AssertUnwindSafe(|| f(backend))).unwrap_or(Err(QueueError::Poisoned));
         backend.tag_front(true);
         match &r {
             Ok(_) => self.mark_available(),

@@ -59,21 +59,6 @@ impl SimPlatform {
     pub fn block_dim(&self) -> u32 {
         self.block_dim
     }
-
-    /// The explorer address interval of `place`: one lock word, this
-    /// platform's whole lock arena, or the one front address.
-    #[inline]
-    fn span(&self, place: Place) -> (u64, u64) {
-        match place {
-            Place::Lock(lock) => {
-                debug_assert!(lock < self.num_locks);
-                let addr = (self.base_lock + lock) as u64;
-                (addr, addr)
-            }
-            Place::Queue => (self.base_lock as u64, (self.base_lock + self.num_locks - 1) as u64),
-            Place::Front => (FRONT_ADDR, FRONT_ADDR),
-        }
-    }
 }
 
 impl Platform for SimPlatform {
@@ -129,9 +114,19 @@ impl Platform for SimPlatform {
         w.spin(self.cost.c_spin * 64);
     }
 
+    /// Maps `place` to an explorer address interval: one lock word,
+    /// this platform's whole lock arena, or the one front address.
     #[inline]
     fn tag(&self, w: &mut SimWorker, place: Place, write: bool) {
-        let (lo, hi) = self.span(place);
+        let (lo, hi) = match place {
+            Place::Lock(lock) => {
+                debug_assert!(lock < self.num_locks);
+                let addr = (self.base_lock + lock) as u64;
+                (addr, addr)
+            }
+            Place::Queue => (self.base_lock as u64, (self.base_lock + self.num_locks - 1) as u64),
+            Place::Front => (FRONT_ADDR, FRONT_ADDR),
+        };
         w.touch(lo, hi, write);
     }
 
@@ -139,8 +134,7 @@ impl Platform for SimPlatform {
         let Some(plan) = self.faults.as_ref() else { return };
         // The plan's per-point hit counters are shared state: every
         // injection on this platform races every other one.
-        let (lo, hi) = self.span(Place::Queue);
-        w.touch(lo, hi, true);
+        self.tag(w, Place::Queue, true);
         match plan.check(point) {
             None => {}
             Some(FaultAction::Panic) => {

@@ -26,7 +26,7 @@
 //! loss is never silent.
 
 use crate::router::ShardedBgpq;
-use bgpq_runtime::Platform;
+use bgpq_runtime::{Place, Platform};
 use pq_api::{Entry, KeyType, OpStats, ValueType};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -100,7 +100,7 @@ struct Breaker {
 pub(crate) struct Breakers {
     shards: Box<[Breaker]>,
     /// Recovery policy; `None` keeps quarantine permanent.
-    pub(crate) recovery: Option<RecoveryOptions>,
+    recovery: Option<RecoveryOptions>,
     /// Router operation counter: the clock that backoff deadlines are
     /// measured against. Ticks only when recovery is configured.
     ops: AtomicU64,
@@ -200,11 +200,16 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         }
     }
 
-    /// Advance the recovery clock and run due salvage probes. Called at
-    /// the top of every routing operation (through the router's
-    /// routing entry, which tags it); free when recovery is off, one
-    /// relaxed increment plus one load when no breaker is open.
+    /// Routing entry, called at the top of every routing operation:
+    /// tag the step that routes, then advance the recovery clock and run
+    /// due salvage probes. Free when recovery is off, one relaxed
+    /// increment plus one load when no breaker is open.
     pub(crate) fn tick(&self, w: &mut P::Worker) {
+        // Routing reads breaker states and takes an in-flight token, so
+        // fault-free schedules keep their cross-shard independence; with
+        // recovery armed every operation writes the op clock.
+        let platform = self.shards[0].platform();
+        platform.tag(w, Place::Front, self.breakers.recovery.is_some());
         let Some(rec) = self.breakers.recovery else { return };
         let now = self.breakers.ops.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
         if self.breakers.open.load(Ordering::Relaxed) == 0 {
@@ -223,6 +228,9 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             }
             if b.state.load(Ordering::Acquire) == OPEN {
                 self.probe_shard(i, w, &rec, now);
+                // The step that resumes after the probe's last yield
+                // moves the breaker to half-open.
+                platform.tag(w, Place::Front, true);
             }
             b.recovering.store(false, Ordering::Release);
         }
@@ -292,12 +300,13 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
 
     /// Note a successful operation against shard `i`: in half-open it
     /// burns one trial token, and the token that reaches zero closes
-    /// the breaker (full re-admission).
+    /// the breaker (full re-admission). Returns whether it wrote the
+    /// breaker (it was half-open).
     #[inline]
-    pub(crate) fn note_success(&self, i: usize) {
+    pub(crate) fn note_success(&self, i: usize) -> bool {
         let b = &self.breakers.shards[i];
         if b.state.load(Ordering::Relaxed) != HALF_OPEN {
-            return;
+            return false;
         }
         if b.trial_left.fetch_sub(1, Ordering::AcqRel) == 1
             && b.state
@@ -306,5 +315,6 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         {
             OpStats::bump(&self.stats.readmissions);
         }
+        true
     }
 }

@@ -277,7 +277,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         policy: &BufferPolicy,
     ) -> Result<usize, QueueError> {
         debug_assert!(b.ready.is_empty());
-        self.enter_routing(w);
+        self.tick(w);
         let width =
             if policy.refill_width == 0 { self.node_capacity() } else { policy.refill_width };
         b.tmp.clear();

@@ -217,26 +217,12 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         }
     }
 
-    /// Routing entry, the top of every routing operation: tag the step
-    /// that routes for schedule exploration ([`Place::Front`], a no-op
-    /// outside the simulator), then advance the recovery clock. The
-    /// step reads breaker states and takes an in-flight token, which
-    /// conflict only with breaker transitions, so fault-free schedules
-    /// keep their cross-shard independence; with recovery armed it also
-    /// ticks the op clock and may run a probe, both writes.
-    #[inline]
-    pub(crate) fn enter_routing(&self, w: &mut P::Worker) {
-        let write = self.breakers.recovery.is_some();
-        self.shards[0].platform().tag(w, Place::Front, write);
-        self.tick(w);
-    }
-
     /// Call shard `i` under an in-flight token (a later salvage probe
-    /// waits it out; it releases on panic too), then tag the step that
-    /// resumes after the shard's last yield: it drops the token and
-    /// does the caller's breaker bookkeeping, a write when the call
-    /// failed (the caller trips the breaker) or the breaker is half-open
-    /// (a success burns a trial token).
+    /// waits it out; it releases on panic too) and keep its breaker: a
+    /// success burns a half-open trial token, and a failure other than
+    /// backpressure (`Full`) quarantines the shard. Then tag the step
+    /// that resumes after the shard's last yield: it drops the token,
+    /// and writes the breaker when it quarantined or burned a token.
     #[inline]
     pub(crate) fn call_shard<R>(
         &self,
@@ -248,8 +234,15 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             let _g = self.breakers.enter(i);
             call(&self.shards[i], w)
         };
-        let write = r.is_err() || self.breaker_state(i) == BreakerState::HalfOpen;
-        self.shards[0].platform().tag(w, Place::Front, write);
+        let write = match &r {
+            Ok(_) => self.note_success(i),
+            Err(QueueError::Full { .. }) => false,
+            Err(_) => {
+                self.quarantine(i);
+                true
+            }
+        };
+        self.shards[i].platform().tag(w, Place::Front, write);
         r
     }
 
@@ -350,7 +343,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         affinity: usize,
         items: &[Entry<K, V>],
     ) -> Result<(), QueueError> {
-        self.enter_routing(w);
+        self.tick(w);
         let s = self.shards.len();
         let home = affinity % s;
         let mut full: Option<QueueError> = None;
@@ -359,12 +352,9 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
                 continue;
             }
             match self.call_shard(w, i, |q, w| q.try_insert(w, items)) {
-                Ok(()) => {
-                    self.note_success(i);
-                    return Ok(());
-                }
+                Ok(()) => return Ok(()),
                 Err(e @ QueueError::Full { .. }) => full = Some(e),
-                Err(_) => self.quarantine(i),
+                Err(_) => {} // quarantined; try the next live shard
             }
         }
         Err(full.unwrap_or(QueueError::Poisoned))
@@ -419,7 +409,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         out: &mut Vec<Entry<K, V>>,
         count: usize,
     ) -> Result<usize, QueueError> {
-        self.enter_routing(w);
+        self.tick(w);
         self.with_scratch(w, |w, rs| self.try_delete_min_routed(w, rng, out, count, rs))
             .map(|(got, _)| got)
     }
@@ -455,8 +445,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     }
 
     /// The one per-shard delete arm: take up to `count` entries from
-    /// shard `i` into `out` under an in-flight token (a later salvage
-    /// probe waits it out; it releases on panic too). Returns `Some(0)`
+    /// shard `i` into `out` through [`Self::call_shard`]. Returns `Some(0)`
     /// on a clean miss and `Some(n)` when the shard served `n` entries,
     /// whose rank error is recorded per `rank`; `None` means the shard
     /// failed and was quarantined. `count` may exceed the node width
@@ -472,7 +461,6 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     ) -> Option<usize> {
         let start = out.len();
         let Ok(got) = self.call_shard(w, i, |q, w| q.try_delete_up_to(w, out, count)) else {
-            self.quarantine(i);
             return None;
         };
         // SweepDiscardsOnTrip: a breaker tripped while this delete was
@@ -500,7 +488,6 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             };
             record_delete(&self.stats, &rs.hints, i, out[start].key.to_ordered_bits(), stolen);
         }
-        self.note_success(i);
         Some(got)
     }
 
