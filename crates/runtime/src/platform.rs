@@ -17,26 +17,24 @@ pub struct LockFailure {
 /// Where a lock-free access tagged through [`Platform::tag`] lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Place {
-    /// State beside lock `l` of the table: BGPQ publishes node `l`'s
-    /// state word outside its lock, and the root-min hint beside the
-    /// root's.
+    /// Beside lock `l` of the table: BGPQ's node `l` state word, and
+    /// the root-min hint beside the root's lock.
     Lock(usize),
-    /// The whole queue, every lock of the table: the poison flag,
-    /// salvage's walk, fault-plan bookkeeping. Conflicts with every
-    /// access to this queue but with no other queue's.
+    /// The whole queue (every lock of the table): the poison flag,
+    /// salvage's walk, fault-plan counters. Conflicts with every access
+    /// to this queue, and with no other queue's.
     Queue,
-    /// The coordination state of a front over several queues (router
+    /// A front's coordination state over several queues (router
     /// breakers and op clock, combiner rings, cells and counters): one
-    /// place shared by every platform instance, apart from every
-    /// queue's own.
+    /// place shared by every platform instance.
     Front,
 }
 
 /// Execution environment for the batched heap.
 ///
 /// A platform owns a table of `num_locks()` locks addressed by index —
-/// BGPQ maps heap node `i` to lock `i` (root and partial buffer share
-/// lock 0, exactly as in the paper). Operations take a `&mut Worker`,
+/// BGPQ maps heap node `i` to lock `i` (the partial buffer, node 0,
+/// shares the root's lock 1, as in the paper; lock 0 is unused). Operations take a `&mut Worker`,
 /// the per-thread (or per-simulated-block) execution context.
 ///
 /// # Locking discipline
